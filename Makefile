@@ -7,16 +7,6 @@
 #   make test-threaded  - tier-1 smoke subset re-run with the threaded
 #                         block-ops kernels (REPRO_BLOCK_OPS=threaded), so
 #                         the thread-pool executor is exercised end to end
-#   make test-compile-cache - sweep-persistent program-cache contract:
-#                         refresh-vs-retrace invalidation (bond growth,
-#                         precision promotion, environment rewrites),
-#                         steady-state zero-allocation sweeps, overlapped
-#                         compilation determinism, arena double-release guard
-#   make test-obs       - observability layer: span tracer (ring buffers,
-#                         Chrome export, cross-process worker-span merge
-#                         under SIGKILL), unified metrics registry, the
-#                         history --diff metric-regression gate and the
-#                         tracing CLI surface
 #   make test-process   - the same smoke subset plus the conformance suite
 #                         under the process executor with every kernel forced
 #                         through the workers (REPRO_BLOCK_OPS=process,
@@ -29,8 +19,6 @@
 #                         repo-invariant lint, matvec-program aliasing
 #                         verification, schedule race detection on a traced
 #                         executor run; emits BENCH_analyze.json
-#   make doccheck       - alias for the lint pass (docstring presence is now
-#                         one of its rules; subsumes tools/check_docstrings.py)
 #   make bench-smoke    - measured benchmarks at tiny sizes + plan-aware
 #                         cost-model invariants (python -m repro bench --smoke);
 #                         emits the machine-readable BENCH_smoke.json artifact
@@ -42,11 +30,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test test-threaded test-compile-cache test-obs test-process \
-	analyze doccheck bench-smoke campaign-smoke bench
+.PHONY: check test test-threaded test-process analyze bench-smoke \
+	campaign-smoke bench
 
-check: test test-threaded test-compile-cache test-obs test-process analyze \
-	bench-smoke campaign-smoke
+check: test test-threaded test-process analyze bench-smoke campaign-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,13 +42,6 @@ test-threaded:
 	REPRO_BLOCK_OPS=threaded $(PYTHON) -m pytest -x -q \
 		tests/test_blockops.py tests/test_matvec.py tests/test_dmrg.py \
 		tests/test_backends.py
-
-test-compile-cache:
-	$(PYTHON) -m pytest -x -q tests/test_compile_cache.py \
-		tests/test_matvec.py
-
-test-obs:
-	$(PYTHON) -m pytest -x -q tests/test_obs.py
 
 test-process:
 	REPRO_BLOCK_OPS=process REPRO_PROCESS_MIN_DISPATCH=0 \
@@ -72,9 +52,6 @@ test-process:
 
 analyze:
 	$(PYTHON) -m repro analyze --json BENCH_analyze.json
-
-doccheck:
-	$(PYTHON) -m repro analyze --target lint
 
 bench-smoke:
 	$(PYTHON) -m repro bench --smoke --json BENCH_smoke.json

@@ -20,11 +20,12 @@ from repro.symmetry import BlockSparseTensor, Index, svd
 
 
 def _dmrg_setup(model, n, maxdim):
-    *ops, x = heff_setup(n, maxdim, model=model)
+    left, w1, w2, right, x = heff_setup(n, maxdim, model=model)
     # these benchmarks track the per-contraction planned path (the compiled
     # pipeline has its own harness, bench_matvec_compile.py) — pin the
     # compile flag so the series stays comparable across commits
-    heff = EffectiveHamiltonian(*ops, DirectBackend(), compile=False)
+    heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
+                                compile=False)
     return heff, x
 
 

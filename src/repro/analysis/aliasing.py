@@ -43,7 +43,7 @@ the tier-1 suite passes through :func:`verify_program`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,73 @@ def _shares(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.shares_memory(a, b))
 
 
+def _byte_bounds(a: np.ndarray) -> Tuple[int, int]:
+    """The half-open byte range ``[low, high)`` the elements of ``a`` span."""
+    if a.size == 0:
+        return (0, 0)
+    low = high = a.__array_interface__["data"][0]
+    for n, stride in zip(a.shape, a.strides):
+        if stride < 0:
+            low += (n - 1) * stride
+        else:
+            high += (n - 1) * stride
+    return low, high + a.itemsize
+
+
+def _intersecting(xs: Sequence[Tuple[int, int]],
+                  ys: Optional[Sequence[Tuple[int, int]]] = None
+                  ) -> List[Tuple[int, int]]:
+    """Index pairs whose half-open intervals intersect, by one sort + sweep.
+
+    With one sequence the pairs are ``(i, j)``, ``i < j``, within it; with
+    two they are ``(i, j)`` for ``xs[i]`` meeting ``ys[j]``.  Empty
+    intervals meet nothing.  The result is sorted, so callers report in the
+    order a nested loop would.
+    """
+    events = [(lo, hi, 0, i) for i, (lo, hi) in enumerate(xs) if hi > lo]
+    if ys is not None:
+        events += [(lo, hi, 1, j) for j, (lo, hi) in enumerate(ys) if hi > lo]
+    events.sort()
+    open_: List[Tuple[int, int, int]] = []      # (hi, side, index)
+    pairs: List[Tuple[int, int]] = []
+    for lo, hi, side, idx in events:
+        open_ = [e for e in open_ if e[0] > lo]
+        for _hi, other_side, other in open_:
+            if ys is None:
+                pairs.append((min(idx, other), max(idx, other)))
+            elif other_side != side:
+                pairs.append((idx, other) if side == 0 else (other, idx))
+        open_.append((hi, side, idx))
+    pairs.sort()
+    return pairs
+
+
+def _sharing(xs: Sequence[np.ndarray],
+             ys: Optional[Sequence[np.ndarray]] = None
+             ) -> List[Tuple[int, int]]:
+    """Index pairs of arrays that share memory, in nested-loop order.
+
+    Equivalent to testing every pair with :func:`_shares`; the exact (and
+    expensive) ``np.shares_memory`` runs only on the pairs whose byte bounds
+    intersect, which a sweep over the sorted bounds finds without visiting
+    the rest.
+    """
+    others = xs if ys is None else ys
+    candidates = _intersecting(
+        [_byte_bounds(a) for a in xs],
+        None if ys is None else [_byte_bounds(b) for b in ys])
+    return [(i, j) for i, j in candidates
+            if np.shares_memory(xs[i], others[j])]
+
+
+def _earlier(pairs: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Group sorted ``(i, j)`` pairs as ``{j: [i, ...]}``."""
+    grouped: Dict[int, List[int]] = {}
+    for i, j in pairs:
+        grouped.setdefault(j, []).append(i)
+    return grouped
+
+
 def _resolve(ref, dmats) -> Optional[np.ndarray]:
     """The array a unit operand ref names, or ``None`` if external.
 
@@ -151,7 +218,8 @@ def _stage_live_inputs(st, prev) -> List[np.ndarray]:
             src = g[2]
             if isinstance(src, int) and prev.result_mats[src] is not None:
                 live.append(prev.result_mats[src])
-    return live
+    # many units read the same panel: one entry per distinct array
+    return list({id(arr): arr for arr in live}.values())
 
 
 def verify_program(program) -> AliasReport:
@@ -170,106 +238,114 @@ def verify_program(program) -> AliasReport:
     report.buffers_checked = len(owned)
     prev = None
     for si, st in enumerate(stages):
-        live = _stage_live_inputs(st, prev)
-        outs: List[np.ndarray] = []
-        for ui, unit in enumerate(st.units):
-            report.units_checked += 1
-            _, lhs, rhs, out = unit
-            if st.is_final:
-                off, shape = out
-                size = int(np.prod(shape))
-                for prev_ui, (poff, psize) in enumerate(outs_final):
-                    if off < poff + psize and poff < off + size:
-                        report.findings.append(AliasFinding(
-                            "final-overlap", si, ui,
-                            f"result slice [{off}, {off + size}) overlaps "
-                            f"unit {prev_ui}'s [{poff}, {poff + psize})"))
-                if off + size > st.final_size:
-                    report.findings.append(AliasFinding(
-                        "final-overlap", si, ui,
-                        f"result slice [{off}, {off + size}) exceeds the "
-                        f"final buffer of {st.final_size} elements"))
-                outs_final.append((off, size))
-                continue
-            # destination vs this unit's own operands
-            for ref in (lhs, rhs):
-                arr = _resolve(ref, st.dmats)
-                if arr is not None and _shares(out, arr):
-                    report.findings.append(AliasFinding(
-                        "out-aliases-input", si, ui,
-                        f"out= destination {out.shape} shares memory with "
-                        f"a {'constant' if ref[0] == 'c' else 'staged'} "
-                        f"operand {arr.shape}"))
-            # destination vs every earlier destination of this stage
-            for prev_ui, other in enumerate(outs):
-                if _shares(out, other):
-                    report.findings.append(AliasFinding(
-                        "out-overlap", si, ui,
-                        f"destination {out.shape} overlaps unit "
-                        f"{prev_ui}'s destination {other.shape}; the "
-                        f"executors write these concurrently"))
-            outs.append(out)
+        report.units_checked += len(st.units)
         if st.is_final:
-            # per-block packing must also tile without overlap
-            blocks = sorted((off, size) for _, off, size, _ in
-                            st.final_blocks)
-            for (o1, s1), (o2, _) in zip(blocks, blocks[1:]):
-                if o1 + s1 > o2:
-                    report.findings.append(AliasFinding(
-                        "final-overlap", si, None,
-                        f"final block slices [{o1}, {o1 + s1}) and "
-                        f"[{o2}, ...) overlap"))
+            _check_final_tiling(report, si, st)
         else:
-            # destinations vs everything the stage still reads
-            for ui, out in enumerate(outs):
-                for arr in live:
-                    if _shares(out, arr):
-                        report.findings.append(AliasFinding(
-                            "live-input-overlap", si, ui,
-                            f"destination {out.shape} overlaps a live "
-                            f"input matrix {arr.shape} of this stage"))
-                        break
-        # refresh discipline: each recorded refresh view must write inside
-        # the one arena buffer it names and nothing else that is live
-        refresh_dsts: List[np.ndarray] = []
-        for ri, (dst, _key, _perm, owner) in enumerate(st.refreshes):
-            report.refresh_ops_checked += 1
-            if not any(buf is owner for buf in owned):
-                report.findings.append(AliasFinding(
-                    "refresh-aliases-live", si, ri,
-                    f"refresh destination {dst.shape} names an owner buffer "
-                    f"{owner.shape} the program does not own"))
-            elif not _shares(dst, owner):
-                report.findings.append(AliasFinding(
-                    "refresh-aliases-live", si, ri,
-                    f"refresh destination {dst.shape} does not write into "
-                    f"its owner buffer {owner.shape}"))
-            for buf in owned:
-                if buf is owner:
-                    continue
-                if _shares(dst, buf):
-                    report.findings.append(AliasFinding(
-                        "refresh-aliases-live", si, ri,
-                        f"refresh destination {dst.shape} overlaps a live "
-                        f"arena buffer {buf.shape} it does not own"))
-            for prev_ri, other in enumerate(refresh_dsts):
-                if _shares(dst, other):
-                    report.findings.append(AliasFinding(
-                        "refresh-aliases-live", si, ri,
-                        f"refresh destination {dst.shape} overlaps refresh "
-                        f"op {prev_ri}'s destination {other.shape}"))
-            refresh_dsts.append(dst)
+            _check_stage_destinations(report, si, st, prev)
+        _check_refreshes(report, si, st, owned)
         prev = st
-        outs_final: List[tuple] = []
     # arena liveness: no buffer issued twice while the program holds both
-    for i in range(len(owned)):
-        for j in range(i + 1, len(owned)):
-            if _shares(owned[i], owned[j]):
-                report.findings.append(AliasFinding(
-                    "arena-reissue", None, None,
-                    f"arena buffers #{i} {owned[i].shape} and #{j} "
-                    f"{owned[j].shape} share memory while both are live"))
+    for i, j in _sharing(owned):
+        report.findings.append(AliasFinding(
+            "arena-reissue", None, None,
+            f"arena buffers #{i} {owned[i].shape} and #{j} "
+            f"{owned[j].shape} share memory while both are live"))
     return report
+
+
+def _check_final_tiling(report: AliasReport, si: int, st) -> None:
+    """The final stage's ``(offset, size)`` result slices must tile."""
+    spans = [(off, off + int(np.prod(shape)))
+             for _, _, _, (off, shape) in st.units]
+    overlaps = _earlier(_intersecting(spans))
+    for ui, (lo, hi) in enumerate(spans):
+        for prev_ui in overlaps.get(ui, ()):
+            plo, phi = spans[prev_ui]
+            report.findings.append(AliasFinding(
+                "final-overlap", si, ui,
+                f"result slice [{lo}, {hi}) overlaps "
+                f"unit {prev_ui}'s [{plo}, {phi})"))
+        if hi > st.final_size:
+            report.findings.append(AliasFinding(
+                "final-overlap", si, ui,
+                f"result slice [{lo}, {hi}) exceeds the "
+                f"final buffer of {st.final_size} elements"))
+    # per-block packing must also tile without overlap
+    blocks = sorted((off, size) for _, off, size, _ in st.final_blocks)
+    for (o1, s1), (o2, _) in zip(blocks, blocks[1:]):
+        if o1 + s1 > o2:
+            report.findings.append(AliasFinding(
+                "final-overlap", si, None,
+                f"final block slices [{o1}, {o1 + s1}) and "
+                f"[{o2}, ...) overlap"))
+
+
+def _check_stage_destinations(report: AliasReport, si: int, st, prev) -> None:
+    """A non-final stage's ``out=`` views against each other and its inputs."""
+    outs = [unit[3] for unit in st.units]
+    overlaps = _earlier(_sharing(outs))
+    for ui, (_, lhs, rhs, out) in enumerate(st.units):
+        # destination vs this unit's own operands
+        for ref in (lhs, rhs):
+            arr = _resolve(ref, st.dmats)
+            if arr is not None and _shares(out, arr):
+                report.findings.append(AliasFinding(
+                    "out-aliases-input", si, ui,
+                    f"out= destination {out.shape} shares memory with "
+                    f"a {'constant' if ref[0] == 'c' else 'staged'} "
+                    f"operand {arr.shape}"))
+        # destination vs every earlier destination of this stage
+        for prev_ui in overlaps.get(ui, ()):
+            other = outs[prev_ui]
+            report.findings.append(AliasFinding(
+                "out-overlap", si, ui,
+                f"destination {out.shape} overlaps unit "
+                f"{prev_ui}'s destination {other.shape}; the "
+                f"executors write these concurrently"))
+    # destinations vs everything the stage still reads (first hit per unit)
+    live = _stage_live_inputs(st, prev)
+    reported = set()
+    for ui, li in _sharing(outs, live):
+        if ui not in reported:
+            reported.add(ui)
+            report.findings.append(AliasFinding(
+                "live-input-overlap", si, ui,
+                f"destination {outs[ui].shape} overlaps a live "
+                f"input matrix {live[li].shape} of this stage"))
+
+
+def _check_refreshes(report: AliasReport, si: int, st,
+                     owned: Sequence[np.ndarray]) -> None:
+    """Refresh discipline: each recorded refresh view must write inside the
+    one arena buffer it names and nothing else that is live."""
+    dsts = [dst for dst, _key, _perm, _owner in st.refreshes]
+    report.refresh_ops_checked += len(dsts)
+    owned_ids = {id(buf) for buf in owned}
+    touched = _earlier(_sharing(owned, dsts))     # {refresh op: [buffer]}
+    earlier = _earlier(_sharing(dsts))
+    for ri, (dst, _key, _perm, owner) in enumerate(st.refreshes):
+        if id(owner) not in owned_ids:
+            report.findings.append(AliasFinding(
+                "refresh-aliases-live", si, ri,
+                f"refresh destination {dst.shape} names an owner buffer "
+                f"{owner.shape} the program does not own"))
+        elif not _shares(dst, owner):
+            report.findings.append(AliasFinding(
+                "refresh-aliases-live", si, ri,
+                f"refresh destination {dst.shape} does not write into "
+                f"its owner buffer {owner.shape}"))
+        for bi in touched.get(ri, ()):
+            if owned[bi] is not owner:
+                report.findings.append(AliasFinding(
+                    "refresh-aliases-live", si, ri,
+                    f"refresh destination {dst.shape} overlaps a live "
+                    f"arena buffer {owned[bi].shape} it does not own"))
+        for prev_ri in earlier.get(ri, ()):
+            report.findings.append(AliasFinding(
+                "refresh-aliases-live", si, ri,
+                f"refresh destination {dst.shape} overlaps refresh "
+                f"op {prev_ri}'s destination {dsts[prev_ri].shape}"))
 
 
 def verify_compiler(compiler) -> AliasReport:
@@ -283,31 +359,30 @@ def verify_compiler(compiler) -> AliasReport:
     programs = list(compiler.iter_programs())
     for program in programs:
         report.merge(verify_program(program))
+    owned = [list(program.owned_buffers()) for program in programs]
     for i in range(len(programs)):
         for j in range(i + 1, len(programs)):
-            for a in programs[i].owned_buffers():
-                for b in programs[j].owned_buffers():
-                    if _shares(a, b):
-                        report.findings.append(AliasFinding(
-                            "arena-reissue", None, None,
-                            f"programs #{i} and #{j} both own live arena "
-                            f"bytes ({a.shape} vs {b.shape})"))
+            for ai, bi in _sharing(owned[i], owned[j]):
+                a, b = owned[i][ai], owned[j][bi]
+                report.findings.append(AliasFinding(
+                    "arena-reissue", None, None,
+                    f"programs #{i} and #{j} both own live arena "
+                    f"bytes ({a.shape} vs {b.shape})"))
     # a refresh of one program must never write into bytes another live
     # program reads: check every refresh view against every other
     # program's owned buffers
     for i, pi in enumerate(programs):
-        for j, pj in enumerate(programs):
+        dsts = [dst for st in pi.stages
+                for dst, _key, _perm, _owner in st.refreshes]
+        for j in range(len(programs)):
             if i == j:
                 continue
-            for st in pi.stages:
-                for dst, _key, _perm, _owner in st.refreshes:
-                    for b in pj.owned_buffers():
-                        if _shares(dst, b):
-                            report.findings.append(AliasFinding(
-                                "refresh-aliases-live", None, None,
-                                f"program #{i}'s refresh destination "
-                                f"{dst.shape} overlaps live arena bytes "
-                                f"{b.shape} owned by program #{j}"))
+            for di, bi in _sharing(dsts, owned[j]):
+                report.findings.append(AliasFinding(
+                    "refresh-aliases-live", None, None,
+                    f"program #{i}'s refresh destination "
+                    f"{dsts[di].shape} overlaps live arena bytes "
+                    f"{owned[j][bi].shape} owned by program #{j}"))
     return report
 
 
@@ -334,7 +409,7 @@ def verify_sample_programs(*, nsites: int = 8, maxdim: int = 12,
         left, w1, w2, right, x = heff_setup(nsites, maxdim, model=model)
         backend = DirectBackend()
         cache = SweepProgramCache.for_backend(backend)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                     compile=True, programs=cache)
         heff.apply(x)   # traced: compiles the program
         heff.apply(x)   # compiled: the program must actually serve
@@ -342,7 +417,7 @@ def verify_sample_programs(*, nsites: int = 8, maxdim: int = 12,
         heff.release()  # programs persist in the sweep cache
         # re-visit the bond: binding refreshes the cached program in place;
         # the refreshed program must satisfy the same memory discipline
-        revisit = EffectiveHamiltonian(left, w1, w2, right, backend,
+        revisit = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                        compile=True, programs=cache)
         revisit.apply(x)
         reports[model].merge(verify_compiler(revisit._get_compiler()))

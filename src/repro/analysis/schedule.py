@@ -420,7 +420,7 @@ def trace_executor_schedule(*, nsites: int = 8, maxdim: int = 12,
     ops.attach_trace(trace)
     try:
         left, w1, w2, right, x = heff_setup(nsites, maxdim)
-        heff = EffectiveHamiltonian(left, w1, w2, right,
+        heff = EffectiveHamiltonian(left, (w1, w2), right,
                                     DirectBackend(block_ops=ops),
                                     compile=True)
         for _ in range(max(2, applies)):

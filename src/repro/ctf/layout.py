@@ -199,22 +199,15 @@ def davidson_key(j: int) -> str:
     return f"dav:{j}"
 
 
-def heff_operand_keys(j: int) -> Tuple[str, str, str, str, str]:
-    """Operand keys of the two-site effective Hamiltonian at bond ``j``.
+def heff_operand_keys(j: int, nsites: int = 2) -> Tuple[str, ...]:
+    """Operand keys of the ``nsites``-site effective Hamiltonian at ``j``.
 
     Ordered as the projected Hamiltonian consumes them: left environment,
-    the two MPO site tensors, right environment, Davidson wavefunction.
+    the MPO site tensors, right environment, wavefunction.  The two-site
+    Davidson wavefunction has its own key; the one-site wavefunction plays
+    the role of (and overwrites) the MPS site tensor itself, so it shares
+    :func:`site_key`.
     """
-    return (left_env_key(j), mpo_key(j), mpo_key(j + 1),
-            right_env_key(j + 1), davidson_key(j))
-
-
-def single_site_heff_operand_keys(j: int) -> Tuple[str, str, str, str]:
-    """Operand keys of the one-site effective Hamiltonian at site ``j``.
-
-    Ordered as the projected Hamiltonian consumes them: left environment,
-    the MPO site tensor, right environment, wavefunction.  The optimized
-    one-site wavefunction plays the role of (and overwrites) the MPS site
-    tensor itself, so it shares :func:`site_key`.
-    """
-    return (left_env_key(j), mpo_key(j), right_env_key(j), site_key(j))
+    wavefunction = davidson_key(j) if nsites > 1 else site_key(j)
+    return (left_env_key(j), *(mpo_key(j + i) for i in range(nsites)),
+            right_env_key(j + nsites - 1), wavefunction)

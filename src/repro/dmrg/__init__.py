@@ -1,7 +1,6 @@
 """The DMRG engines (environments, Davidson, sweeps) and measurement layer."""
 
-from .config import (DMRGConfig, DMRGResult, ProgramStatsRecorder, SiteRecord,
-                     SweepRecord, Sweeps)
+from .config import DMRGConfig, DMRGResult, SiteRecord, SweepRecord, Sweeps
 from .davidson import DavidsonResult, davidson
 from .environments import (EnvironmentCache, extend_left, extend_right,
                            left_edge_environment, right_edge_environment)
@@ -12,8 +11,7 @@ from .observables import (MeasurementReport, bond_spectrum,
                           energy_variance, entanglement_profile, expect_opsum,
                           expect_term, expectation_profile, local_expectation,
                           measure, renyi_entropy)
-from .single_site import (SingleSiteEffectiveHamiltonian, run_single_site_dmrg,
-                          single_site_dmrg)
+from .single_site import run_single_site_dmrg, single_site_dmrg
 from .excited import (OverlapEnvironmentCache, PenalizedHamiltonian,
                       excited_dmrg, find_lowest_states)
 from .checkpoint import (Checkpoint, load_checkpoint, load_mpo, load_mps,
@@ -21,8 +19,7 @@ from .checkpoint import (Checkpoint, load_checkpoint, load_mpo, load_mps,
                          save_mps)
 
 __all__ = [
-    "DMRGConfig", "DMRGResult", "ProgramStatsRecorder", "SiteRecord",
-    "SweepRecord", "Sweeps",
+    "DMRGConfig", "DMRGResult", "SiteRecord", "SweepRecord", "Sweeps",
     "DavidsonResult", "davidson", "EnvironmentCache", "extend_left",
     "extend_right", "left_edge_environment", "right_edge_environment",
     "EffectiveHamiltonian", "dmrg", "run_dmrg", "two_site_tensor",
@@ -30,8 +27,7 @@ __all__ = [
     "correlation", "correlation_matrix", "energy_and_variance",
     "energy_variance", "entanglement_profile", "expect_opsum", "expect_term",
     "expectation_profile", "local_expectation", "measure", "renyi_entropy",
-    "SingleSiteEffectiveHamiltonian", "run_single_site_dmrg",
-    "single_site_dmrg", "OverlapEnvironmentCache", "PenalizedHamiltonian",
+    "run_single_site_dmrg", "single_site_dmrg", "OverlapEnvironmentCache", "PenalizedHamiltonian",
     "excited_dmrg", "find_lowest_states", "Checkpoint", "load_checkpoint",
     "load_mpo", "load_mps", "resume_sweep_schedule", "save_checkpoint",
     "save_mpo", "save_mps",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -49,7 +49,7 @@ class Sweeps:
 
 @dataclass
 class DMRGConfig:
-    """Parameters of the two-site DMRG engine.
+    """Parameters of the sweep engine, honoured alike by every driver.
 
     ``svd_min`` reproduces the paper's policy of discarding all singular
     values below 1e-12 regardless of the cutoff (Section II-C).
@@ -74,12 +74,6 @@ class DMRGConfig:
     #: compile (programs discarded at every ``heff.release()``).  No effect
     #: when ``compile_matvec`` is off.
     program_cache: bool = True
-    #: lower each bond's traced matvec into its compiled program on a
-    #: background thread while Davidson keeps iterating; the thread is
-    #: joined before any result is served, so energies, statistics and
-    #: counters are bit-identical to the synchronous compile.  Off by
-    #: default (pure wall-clock optimization).
-    overlap_compile: bool = False
     #: reduced compute dtype ("float32") of the warm-up phase; the first
     #: ``warmup_sweeps`` sweeps run their contractions and factorizations
     #: through a :class:`~repro.symmetry.blockops.MixedPrecisionOps` wrapper,
@@ -113,9 +107,20 @@ class SiteRecord:
     seconds: float
 
 
+def _share(metrics: Dict[str, float], name: str, other: str) -> float:
+    """``name / (name + other)`` over a metrics dict (0.0 when both are 0)."""
+    a, b = metrics.get(name, 0), metrics.get(other, 0)
+    return a / (a + b) if a + b else 0.0
+
+
 @dataclass
 class SweepRecord:
-    """Per-sweep summary."""
+    """Per-sweep summary.
+
+    ``metrics`` holds this sweep's counter deltas under their
+    :mod:`repro.obs.metrics` names (the counters of
+    :data:`StatsRecorder.SOURCES`).
+    """
 
     sweep: int
     energy: float
@@ -123,28 +128,17 @@ class SweepRecord:
     max_truncation_error: float
     seconds: float
     flops: float
-    plan_hits: int = 0               # contraction-plan cache hits this sweep
-    plan_misses: int = 0             # contraction-plan cache misses this sweep
-    layout_moves: int = 0            # charged layout moves (first + changes)
-    layout_reuses: int = 0           # operand touches with an unchanged layout
-    program_compiles: int = 0        # matvec programs compiled this sweep
-    program_refreshes: int = 0       # programs refreshed in place this sweep
-    program_retraces: int = 0        # programs invalidated (signature change)
-    arena_acquires: int = 0          # sweep-arena buffer acquisitions
-    arena_reuses: int = 0            # sweep-arena acquisitions served pooled
-    arena_bytes: int = 0             # fresh sweep-arena bytes allocated
+    metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def plan_hit_rate(self) -> float:
         """Fraction of this sweep's contractions served by a cached plan."""
-        n = self.plan_hits + self.plan_misses
-        return self.plan_hits / n if n else 0.0
+        return _share(self.metrics, "plan_cache.hits", "plan_cache.misses")
 
     @property
     def layout_reuse_rate(self) -> float:
         """Fraction of this sweep's tracked operand touches that were free."""
-        n = self.layout_moves + self.layout_reuses
-        return self.layout_reuses / n if n else 0.0
+        return _share(self.metrics, "layout.reuses", "layout.moves")
 
     @property
     def program_refresh_rate(self) -> float:
@@ -155,148 +149,82 @@ class SweepRecord:
         1.0: every bond visit reuses its program with an in-place panel
         refresh.
         """
-        n = self.program_refreshes + self.program_compiles
-        return self.program_refreshes / n if n else 0.0
+        return _share(self.metrics, "program.refreshes", "program.compiles")
 
 
-class PlanStatsRecorder:
-    """Plan-cache counter deltas for one DMRG run (and per sweep).
+class StatsRecorder:
+    """Counter deltas of one DMRG run (and per sweep), by metric name.
 
-    Shared by the two-site, single-site and excited sweep drivers.  Works
-    with backends that carry no plan cache: every delta stays zero.
+    The one place the sweep engine reads the plan cache, the layout
+    tracker, the sweep-persistent program cache and its arena.  A source the
+    run does not have (no planner, no simulated world, compiled matvec or
+    the program cache off) contributes zeros.
     """
 
-    def __init__(self, backend):
-        self.cache = getattr(backend, "plan_cache", None)
-        self._run0 = self._snap()
-        self._sweep0 = self._run0
+    #: metric name -> (source, attribute); ``*_seconds`` are wall-clock
+    #: accumulators reported per run only, the rest are counters reported
+    #: per sweep and per run
+    SOURCES = {
+        "plan_cache.hits": ("plan_cache", "hits"),
+        "plan_cache.misses": ("plan_cache", "misses"),
+        "layout.moves": ("tracker", "charged_moves"),
+        "layout.reuses": ("tracker", "reuses"),
+        "program.compiles": ("programs", "compiles"),
+        "program.refreshes": ("programs", "refreshes"),
+        "program.retraces": ("programs", "retraces"),
+        "arena.acquires": ("arena", "acquires"),
+        "arena.reuses": ("arena", "reuses"),
+        "arena.allocated_bytes": ("arena", "allocated_bytes"),
+        "plan_cache.plan_seconds": ("plan_cache", "plan_seconds"),
+        "plan_cache.execute_seconds": ("plan_cache", "execute_seconds"),
+    }
 
-    def _snap(self) -> tuple:
-        c = self.cache
-        if c is None:
-            return (0, 0, 0.0, 0.0)
-        return (c.hits, c.misses, c.plan_seconds, c.execute_seconds)
-
-    def start_sweep(self) -> None:
-        """Mark the beginning of a sweep."""
-        self._sweep0 = self._snap()
-
-    def sweep_counts(self) -> tuple:
-        """``(plan_hits, plan_misses)`` since :meth:`start_sweep`."""
-        now = self._snap()
-        return now[0] - self._sweep0[0], now[1] - self._sweep0[1]
-
-    def finalize(self, result: "DMRGResult") -> None:
-        """Write the run's plan-cache deltas into ``result``."""
-        now = self._snap()
-        result.plan_cache_hits = now[0] - self._run0[0]
-        result.plan_cache_misses = now[1] - self._run0[1]
-        result.plan_seconds = now[2] - self._run0[2]
-        result.plan_execute_seconds = now[3] - self._run0[3]
-
-
-class LayoutStatsRecorder:
-    """Layout-tracker counter deltas for one DMRG run (and per sweep).
-
-    Mirrors :class:`PlanStatsRecorder` for the sweep-persistent layout
-    tracker (:mod:`repro.ctf.layout`): the sweep drivers read per-sweep
-    transition/reuse deltas into each :class:`SweepRecord` so the CLI can
-    show the transition counts next to the plan-cache statistics.  Works
-    with backends that carry no simulated world: every delta stays zero.
-    """
-
-    def __init__(self, backend):
+    def __init__(self, backend, program_cache):
         world = getattr(backend, "world", None)
-        self.tracker = world.layout_tracker if world is not None else None
-        self._run0 = self._snap()
-        self._sweep0 = self._run0
+        self._objects = {
+            "plan_cache": getattr(backend, "plan_cache", None),
+            "tracker": getattr(world, "layout_tracker", None),
+            "programs": program_cache,
+            "arena": getattr(program_cache, "arena", None),
+        }
+        self._run0 = self._sweep0 = self._snap()
 
-    def _snap(self) -> tuple:
-        t = self.tracker
-        if t is None:
-            return (0, 0)
-        return (t.charged_moves, t.reuses)
-
-    def start_sweep(self) -> None:
-        """Mark the beginning of a sweep."""
-        self._sweep0 = self._snap()
-
-    def sweep_counts(self) -> tuple:
-        """``(layout_moves, layout_reuses)`` since :meth:`start_sweep`."""
-        now = self._snap()
-        return now[0] - self._sweep0[0], now[1] - self._sweep0[1]
-
-    def finalize(self, result: "DMRGResult") -> None:
-        """Write the run's layout-tracker deltas into ``result``."""
-        now = self._snap()
-        result.layout_moves = now[0] - self._run0[0]
-        result.layout_reuses = now[1] - self._run0[1]
-
-
-class ProgramStatsRecorder:
-    """Program-cache counter deltas for one DMRG run (and per sweep).
-
-    Mirrors :class:`PlanStatsRecorder` for the sweep-persistent matvec
-    program cache (:class:`~repro.symmetry.matvec.SweepProgramCache`): the
-    sweep drivers read per-sweep compile/refresh/retrace deltas — plus the
-    sweep-owned arena's allocation counters — into each
-    :class:`SweepRecord`.  Works with ``cache=None`` (program cache
-    disabled, or compiled matvec off entirely): every delta stays zero.
-    """
-
-    def __init__(self, cache):
-        self.cache = cache
-        self._run0 = self._snap()
-        self._sweep0 = self._run0
-
-    def _snap(self) -> tuple:
-        c = self.cache
-        if c is None:
-            return (0, 0, 0, 0, 0, 0)
-        a = c.arena
-        return (c.compiles, c.refreshes, c.retraces,
-                a.acquires, a.reuses, a.allocated_bytes)
+    def _snap(self) -> Dict[str, float]:
+        return {name: getattr(self._objects[source], attr,
+                              0.0 if name.endswith("_seconds") else 0)
+                for name, (source, attr) in self.SOURCES.items()}
 
     def start_sweep(self) -> None:
         """Mark the beginning of a sweep."""
         self._sweep0 = self._snap()
 
-    def sweep_counts(self) -> tuple:
-        """``(compiles, refreshes, retraces, acquires, reuses, bytes)``
-        deltas since :meth:`start_sweep`."""
+    def sweep_metrics(self) -> Dict[str, float]:
+        """Counter deltas since :meth:`start_sweep`."""
         now = self._snap()
-        return tuple(n - s for n, s in zip(now, self._sweep0))
+        return {name: now[name] - self._sweep0[name] for name in now
+                if not name.endswith("_seconds")}
 
-    def finalize(self, result: "DMRGResult") -> None:
-        """Write the run's program-cache deltas into ``result``."""
+    def run_metrics(self) -> Dict[str, float]:
+        """Counter and plan/execute-seconds deltas since construction."""
         now = self._snap()
-        (result.program_compiles, result.program_refreshes,
-         result.program_retraces, result.arena_acquires,
-         result.arena_reuses, result.arena_allocated_bytes) = tuple(
-            n - s for n, s in zip(now, self._run0))
+        return {name: now[name] - self._run0[name] for name in now}
 
 
 @dataclass
 class DMRGResult:
-    """Final result of a DMRG run."""
+    """Final result of a DMRG run.
+
+    ``metrics`` holds the run's counter deltas under their
+    :mod:`repro.obs.metrics` names (every entry of
+    :data:`StatsRecorder.SOURCES`), written once when the run ends.
+    """
 
     energy: float
     energies: List[float] = field(default_factory=list)
     sweep_records: List[SweepRecord] = field(default_factory=list)
     site_records: List[SiteRecord] = field(default_factory=list)
     converged: bool = False
-    plan_cache_hits: int = 0         # contraction-plan cache hits this run
-    plan_cache_misses: int = 0       # contraction-plan cache misses this run
-    plan_seconds: float = 0.0        # wall time spent building plans
-    plan_execute_seconds: float = 0.0  # wall time in the fused-GEMM executor
-    layout_moves: int = 0            # charged layout moves this run
-    layout_reuses: int = 0           # free layout reuses this run
-    program_compiles: int = 0        # matvec programs compiled this run
-    program_refreshes: int = 0       # cached programs refreshed in place
-    program_retraces: int = 0        # cached programs invalidated (retraced)
-    arena_acquires: int = 0          # sweep-arena buffer acquisitions
-    arena_reuses: int = 0            # sweep-arena acquisitions served pooled
-    arena_allocated_bytes: int = 0   # fresh bytes the sweep arena allocated
+    metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_flops(self) -> float:
@@ -311,20 +239,17 @@ class DMRGResult:
     @property
     def plan_cache_hit_rate(self) -> float:
         """Plan-cache hit rate over the whole run (0.0 without a planner)."""
-        n = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / n if n else 0.0
+        return _share(self.metrics, "plan_cache.hits", "plan_cache.misses")
 
     @property
     def layout_reuse_rate(self) -> float:
         """Fraction of tracked operand touches served in place (free)."""
-        n = self.layout_moves + self.layout_reuses
-        return self.layout_reuses / n if n else 0.0
+        return _share(self.metrics, "layout.reuses", "layout.moves")
 
     @property
     def program_refresh_rate(self) -> float:
         """Fraction of cached-program bond visits served by in-place refresh."""
-        n = self.program_refreshes + self.program_compiles
-        return self.program_refreshes / n if n else 0.0
+        return _share(self.metrics, "program.refreshes", "program.compiles")
 
     @property
     def plan_cache_hit_rate_after_first_sweep(self) -> float:
@@ -333,7 +258,8 @@ class DMRGResult:
         The first sweep populates the cache; once index structures stop
         changing, Davidson matvecs should hit almost always.
         """
-        hits = sum(r.plan_hits for r in self.sweep_records[1:])
-        misses = sum(r.plan_misses for r in self.sweep_records[1:])
+        later = [r.metrics for r in self.sweep_records[1:]]
+        hits = sum(m.get("plan_cache.hits", 0) for m in later)
+        misses = sum(m.get("plan_cache.misses", 0) for m in later)
         n = hits + misses
         return hits / n if n else 0.0

@@ -98,69 +98,96 @@ def extend_right(env: BlockSparseTensor, a: BlockSparseTensor,
     return tmp.transpose([0, 2, 1])                          # (bra_l, wl, ket_l)
 
 
-class EnvironmentCache:
-    """Cached left/right environments for a state/operator pair.
+class CenterCache:
+    """Per-site left/right partial contractions that follow the centre.
 
-    ``left(j)`` covers sites ``< j`` and ``right(j)`` covers sites ``> j``.
-    The cache is invalidated site-by-site as DMRG updates tensors.
+    ``left(j)`` covers sites ``< j`` and ``right(j)`` covers sites ``> j`` of
+    ``state``; entries are built on demand by the subclass's
+    ``_extend_left``/``_extend_right`` from their neighbour and dropped
+    site-by-site as DMRG rewrites tensors.  The trivial edge entries never
+    depend on a rewritten tensor and are kept for the cache's lifetime.
     """
 
-    def __init__(self, state: MPS, operator: MPO,
-                 backend: Optional[ContractionBackend] = None):
-        if len(state) != len(operator):
-            raise ValueError("state and operator lengths differ")
+    def __init__(self, state: MPS, left_edge: BlockSparseTensor,
+                 right_edge: BlockSparseTensor):
         self.state = state
-        self.operator = operator
-        self.backend = backend if backend is not None else DirectBackend()
         n = len(state)
         self._left: List[Optional[BlockSparseTensor]] = [None] * n
         self._right: List[Optional[BlockSparseTensor]] = [None] * n
-        self._left[0] = left_edge_environment(state, operator)
-        self._right[n - 1] = right_edge_environment(state, operator)
+        self._left[0] = left_edge
+        self._right[n - 1] = right_edge
+
+    def _extend_left(self, j: int) -> BlockSparseTensor:
+        """``left(j)`` from ``left(j - 1)`` and site ``j - 1``."""
+        raise NotImplementedError
+
+    def _extend_right(self, j: int) -> BlockSparseTensor:
+        """``right(j)`` from ``right(j + 1)`` and site ``j + 1``."""
+        raise NotImplementedError
 
     def left(self, j: int) -> BlockSparseTensor:
-        """Environment of all sites strictly to the left of ``j``."""
+        """Contraction of all sites strictly to the left of ``j``."""
         if self._left[j] is None:
-            prev = self.left(j - 1)
-            self._left[j] = extend_left(prev, self.state.tensors[j - 1],
-                                        self.operator.tensors[j - 1],
-                                        self.backend, site=j - 1)
+            self._left[j] = self._extend_left(j)
         return self._left[j]
 
     def right(self, j: int) -> BlockSparseTensor:
-        """Environment of all sites strictly to the right of ``j``."""
+        """Contraction of all sites strictly to the right of ``j``."""
         if self._right[j] is None:
-            nxt = self.right(j + 1)
-            self._right[j] = extend_right(nxt, self.state.tensors[j + 1],
-                                          self.operator.tensors[j + 1],
-                                          self.backend, site=j + 1)
+            self._right[j] = self._extend_right(j)
         return self._right[j]
 
+    def advance(self, direction: str) -> None:
+        """Follow the orthogonality centre after a local update.
+
+        The sweep just rewrote the tensors around the centre and moved it
+        one step in ``direction``: absorb the site it moved off into the
+        entry on that side and drop every entry the rewritten tensors made
+        stale.
+        """
+        c = self.state.center
+        if direction == "right":
+            self._left[c] = self._extend_left(c)
+        else:
+            self._right[c] = self._extend_right(c)
+        self.invalidate_from(c)
+
     def invalidate_all(self) -> None:
-        """Drop every cached environment except the trivial edge ones."""
+        """Drop every cached entry except the trivial edge ones."""
         n = len(self.state)
-        for k in range(1, n):
-            self._left[k] = None
-        for k in range(0, n - 1):
-            self._right[k] = None
-        self._left[0] = left_edge_environment(self.state, self.operator)
-        self._right[n - 1] = right_edge_environment(self.state, self.operator)
+        self._left[1:] = [None] * (n - 1)
+        self._right[:n - 1] = [None] * (n - 1)
 
     def invalidate_from(self, j: int) -> None:
-        """Drop cached environments that depend on site ``j`` or beyond/before."""
+        """Drop cached entries that depend on site ``j`` or beyond/before."""
         n = len(self.state)
         for k in range(j + 1, n):
             self._left[k] = None
         for k in range(0, j):
             self._right[k] = None
 
-    def set_left(self, j: int, env: BlockSparseTensor) -> None:
-        """Install a freshly extended left environment at position ``j``."""
-        self._left[j] = env
 
-    def set_right(self, j: int, env: BlockSparseTensor) -> None:
-        """Install a freshly extended right environment at position ``j``."""
-        self._right[j] = env
+class EnvironmentCache(CenterCache):
+    """Cached left/right Hamiltonian environments of a state/operator pair."""
+
+    def __init__(self, state: MPS, operator: MPO,
+                 backend: Optional[ContractionBackend] = None):
+        if len(state) != len(operator):
+            raise ValueError("state and operator lengths differ")
+        super().__init__(state, left_edge_environment(state, operator),
+                         right_edge_environment(state, operator))
+        self.operator = operator
+        self.backend = backend if backend is not None else DirectBackend()
+
+    def _extend_left(self, j: int) -> BlockSparseTensor:
+        return extend_left(self.left(j - 1), self.state.tensors[j - 1],
+                           self.operator.tensors[j - 1], self.backend,
+                           site=j - 1)
+
+    def _extend_right(self, j: int) -> BlockSparseTensor:
+        return extend_right(self.right(j + 1), self.state.tensors[j + 1],
+                            self.operator.tensors[j + 1], self.backend,
+                            site=j + 1)
 
     def memory_elements(self) -> int:
         """Total number of stored environment elements (paper: O(N m^2 k))."""

@@ -26,24 +26,18 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..backends.base import ContractionBackend, DirectBackend
+from ..backends.base import ContractionBackend
 from ..mps.mpo import MPO
 from ..mps.mps import MPS
-from ..obs import trace
-from ..perf import flops as flopcount
 from ..symmetry import BlockSparseTensor
 from ..symmetry.charges import zero_charge
-from ..symmetry.matvec import SweepProgramCache
-from .config import (DMRGConfig, DMRGResult, LayoutStatsRecorder,
-                     PlanStatsRecorder, ProgramStatsRecorder, SweepRecord,
-                     Sweeps)
-from .davidson import davidson
-from ..ctf.layout import davidson_key, site_key
-from .environments import EnvironmentCache, extend_left, extend_right
-from .sweep import EffectiveHamiltonian, two_site_tensor
+from .config import DMRGConfig, DMRGResult, Sweeps
+from .davidson import DavidsonResult
+from .environments import CenterCache
+from .sweep import EffectiveHamiltonian, TwoSiteUpdate, run_sweeps
 
 
-class OverlapEnvironmentCache:
+class OverlapEnvironmentCache(CenterCache):
     """Cached ``<psi| . |phi>`` overlap environments for the penalty projector.
 
     ``left(j)`` contracts the conjugated tensors of ``psi`` (the state being
@@ -61,61 +55,30 @@ class OverlapEnvironmentCache:
     def __init__(self, psi: MPS, phi: MPS):
         if len(psi) != len(phi):
             raise ValueError("states have different lengths")
-        self.psi = psi
         self.phi = phi
-        n = len(psi)
-        self._left: List[Optional[BlockSparseTensor]] = [None] * n
-        self._right: List[Optional[BlockSparseTensor]] = [None] * n
         nsym = psi.tensors[0].nsym
-        l_psi = psi.tensors[0].indices[0]
-        l_phi = phi.tensors[0].indices[0]
-        self._left[0] = BlockSparseTensor(
-            (l_psi, l_phi.dual()),
-            {(0, 0): np.ones((l_psi.dim, l_phi.dim))},
-            flux=zero_charge(nsym), check=False)
-        r_psi = psi.tensors[-1].indices[2]
-        r_phi = phi.tensors[-1].indices[2]
-        self._right[n - 1] = BlockSparseTensor(
-            (r_psi, r_phi.dual()),
-            {(0, 0): np.ones((r_psi.dim, r_phi.dim))},
-            flux=zero_charge(nsym), check=False)
 
-    def left(self, j: int) -> BlockSparseTensor:
-        """Overlap environment of sites strictly to the left of ``j``."""
-        if self._left[j] is None:
-            prev = self.left(j - 1)
-            a = self.psi.tensors[j - 1]
-            b = self.phi.tensors[j - 1]
-            t = prev.contract(b, axes=([1], [0]))              # (psi_l, p, phi_r)
-            self._left[j] = a.conj().contract(t, axes=([0, 1], [0, 1]))
-        return self._left[j]
+        def edge(a, b) -> BlockSparseTensor:
+            return BlockSparseTensor(
+                (a, b.dual()), {(0, 0): np.ones((a.dim, b.dim))},
+                flux=zero_charge(nsym), check=False)
 
-    def right(self, j: int) -> BlockSparseTensor:
-        """Overlap environment of sites strictly to the right of ``j``."""
-        if self._right[j] is None:
-            nxt = self.right(j + 1)
-            a = self.psi.tensors[j + 1]
-            b = self.phi.tensors[j + 1]
-            t = nxt.contract(b, axes=([1], [2]))               # (psi_r, phi_l, p)
-            self._right[j] = a.conj().contract(t, axes=([2, 1], [0, 2]))
-        return self._right[j]
+        super().__init__(
+            psi,
+            edge(psi.tensors[0].indices[0], phi.tensors[0].indices[0]),
+            edge(psi.tensors[-1].indices[2], phi.tensors[-1].indices[2]))
 
-    def invalidate_all(self) -> None:
-        """Drop every cached environment except the trivial edges."""
-        n = len(self.psi)
-        keep_left, keep_right = self._left[0], self._right[n - 1]
-        self._left = [None] * n
-        self._right = [None] * n
-        self._left[0] = keep_left
-        self._right[n - 1] = keep_right
+    def _extend_left(self, j: int) -> BlockSparseTensor:
+        a = self.state.tensors[j - 1]
+        b = self.phi.tensors[j - 1]
+        t = self.left(j - 1).contract(b, axes=([1], [0]))   # (psi_l, p, phi_r)
+        return a.conj().contract(t, axes=([0, 1], [0, 1]))
 
-    def invalidate_from(self, j: int) -> None:
-        """Drop environments that depend on sites ``>= j`` (left) / ``<= j`` (right)."""
-        n = len(self.psi)
-        for k in range(j + 1, n):
-            self._left[k] = None
-        for k in range(0, j):
-            self._right[k] = None
+    def _extend_right(self, j: int) -> BlockSparseTensor:
+        a = self.state.tensors[j + 1]
+        b = self.phi.tensors[j + 1]
+        t = self.right(j + 1).contract(b, axes=([1], [2]))  # (psi_r, phi_l, p)
+        return a.conj().contract(t, axes=([2, 1], [0, 2]))
 
     def projected_two_site(self, j: int) -> BlockSparseTensor:
         """Project ``phi`` onto the two-site tangent space of ``psi`` at bond ``j``."""
@@ -151,6 +114,35 @@ class PenalizedHamiltonian:
         return self.apply(x)
 
 
+class PenaltyUpdate(TwoSiteUpdate):
+    """Two-site update of ``H + weight * sum_k |phi_k><phi_k|``."""
+
+    engine = "excited"
+    normalize = True
+
+    def __init__(self, previous: Sequence[MPS], weight: float):
+        self.previous = previous
+        self.weight = weight
+        self.overlaps: List[OverlapEnvironmentCache] = []
+
+    def companion_caches(self, psi: MPS) -> List[CenterCache]:
+        # built here because they must follow the engine's working copy
+        self.overlaps = [OverlapEnvironmentCache(psi, phi)
+                         for phi in self.previous]
+        return list(self.overlaps)
+
+    def wrap(self, heff: EffectiveHamiltonian) -> PenalizedHamiltonian:
+        projections = [oc.projected_two_site(heff.site)
+                       for oc in self.overlaps]
+        return PenalizedHamiltonian(heff, projections, self.weight)
+
+    def energy(self, heff: EffectiveHamiltonian,
+               dav: DavidsonResult) -> float:
+        # report the bare energy of H, not of the penalized operator
+        x = dav.eigenvector
+        return float(np.real(x.inner(heff.apply(x))))
+
+
 def excited_dmrg(operator: MPO, psi0: MPS, previous: Sequence[MPS],
                  config: DMRGConfig, *, weight: float = 20.0,
                  backend: Optional[ContractionBackend] = None,
@@ -163,155 +155,13 @@ def excited_dmrg(operator: MPO, psi0: MPS, previous: Sequence[MPS],
     the expected gap).  With ``previous`` empty this reduces exactly to the
     standard ground-state sweep.
     """
-    backend = backend if backend is not None else DirectBackend()
     rng = rng if rng is not None else np.random.default_rng(4242)
-    psi = psi0.copy()
-    n = len(psi)
-    if n < 2:
-        raise ValueError("DMRG needs at least two sites")
-    psi.canonicalize(0)
-    psi.normalize()
-    envs = EnvironmentCache(psi, operator, backend)
-    overlaps = [OverlapEnvironmentCache(psi, phi) for phi in previous]
-
-    result = DMRGResult(energy=np.inf)
-    last_energy = np.inf
-    plan_stats = PlanStatsRecorder(backend)
-    layout_stats = LayoutStatsRecorder(backend)
-    program_cache = None
-    if config.compile_matvec and config.program_cache:
-        program_cache = SweepProgramCache.for_backend(backend)
-    program_stats = ProgramStatsRecorder(program_cache)
-
-    for sweep_id in range(len(config.sweeps)):
-        maxdim = config.sweeps.maxdims[sweep_id]
-        cutoff = config.sweeps.cutoffs[sweep_id]
-        dav_iters = config.sweeps.davidson_iterations[sweep_id]
-        sweep_energy = np.inf
-        sweep_maxdim = 1
-        sweep_maxtrunc = 0.0
-        sweep_flops0 = flopcount.total_flops()
-        plan_stats.start_sweep()
-        layout_stats.start_sweep()
-        program_stats.start_sweep()
-        sweep_span = trace.timed_span("sweep", "dmrg", sweep=sweep_id,
-                                      maxdim=maxdim,
-                                      engine="excited").start()
-
-        if psi.center != 0:
-            psi.move_center(0)
-            envs.invalidate_all()
-            for oc in overlaps:
-                oc.invalidate_all()
-
-        centers = list(range(0, n - 1)) + list(range(n - 2, -1, -1))
-        directions = ["right"] * (n - 1) + ["left"] * (n - 1)
-        for j, direction in zip(centers, directions):
-            bond_span = trace.timed_span("bond", "dmrg", sweep=sweep_id,
-                                         site=j, direction=direction).start()
-            left = envs.left(j)
-            right = envs.right(j + 1)
-            heff = EffectiveHamiltonian(left, operator.tensors[j],
-                                        operator.tensors[j + 1], right,
-                                        backend, site=j,
-                                        compile=config.compile_matvec,
-                                        programs=program_cache,
-                                        direction=direction,
-                                        overlap_compile=config.overlap_compile)
-            projections = [oc.projected_two_site(j) for oc in overlaps]
-            penalized = PenalizedHamiltonian(heff, projections, weight)
-
-            x0 = two_site_tensor(psi, j, backend)
-            with trace.span("davidson", "dmrg", site=j) as dav_span:
-                dav = davidson(penalized, x0, max_iterations=dav_iters,
-                               max_subspace=config.davidson_max_subspace,
-                               tol=config.davidson_tol, rng=rng)
-                dav_span.annotate(iterations=dav.iterations,
-                                  matvecs=dav.matvecs)
-            # report the bare energy of H, not of the penalized operator
-            x = dav.eigenvector
-            energy = float(np.real(x.inner(heff.apply(x))))
-            # the SVD below rewrites the wavefunction: invalidate the bond's
-            # compiled matvec programs and recycle their workspace buffers
-            heff.release()
-
-            absorb = "right" if direction == "right" else "left"
-            with trace.span("svd", "dmrg", site=j):
-                u, _, vh, info = backend.svd(
-                    x, row_axes=[0, 1], col_axes=[2, 3], max_dim=maxdim,
-                    cutoff=cutoff, svd_min=config.svd_min, absorb=absorb,
-                    new_tag=f"l{j + 1}")
-            psi.tensors[j] = u
-            psi.tensors[j + 1] = vh
-            psi.center = j + 1 if direction == "right" else j
-            # the SVD rewrote the site tensors (and consumed the Davidson
-            # tensor) outside the cost model's view: drop their tracked
-            # layouts so the next contraction charges a remapping again
-            backend.invalidate_layouts(site_key(j), site_key(j + 1),
-                                       davidson_key(j))
-
-            if direction == "right":
-                envs.set_left(j + 1, extend_left(left, psi.tensors[j],
-                                                 operator.tensors[j], backend,
-                                                 site=j))
-                envs.invalidate_from(j + 1)
-                for oc, phi in zip(overlaps, previous):
-                    t = oc.left(j).contract(phi.tensors[j], axes=([1], [0]))
-                    oc._left[j + 1] = psi.tensors[j].conj().contract(
-                        t, axes=([0, 1], [0, 1]))
-                    oc.invalidate_from(j + 1)
-            else:
-                envs.set_right(j, extend_right(right, psi.tensors[j + 1],
-                                               operator.tensors[j + 1], backend,
-                                               site=j + 1))
-                envs.invalidate_from(j)
-                for oc, phi in zip(overlaps, previous):
-                    t = oc.right(j + 1).contract(phi.tensors[j + 1],
-                                                 axes=([1], [2]))
-                    oc._right[j] = psi.tensors[j + 1].conj().contract(
-                        t, axes=([2, 1], [0, 2]))
-                    oc.invalidate_from(j)
-            backend.synchronize()
-            bond_span.stop()
-
-            sweep_energy = energy
-            sweep_maxdim = max(sweep_maxdim, info.kept_dim)
-            sweep_maxtrunc = max(sweep_maxtrunc, info.truncation_error)
-            if config.verbose:  # pragma: no cover
-                print(f"  [excited] sweep {sweep_id} site {j:3d} "
-                      f"[{direction:5s}] E = {energy:+.10f}")
-
-        seconds = sweep_span.stop()
-        dflops = flopcount.total_flops() - sweep_flops0
-        plan_hits, plan_misses = plan_stats.sweep_counts()
-        layout_moves, layout_reuses = layout_stats.sweep_counts()
-        (prog_compiles, prog_refreshes, prog_retraces,
-         arena_acq, arena_reuse, arena_bytes) = program_stats.sweep_counts()
-        result.sweep_records.append(SweepRecord(
-            sweep_id, sweep_energy, sweep_maxdim, sweep_maxtrunc, seconds,
-            dflops, plan_hits=plan_hits, plan_misses=plan_misses,
-            layout_moves=layout_moves, layout_reuses=layout_reuses,
-            program_compiles=prog_compiles, program_refreshes=prog_refreshes,
-            program_retraces=prog_retraces, arena_acquires=arena_acq,
-            arena_reuses=arena_reuse, arena_bytes=arena_bytes))
-        result.energies.append(sweep_energy)
-        result.energy = sweep_energy
-        if (config.energy_tol > 0 and
-                abs(last_energy - sweep_energy) < config.energy_tol):
-            result.converged = True
-            break
-        last_energy = sweep_energy
-
-    plan_stats.finalize(result)
-    layout_stats.finalize(result)
-    program_stats.finalize(result)
-    if program_cache is not None:
-        program_cache.release_all()
-    psi.normalize()
-    return result, psi
+    return run_sweeps(PenaltyUpdate(previous, weight), operator, psi0,
+                      config, backend, rng)
 
 
 def find_lowest_states(operator: MPO, psi0: MPS, nstates: int, *,
+                       config: Optional[DMRGConfig] = None,
                        maxdim: int = 64, nsweeps: int = 8,
                        cutoff: float = 1e-12, weight: float = 20.0,
                        backend: Optional[ContractionBackend] = None,
@@ -322,14 +172,17 @@ def find_lowest_states(operator: MPO, psi0: MPS, nstates: int, *,
 
     The first state is the ordinary DMRG ground state; each subsequent state
     penalizes every state found so far.  Returns ``(energy, MPS)`` pairs in
-    ascending energy order.  ``rng`` seeds the Davidson randomization of
+    ascending energy order.  Every state is swept with ``config``; without
+    one, ``maxdim``/``nsweeps``/``cutoff``/``compile_matvec`` describe a
+    doubling schedule.  ``rng`` seeds the Davidson randomization of
     every state's sweep (``repro run --seed`` threads one generator through
     the whole run so registry ids are reproducible end to end).
     """
     if nstates < 1:
         raise ValueError("need at least one state")
-    sweeps = Sweeps.ramp(maxdim, nsweeps, cutoff=cutoff)
-    config = DMRGConfig(sweeps=sweeps, compile_matvec=compile_matvec)
+    if config is None:
+        config = DMRGConfig(sweeps=Sweeps.ramp(maxdim, nsweeps, cutoff=cutoff),
+                            compile_matvec=compile_matvec)
     found: List[tuple[float, MPS]] = []
     for _ in range(nstates):
         result, psi = excited_dmrg(operator, psi0, [s for _, s in found],

@@ -16,96 +16,21 @@ flop-for-flop (see ``benchmarks/bench_ablation_single_vs_two_site.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backends.base import ContractionBackend, DirectBackend
-from ..ctf.layout import single_site_heff_operand_keys, site_key
+from ..backends.base import ContractionBackend
+from ..ctf.layout import site_key
 from ..mps.algebra import _direct_sum_index
 from ..mps.mpo import MPO
 from ..mps.mps import MPS
 from ..obs import trace
-from ..perf import flops as flopcount
-from ..symmetry import BlockSparseTensor, Index, svd
-from ..symmetry.matvec import MatvecCompiler, MatvecStage, SweepProgramCache
+from ..symmetry import BlockSparseTensor, Index
+from ..symmetry.linalg import TruncationInfo
 from ..symmetry.reshape import fuse_modes
-from .config import (DMRGConfig, DMRGResult, LayoutStatsRecorder,
-                     PlanStatsRecorder, ProgramStatsRecorder, SiteRecord,
-                     SweepRecord, Sweeps)
-from .davidson import davidson
-from .environments import EnvironmentCache
-from .sweep import PrecisionSchedule
-
-
-@dataclass
-class SingleSiteEffectiveHamiltonian:
-    """The projected one-site Hamiltonian ``K_j``, applied implicitly.
-
-    ``site`` names the environments, MPO tensor and wavefunction for the
-    sweep-persistent layout tracker (:mod:`repro.ctf.layout`), and with
-    ``compile=True`` (the default) the 3-contraction chain is lowered once
-    per site into a :class:`~repro.symmetry.matvec.MatvecProgram`, exactly
-    like the two-site and excited drivers: static operands are matricized
-    once, repeated Davidson matvecs run through preallocated workspace
-    buffers, and the cost model is charged identically to the chained path.
-    :meth:`release` invalidates the programs before the SVD rewrites the
-    wavefunction.
-    """
-
-    left_env: BlockSparseTensor
-    w: BlockSparseTensor
-    right_env: BlockSparseTensor
-    backend: ContractionBackend
-    site: Optional[int] = None
-    compile: bool = True
-    programs: Optional[SweepProgramCache] = None
-    direction: Optional[str] = None
-    overlap_compile: bool = False
-    _compiler: Optional[MatvecCompiler] = field(default=None, repr=False)
-
-    def stages(self) -> list[MatvecStage]:
-        """The chain's stage descriptions (operands, axes, layout keys)."""
-        if self.site is not None:
-            lk, wk, rk, xk = single_site_heff_operand_keys(self.site)
-            hk = [f"{xk}:h{i}" for i in range(3)]
-        else:
-            lk = wk = rk = xk = None
-            hk = [None] * 3
-        return [
-            MatvecStage(self.left_env, "a", ((2,), (0,)), (lk, xk), hk[0]),
-            # (bl, wl, p, r)
-            MatvecStage(self.w, "b", ((1, 2), (0, 2)), (hk[0], wk), hk[1]),
-            # (bl, r, p', wr)
-            MatvecStage(self.right_env, "b", ((1, 3), (2, 1)),
-                        (hk[1], rk), hk[2]),
-            # (bl, p', br)
-        ]
-
-    def _get_compiler(self) -> MatvecCompiler:
-        if self._compiler is None:
-            bond_key = None
-            if self.programs is not None:
-                bond_key = ("single-site", self.site, self.direction)
-            self._compiler = MatvecCompiler(self.backend, self.stages(),
-                                            enabled=self.compile,
-                                            cache=self.programs,
-                                            bond_key=bond_key,
-                                            overlap=self.overlap_compile)
-        return self._compiler
-
-    def apply(self, x: BlockSparseTensor) -> BlockSparseTensor:
-        """Apply ``K_j`` to a one-site tensor ``x`` with modes (l, p, r)."""
-        return self._get_compiler().apply(x)
-
-    def release(self) -> None:
-        """Drop the compiled programs (static operands are about to change)."""
-        if self._compiler is not None:
-            self._compiler.release()
-
-    def __call__(self, x: BlockSparseTensor) -> BlockSparseTensor:
-        return self.apply(x)
+from .config import DMRGConfig, DMRGResult, Sweeps
+from .sweep import EffectiveHamiltonian, TwoSiteUpdate, run_sweeps
 
 
 def _expansion_term_right(left_env: BlockSparseTensor, x: BlockSparseTensor,
@@ -165,6 +90,74 @@ def _stack_along_axis(a: BlockSparseTensor, b: BlockSparseTensor,
                              dtype=np.result_type(a.dtype, b.dtype), check=False)
 
 
+class SingleSiteUpdate(TwoSiteUpdate):
+    """One-site local update with subspace expansion across the moved bond."""
+
+    width = 1
+    engine = "single-site"
+    normalize = True
+
+    def __init__(self, expansion_alphas: Sequence[float]):
+        self.expansion_alphas = expansion_alphas
+        self.alpha = 0.0
+
+    def start_sweep(self, sweep_id: int) -> None:
+        self.alpha = float(self.expansion_alphas[sweep_id])
+
+    def centers(self, lo: int, hi: int) -> list[tuple[int, str]]:
+        return ([(j, "right") for j in range(lo, hi)] +
+                [(j, "left") for j in range(hi, lo, -1)])
+
+    def local_tensor(self, psi: MPS, j: int,
+                     backend: ContractionBackend) -> BlockSparseTensor:
+        return psi.tensors[j]
+
+    def split(self, psi: MPS, heff: EffectiveHamiltonian, direction: str,
+              x: BlockSparseTensor, truncation: dict) -> TruncationInfo:
+        j, backend, (w,) = heff.site, heff.backend, heff.ws
+        if direction == "right":
+            if self.alpha > 0.0:
+                expand = _expansion_term_right(heff.left_env, x, w,
+                                               self.alpha, backend)
+                x = _stack_along_axis(x, expand, axis=2, tag=f"l{j + 1}")
+                psi.tensors[j + 1] = _pad_along_axis(
+                    psi.tensors[j + 1], 0, expand.indices[2].dual(),
+                    tag=f"l{j + 1}")
+            with trace.span("svd", "dmrg", site=j):
+                u, _, vh, info = backend.svd(
+                    x, row_axes=[0, 1], col_axes=[2], absorb="right",
+                    new_tag=f"l{j + 1}", **truncation)
+            psi.tensors[j] = u
+            psi.tensors[j + 1] = vh.contract(psi.tensors[j + 1],
+                                             axes=([1], [0]))
+            psi.center = j + 1
+        else:
+            if self.alpha > 0.0:
+                expand = _expansion_term_left(heff.right_env, x, w,
+                                              self.alpha, backend)
+                x = _stack_along_axis(x, expand, axis=0, tag=f"l{j}")
+                psi.tensors[j - 1] = _pad_along_axis(
+                    psi.tensors[j - 1], 2, expand.indices[0].dual(),
+                    tag=f"l{j}")
+            with trace.span("svd", "dmrg", site=j):
+                u, _, vh, info = backend.svd(
+                    x, row_axes=[1, 2], col_axes=[0], absorb="right",
+                    new_tag=f"l{j}", **truncation)
+            # u has modes (phys, right, new); restore (new->left, phys, right)
+            psi.tensors[j] = u.transpose([2, 0, 1])
+            # vh has modes (new_dual, old_left); absorb into site j-1
+            psi.tensors[j - 1] = psi.tensors[j - 1].contract(
+                vh.transpose([1, 0]), axes=([2], [0]))
+            psi.center = j - 1
+        # both site tensors were rewritten outside the cost model; their
+        # tracked layouts are stale
+        backend.invalidate_layouts(site_key(j), site_key(psi.center))
+        return info
+
+    def bond_dimension(self, psi: MPS, info: TruncationInfo) -> int:
+        return psi.max_bond_dimension()
+
+
 def single_site_dmrg(operator: MPO, psi0: MPS, config: DMRGConfig, *,
                      backend: Optional[ContractionBackend] = None,
                      expansion_alphas: Sequence[float] | None = None,
@@ -185,7 +178,6 @@ def single_site_dmrg(operator: MPO, psi0: MPS, config: DMRGConfig, *,
         Contraction backend (``list`` / ``sparse-dense`` / ``sparse-sparse``
         or the plain single-process default).
     """
-    backend = backend if backend is not None else DirectBackend()
     rng = rng if rng is not None else np.random.default_rng(999)
     nsweeps = len(config.sweeps)
     if expansion_alphas is None:
@@ -193,176 +185,8 @@ def single_site_dmrg(operator: MPO, psi0: MPS, config: DMRGConfig, *,
                             for s in range(nsweeps)]
     if len(expansion_alphas) != nsweeps:
         raise ValueError("expansion_alphas must have one entry per sweep")
-
-    psi = psi0.copy()
-    n = len(psi)
-    if n < 2:
-        raise ValueError("DMRG needs at least two sites")
-    psi.canonicalize(0)
-    psi.normalize()
-    precision = PrecisionSchedule(config, backend)
-    precision.begin()
-    envs = EnvironmentCache(psi, operator, backend)
-
-    result = DMRGResult(energy=np.inf)
-    last_energy = np.inf
-    plan_stats = PlanStatsRecorder(backend)
-    layout_stats = LayoutStatsRecorder(backend)
-    program_cache = None
-    if config.compile_matvec and config.program_cache:
-        program_cache = SweepProgramCache.for_backend(backend)
-    program_stats = ProgramStatsRecorder(program_cache)
-
-    for sweep_id in range(nsweeps):
-        precision.start_sweep(sweep_id, psi, envs)
-        maxdim = config.sweeps.maxdims[sweep_id]
-        cutoff = config.sweeps.cutoffs[sweep_id]
-        dav_iters = config.sweeps.davidson_iterations[sweep_id]
-        alpha = float(expansion_alphas[sweep_id])
-        sweep_energy = np.inf
-        sweep_maxdim = 1
-        sweep_maxtrunc = 0.0
-        sweep_flops0 = flopcount.total_flops()
-        plan_stats.start_sweep()
-        layout_stats.start_sweep()
-        program_stats.start_sweep()
-        sweep_span = trace.timed_span("sweep", "dmrg", sweep=sweep_id,
-                                      maxdim=maxdim,
-                                      engine="single-site").start()
-
-        if psi.center != 0:
-            psi.move_center(0)
-            envs.invalidate_all()
-
-        centers = list(range(0, n - 1)) + list(range(n - 1, 0, -1))
-        directions = ["right"] * (n - 1) + ["left"] * (n - 1)
-        for j, direction in zip(centers, directions):
-            bond_span = trace.timed_span("bond", "dmrg", sweep=sweep_id,
-                                         site=j, direction=direction).start()
-            f0 = flopcount.total_flops()
-
-            left = envs.left(j)
-            right = envs.right(j)
-            heff = SingleSiteEffectiveHamiltonian(
-                left, operator.tensors[j], right, backend, site=j,
-                compile=config.compile_matvec, programs=program_cache,
-                direction=direction, overlap_compile=config.overlap_compile)
-            x0 = psi.tensors[j]
-            with trace.span("davidson", "dmrg", site=j) as dav_span:
-                dav = davidson(heff, x0, max_iterations=dav_iters,
-                               max_subspace=config.davidson_max_subspace,
-                               tol=config.davidson_tol, rng=rng)
-                dav_span.annotate(iterations=dav.iterations,
-                                  matvecs=dav.matvecs)
-            energy = dav.eigenvalue
-            x = dav.eigenvector
-            # the expansion/SVD below rewrite the wavefunction and (on the
-            # next step) the environments: the compiled matvec programs'
-            # cached static views are stale, so the site's programs are
-            # invalidated and their workspace buffers recycled
-            heff.release()
-
-            if direction == "right":
-                if alpha > 0.0:
-                    expand = _expansion_term_right(left, x, operator.tensors[j],
-                                                   alpha, backend)
-                    x = _stack_along_axis(x, expand, axis=2, tag=f"l{j + 1}")
-                    psi.tensors[j + 1] = _pad_along_axis(
-                        psi.tensors[j + 1], 0, expand.indices[2].dual(),
-                        tag=f"l{j + 1}")
-                with trace.span("svd", "dmrg", site=j):
-                    u, _, vh, info = backend.svd(
-                        x, row_axes=[0, 1], col_axes=[2], max_dim=maxdim,
-                        cutoff=cutoff, svd_min=config.svd_min,
-                        absorb="right", new_tag=f"l{j + 1}")
-                psi.tensors[j] = u
-                psi.tensors[j + 1] = vh.contract(psi.tensors[j + 1],
-                                                 axes=([1], [0]))
-                psi.center = j + 1
-                # both site tensors were rewritten outside the cost model;
-                # their tracked layouts are stale
-                backend.invalidate_layouts(site_key(j), site_key(j + 1))
-                from .environments import extend_left
-                envs.set_left(j + 1, extend_left(left, psi.tensors[j],
-                                                 operator.tensors[j], backend,
-                                                 site=j))
-                envs.invalidate_from(j + 1)
-            else:
-                if alpha > 0.0:
-                    expand = _expansion_term_left(right, x, operator.tensors[j],
-                                                  alpha, backend)
-                    x = _stack_along_axis(x, expand, axis=0, tag=f"l{j}")
-                    psi.tensors[j - 1] = _pad_along_axis(
-                        psi.tensors[j - 1], 2, expand.indices[0].dual(),
-                        tag=f"l{j}")
-                with trace.span("svd", "dmrg", site=j):
-                    u, _, vh, info = backend.svd(
-                        x, row_axes=[1, 2], col_axes=[0], max_dim=maxdim,
-                        cutoff=cutoff, svd_min=config.svd_min,
-                        absorb="right", new_tag=f"l{j}")
-                # u has modes (phys, right, new); restore (new->left, phys, right)
-                psi.tensors[j] = u.transpose([2, 0, 1])
-                # vh has modes (new_dual, old_left); absorb into site j-1
-                psi.tensors[j - 1] = psi.tensors[j - 1].contract(
-                    vh.transpose([1, 0]), axes=([2], [0]))
-                psi.center = j - 1
-                # both site tensors were rewritten outside the cost model;
-                # their tracked layouts are stale
-                backend.invalidate_layouts(site_key(j), site_key(j - 1))
-                from .environments import extend_right
-                envs.set_right(j - 1, extend_right(right, psi.tensors[j],
-                                                   operator.tensors[j], backend,
-                                                   site=j))
-                envs.invalidate_from(j - 1)
-            backend.synchronize()
-
-            seconds = bond_span.stop()
-            dflops = flopcount.total_flops() - f0
-            sweep_energy = energy
-            sweep_maxdim = max(sweep_maxdim, psi.max_bond_dimension())
-            sweep_maxtrunc = max(sweep_maxtrunc, info.truncation_error)
-            if config.record_site_details:
-                result.site_records.append(SiteRecord(
-                    sweep_id, j, direction, energy, info.kept_dim,
-                    info.truncation_error, dav.iterations, dav.matvecs,
-                    dflops, seconds))
-            if config.verbose:  # pragma: no cover - console output
-                print(f"  [1-site] sweep {sweep_id} site {j:3d} "
-                      f"[{direction:5s}] E = {energy:+.10f}")
-
-        seconds = sweep_span.stop()
-        dflops = flopcount.total_flops() - sweep_flops0
-        plan_hits, plan_misses = plan_stats.sweep_counts()
-        layout_moves, layout_reuses = layout_stats.sweep_counts()
-        (prog_compiles, prog_refreshes, prog_retraces,
-         arena_acq, arena_reuse, arena_bytes) = program_stats.sweep_counts()
-        result.sweep_records.append(SweepRecord(
-            sweep_id, sweep_energy, sweep_maxdim, sweep_maxtrunc, seconds,
-            dflops, plan_hits=plan_hits, plan_misses=plan_misses,
-            layout_moves=layout_moves, layout_reuses=layout_reuses,
-            program_compiles=prog_compiles, program_refreshes=prog_refreshes,
-            program_retraces=prog_retraces, arena_acquires=arena_acq,
-            arena_reuses=arena_reuse, arena_bytes=arena_bytes))
-        result.energies.append(sweep_energy)
-        result.energy = sweep_energy
-        if config.sweep_hook is not None:
-            config.sweep_hook(sweep_id, psi, result)
-        if config.verbose:  # pragma: no cover
-            print(f"[1-site] sweep {sweep_id}: E = {sweep_energy:+.10f}")
-        if (config.energy_tol > 0 and
-                abs(last_energy - sweep_energy) < config.energy_tol):
-            result.converged = True
-            break
-        last_energy = sweep_energy
-
-    precision.finish(psi, envs)
-    plan_stats.finalize(result)
-    layout_stats.finalize(result)
-    program_stats.finalize(result)
-    if program_cache is not None:
-        program_cache.release_all()
-    psi.normalize()
-    return result, psi
+    return run_sweeps(SingleSiteUpdate(expansion_alphas), operator, psi0,
+                      config, backend, rng)
 
 
 def run_single_site_dmrg(operator: MPO, psi0: MPS, *, maxdim: int = 64,

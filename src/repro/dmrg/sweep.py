@@ -1,16 +1,20 @@
-"""The two-site DMRG sweep driver.
+"""The DMRG sweep engine and the two-site driver.
 
 Implements the algorithm of Section II-C / Fig. 1: for every pair of adjacent
 sites the two site tensors are contracted, optimized with the Davidson routine
 applied through the left/right environments and the two MPO tensors, split
 back with a truncated block SVD (singular values absorbed in the sweep
 direction), and the environments are extended to the next center.
+
+:func:`run_sweeps` is the one sweep loop; what the two-site, single-site and
+excited-state drivers do differently at a bond is a :class:`TwoSiteUpdate`
+(or subclass) handed to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -22,16 +26,16 @@ from ..obs import trace
 from ..perf import flops as flopcount
 from ..symmetry import BlockSparseTensor
 from ..symmetry.blockops import MixedPrecisionOps
+from ..symmetry.linalg import TruncationInfo
 from ..symmetry.matvec import MatvecCompiler, MatvecStage, SweepProgramCache
-from .config import (DMRGConfig, DMRGResult, LayoutStatsRecorder,
-                     PlanStatsRecorder, ProgramStatsRecorder, SiteRecord,
+from .config import (DMRGConfig, DMRGResult, SiteRecord, StatsRecorder,
                      Sweeps, SweepRecord)
-from .davidson import davidson
-from .environments import EnvironmentCache, extend_left, extend_right
+from .davidson import DavidsonResult, davidson
+from .environments import CenterCache, EnvironmentCache
 
 
 class PrecisionSchedule:
-    """Mixed-precision warm-up state machine shared by the sweep drivers.
+    """Mixed-precision warm-up state machine of the sweep engine.
 
     When ``config.warmup_dtype`` is set, the backend's block ops are wrapped
     in a :class:`~repro.symmetry.blockops.MixedPrecisionOps` *before* the
@@ -61,96 +65,97 @@ class PrecisionSchedule:
             self.active = True
 
     def start_sweep(self, sweep_id: int, psi: MPS,
-                    envs: EnvironmentCache) -> None:
+                    caches: Sequence[CenterCache]) -> None:
         """Execute the warm-up → polish transition when its sweep arrives."""
         if self.active and sweep_id >= self.warmup_sweeps:
-            self._restore(psi, envs)
+            self.finish(psi, caches)
 
-    def finish(self, psi: MPS, envs: EnvironmentCache) -> None:
-        """Restore full precision unconditionally (end of run, early stop)."""
+    def finish(self, psi: MPS, caches: Sequence[CenterCache]) -> None:
+        """Restore full precision (transition, end of run, early stop)."""
         if self.active:
-            self._restore(psi, envs)
-
-    def _restore(self, psi: MPS, envs: EnvironmentCache) -> None:
-        self.backend.block_ops = self.base_ops
-        psi.astype(np.float64)
-        envs.invalidate_all()
-        self.active = False
+            self.backend.block_ops = self.base_ops
+            psi.astype(np.float64)
+            for cache in caches:
+                cache.invalidate_all()
+            self.active = False
 
 
 @dataclass
 class EffectiveHamiltonian:
-    """The projected two-site Hamiltonian, applied implicitly (Fig. 1d).
+    """The projected Hamiltonian of ``len(ws)`` sites, applied implicitly (Fig. 1d).
 
-    ``site`` (the left site of the optimized bond) names the environments,
-    MPO tensors, wavefunction and intermediates for the sweep-persistent
-    layout tracker (:mod:`repro.ctf.layout`): repeated Davidson matvecs reuse
-    the operands' distributed layouts, so only the first application — or a
-    genuine mapping change — charges a redistribution.
+    ``ws`` are the MPO tensors of the optimized sites — two for the standard
+    update, one for the single-site variant — and the matvec chain is
+    ``left_env``, each of ``ws`` in turn, then ``right_env``.  ``site`` (the
+    leftmost optimized site) names the environments, MPO tensors,
+    wavefunction and intermediates for the sweep-persistent layout tracker
+    (:mod:`repro.ctf.layout`): repeated Davidson matvecs reuse the operands'
+    distributed layouts, so only the first application — or a genuine mapping
+    change — charges a redistribution.
 
-    With ``compile=True`` (the default) the 4-contraction chain is lowered
-    once per bond into a :class:`~repro.symmetry.matvec.MatvecProgram`: the
-    static operands are matricized once and every further Davidson matvec
-    and re-solve at this bond runs through preallocated workspace buffers
-    with zero symbolic work, charging the cost model identically to the
-    chained path.  :meth:`release` invalidates the programs (the sweep driver
-    calls it before the SVD rewrites the wavefunction) and recycles their
-    buffers for the next bond.
+    With ``compile=True`` (the default) the chain is lowered once per bond
+    into a :class:`~repro.symmetry.matvec.MatvecProgram`: the static operands
+    are matricized once and every further Davidson matvec and re-solve at
+    this bond runs through preallocated workspace buffers with zero symbolic
+    work, charging the cost model identically to the chained path.
+    :meth:`release` invalidates the programs (the sweep engine calls it
+    before the SVD rewrites the wavefunction) and recycles their buffers for
+    the next bond.
 
     With ``programs`` (a :class:`~repro.symmetry.matvec.SweepProgramCache`)
     the compiled programs instead persist across bond re-visits, keyed by
-    ``(site, direction)``: :meth:`release` leaves them in the cache and the
-    next visit refreshes the static panels in place unless the bond's stage
-    signature changed.  ``overlap_compile`` moves program lowering onto a
-    background thread (joined deterministically; bit-identical results).
+    ``(len(ws), site, direction)``: :meth:`release` leaves them in the cache
+    and the next visit refreshes the static panels in place unless the
+    bond's stage signature changed.
     """
 
     left_env: BlockSparseTensor
-    w1: BlockSparseTensor
-    w2: BlockSparseTensor
+    ws: Sequence[BlockSparseTensor]
     right_env: BlockSparseTensor
     backend: ContractionBackend
     site: Optional[int] = None
     compile: bool = True
     programs: Optional[SweepProgramCache] = None
     direction: Optional[str] = None
-    overlap_compile: bool = False
     _compiler: Optional[MatvecCompiler] = field(default=None, repr=False)
 
     def stages(self) -> list[MatvecStage]:
         """The chain's stage descriptions (operands, axes, layout keys)."""
+        k = len(self.ws)
         if self.site is not None:
-            lk, w1k, w2k, rk, xk = heff_operand_keys(self.site)
-            hk = [f"{xk}:h{i}" for i in range(4)]
+            lk, *wks, rk, xk = heff_operand_keys(self.site, k)
+            hk = [f"{xk}:h{i}" for i in range(k + 2)]
         else:
-            lk = w1k = w2k = rk = xk = None
-            hk = [None] * 4
-        return [
-            MatvecStage(self.left_env, "a", ((2,), (0,)), (lk, xk), hk[0]),
-            # (bl, wl, p1, p2, r)
-            MatvecStage(self.w1, "b", ((1, 2), (0, 2)), (hk[0], w1k), hk[1]),
-            # (bl, p2, r, p1', w1r)
-            MatvecStage(self.w2, "b", ((4, 1), (0, 2)), (hk[1], w2k), hk[2]),
-            # (bl, r, p1', p2', w2r)
-            MatvecStage(self.right_env, "b", ((1, 4), (2, 1)),
-                        (hk[2], rk), hk[3]),
-            # (bl, p1', p2', br)
-        ]
+            lk = rk = xk = None
+            wks = [None] * k
+            hk = [None] * (k + 2)
+        # the flowing tensor keeps rank k + 3: every MPO stage consumes the
+        # open MPO bond and the next physical leg and appends the primed
+        # leg and the new MPO bond at the end
+        stages = [MatvecStage(self.left_env, "a", ((2,), (0,)), (lk, xk),
+                              hk[0])]                  # (bl, wl, p1..pk, r)
+        for i, w in enumerate(self.ws):
+            axes = ((1, 2), (0, 2)) if i == 0 else ((k + 2, 1), (0, 2))
+            stages.append(MatvecStage(w, "b", axes, (hk[i], wks[i]),
+                                      hk[i + 1]))
+        # (bl, r, p1'..pk', wr)
+        stages.append(MatvecStage(self.right_env, "b", ((1, k + 2), (2, 1)),
+                                  (hk[k], rk), hk[k + 1]))  # (bl, p1'..pk', br)
+        return stages
 
     def _get_compiler(self) -> MatvecCompiler:
         if self._compiler is None:
             bond_key = None
             if self.programs is not None:
-                bond_key = ("two-site", self.site, self.direction)
+                bond_key = (len(self.ws), self.site, self.direction)
             self._compiler = MatvecCompiler(self.backend, self.stages(),
                                             enabled=self.compile,
                                             cache=self.programs,
-                                            bond_key=bond_key,
-                                            overlap=self.overlap_compile)
+                                            bond_key=bond_key)
         return self._compiler
 
     def apply(self, x: BlockSparseTensor) -> BlockSparseTensor:
-        """Apply ``K`` to a two-site tensor ``x`` with modes (l, p1, p2, r)."""
+        """Apply ``K`` to a tensor ``x`` with modes (l, p1, .., pk, r)."""
         return self._get_compiler().apply(x)
 
     def release(self) -> None:
@@ -173,6 +178,206 @@ def two_site_tensor(state: MPS, j: int,
                             out_key=davidson_key(j))
 
 
+class TwoSiteUpdate:
+    """What a driver does at one bond, as :func:`run_sweeps` calls it.
+
+    This base is the standard two-site update; the single-site and
+    excited-state drivers subclass it and override only what differs.
+    """
+
+    #: sites in the local tensor (= MPO tensors in the effective Hamiltonian)
+    width = 2
+    #: ``engine=`` annotation of the sweep spans and verbose prefix
+    engine: Optional[str] = None
+    #: normalize the state before returning it
+    normalize = False
+
+    def start_sweep(self, sweep_id: int) -> None:
+        """Pick up per-sweep parameters (none for the two-site update)."""
+
+    def companion_caches(self, psi: MPS) -> List[CenterCache]:
+        """Caches besides the Hamiltonian environments that follow ``psi``."""
+        return []
+
+    def centers(self, lo: int, hi: int) -> list[tuple[int, str]]:
+        """``(site, direction)`` of every local update of one sweep of
+        sites ``lo..hi``: a right-moving then a left-moving half sweep."""
+        return ([(j, "right") for j in range(lo, hi)] +
+                [(j, "left") for j in range(hi - 1, lo - 1, -1)])
+
+    def local_tensor(self, psi: MPS, j: int,
+                     backend: ContractionBackend) -> BlockSparseTensor:
+        """The tensor Davidson starts from."""
+        return two_site_tensor(psi, j, backend)
+
+    def wrap(self, heff: EffectiveHamiltonian):
+        """The operator Davidson diagonalizes."""
+        return heff
+
+    def energy(self, heff: EffectiveHamiltonian,
+               dav: DavidsonResult) -> float:
+        """The energy recorded for the bond."""
+        return dav.eigenvalue
+
+    def split(self, psi: MPS, heff: EffectiveHamiltonian, direction: str,
+              x: BlockSparseTensor, truncation: dict) -> TruncationInfo:
+        """Write the optimized tensor back into ``psi`` and move its centre."""
+        j, backend = heff.site, heff.backend
+        with trace.span("svd", "dmrg", site=j):
+            u, _, vh, info = backend.svd(
+                x, row_axes=[0, 1], col_axes=[2, 3], absorb=direction,
+                new_tag=f"l{j + 1}", **truncation)
+        psi.tensors[j] = u
+        psi.tensors[j + 1] = vh
+        psi.center = j + 1 if direction == "right" else j
+        # the SVD rewrote both site tensors (and consumed the Davidson
+        # tensor) outside the cost model's view: their tracked layouts are
+        # stale, so the next contraction that touches them must charge a
+        # remapping again
+        backend.invalidate_layouts(site_key(j), site_key(j + 1),
+                                   davidson_key(j))
+        return info
+
+    def bond_dimension(self, psi: MPS, info: TruncationInfo) -> int:
+        """The bond dimension a local update contributes to the sweep's max."""
+        return info.kept_dim
+
+
+def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
+               config: DMRGConfig, backend: Optional[ContractionBackend],
+               rng: np.random.Generator) -> tuple[DMRGResult, MPS]:
+    """The sweep loop shared by every DMRG driver.
+
+    Runs ``config.sweeps`` over a copy of ``psi0``: at every centre
+    ``update`` names, build the effective Hamiltonian, solve with Davidson,
+    let ``update`` split the result back into the state, and advance the
+    environments; keep the per-bond and per-sweep records.
+    """
+    backend = backend if backend is not None else DirectBackend()
+    psi = psi0.copy()
+    n = len(psi)
+    if n < 2:
+        raise ValueError("DMRG needs at least two sites")
+    ranges = config.site_ranges or [(0, n - 1)]
+    for lo, hi in ranges:
+        if not (0 <= lo < hi <= n - 1):
+            raise ValueError(f"invalid site range ({lo}, {hi})")
+    psi.canonicalize(0)
+    psi.normalize()
+    precision = PrecisionSchedule(config, backend)
+    precision.begin()
+    envs = EnvironmentCache(psi, operator, backend)
+    caches = [envs] + update.companion_caches(psi)
+    program_cache = None
+    if config.compile_matvec and config.program_cache:
+        program_cache = SweepProgramCache.for_backend(backend)
+
+    result = DMRGResult(energy=np.inf)
+    last_energy = np.inf
+    stats = StatsRecorder(backend, program_cache)
+    label = f"[{update.engine}] " if update.engine else ""
+    span_args = {"engine": update.engine} if update.engine else {}
+
+    for sweep_id in range(len(config.sweeps)):
+        precision.start_sweep(sweep_id, psi, caches)
+        update.start_sweep(sweep_id)
+        maxdim = config.sweeps.maxdims[sweep_id]
+        truncation = dict(max_dim=maxdim,
+                          cutoff=config.sweeps.cutoffs[sweep_id],
+                          svd_min=config.svd_min)
+        dav_iters = config.sweeps.davidson_iterations[sweep_id]
+        sweep_energy = np.inf
+        sweep_maxdim = 1
+        sweep_maxtrunc = 0.0
+        sweep_flops0 = flopcount.total_flops()
+        stats.start_sweep()
+        sweep_span = trace.timed_span("sweep", "dmrg", sweep=sweep_id,
+                                      maxdim=maxdim, **span_args).start()
+
+        for lo, hi in ranges:
+            if psi.center != lo:
+                psi.move_center(lo)
+                for cache in caches:
+                    cache.invalidate_all()
+            for j, direction in update.centers(lo, hi):
+                bond_span = trace.timed_span("bond", "dmrg", sweep=sweep_id,
+                                             site=j,
+                                             direction=direction).start()
+                f0 = flopcount.total_flops()
+
+                heff = EffectiveHamiltonian(
+                    envs.left(j), operator.tensors[j:j + update.width],
+                    envs.right(j + update.width - 1), backend, site=j,
+                    compile=config.compile_matvec, programs=program_cache,
+                    direction=direction)
+                solve = update.wrap(heff)
+                x0 = update.local_tensor(psi, j, backend)
+                with trace.span("davidson", "dmrg", site=j) as dav_span:
+                    dav = davidson(solve, x0, max_iterations=dav_iters,
+                                   max_subspace=config.davidson_max_subspace,
+                                   tol=config.davidson_tol, rng=rng)
+                    dav_span.annotate(iterations=dav.iterations,
+                                      matvecs=dav.matvecs)
+                energy = update.energy(heff, dav)
+                # the split below rewrites the wavefunction and (on the next
+                # step) the environments: the bond's programs are detached
+                # — into the sweep cache when one is attached (the next
+                # visit refreshes or invalidates them against the rewritten
+                # operands), otherwise released and their buffers recycled
+                heff.release()
+
+                info = update.split(psi, heff, direction, dav.eigenvector,
+                                    truncation)
+                # extend the environments in the direction of motion and
+                # drop caches that are now stale
+                for cache in caches:
+                    cache.advance(direction)
+                backend.synchronize()
+
+                seconds = bond_span.stop()
+                dflops = flopcount.total_flops() - f0
+                sweep_energy = energy
+                sweep_maxdim = max(sweep_maxdim,
+                                   update.bond_dimension(psi, info))
+                sweep_maxtrunc = max(sweep_maxtrunc, info.truncation_error)
+                if config.record_site_details:
+                    result.site_records.append(SiteRecord(
+                        sweep_id, j, direction, energy, info.kept_dim,
+                        info.truncation_error, dav.iterations, dav.matvecs,
+                        dflops, seconds))
+                if config.verbose:  # pragma: no cover - console output
+                    print(f"  {label}sweep {sweep_id} site {j:3d} "
+                          f"[{direction:5s}] E = {energy:+.10f}  "
+                          f"m = {info.kept_dim:4d}  "
+                          f"trunc = {info.truncation_error:.2e}")
+
+        seconds = sweep_span.stop()
+        dflops = flopcount.total_flops() - sweep_flops0
+        result.sweep_records.append(SweepRecord(
+            sweep_id, sweep_energy, sweep_maxdim, sweep_maxtrunc, seconds,
+            dflops, metrics=stats.sweep_metrics()))
+        result.energies.append(sweep_energy)
+        result.energy = sweep_energy
+        if config.sweep_hook is not None:
+            config.sweep_hook(sweep_id, psi, result)
+        if config.verbose:  # pragma: no cover
+            print(f"{label}sweep {sweep_id}: E = {sweep_energy:+.10f} "
+                  f"(m = {sweep_maxdim}, {seconds:.2f} s)")
+        if (config.energy_tol > 0 and
+                abs(last_energy - sweep_energy) < config.energy_tol):
+            result.converged = True
+            break
+        last_energy = sweep_energy
+
+    precision.finish(psi, caches)
+    result.metrics = stats.run_metrics()
+    if program_cache is not None:
+        program_cache.release_all()
+    if update.normalize:
+        psi.normalize()
+    return result, psi
+
+
 def dmrg(operator: MPO, psi0: MPS, config: DMRGConfig, *,
          backend: Optional[ContractionBackend] = None,
          rng: np.random.Generator | None = None) -> tuple[DMRGResult, MPS]:
@@ -193,169 +398,8 @@ def dmrg(operator: MPO, psi0: MPS, config: DMRGConfig, *,
         are selected by passing the corresponding backend from
         :mod:`repro.backends`.
     """
-    backend = backend if backend is not None else DirectBackend()
     rng = rng if rng is not None else np.random.default_rng(12345)
-    psi = psi0.copy()
-    n = len(psi)
-    if n < 2:
-        raise ValueError("DMRG needs at least two sites")
-    psi.canonicalize(0)
-    psi.normalize()
-    precision = PrecisionSchedule(config, backend)
-    precision.begin()
-    envs = EnvironmentCache(psi, operator, backend)
-    program_cache = None
-    if config.compile_matvec and config.program_cache:
-        program_cache = SweepProgramCache.for_backend(backend)
-
-    result = DMRGResult(energy=np.inf)
-    last_energy = np.inf
-    plan_stats = PlanStatsRecorder(backend)
-    layout_stats = LayoutStatsRecorder(backend)
-    program_stats = ProgramStatsRecorder(program_cache)
-
-    for sweep_id in range(len(config.sweeps)):
-        precision.start_sweep(sweep_id, psi, envs)
-        maxdim = config.sweeps.maxdims[sweep_id]
-        cutoff = config.sweeps.cutoffs[sweep_id]
-        dav_iters = config.sweeps.davidson_iterations[sweep_id]
-        sweep_energy = np.inf
-        sweep_maxdim = 1
-        sweep_maxtrunc = 0.0
-        sweep_flops0 = flopcount.total_flops()
-        plan_stats.start_sweep()
-        layout_stats.start_sweep()
-        program_stats.start_sweep()
-        sweep_span = trace.timed_span("sweep", "dmrg", sweep=sweep_id,
-                                      maxdim=maxdim).start()
-
-        ranges = config.site_ranges or [(0, n - 1)]
-        for lo, hi in ranges:
-            if not (0 <= lo < hi <= n - 1):
-                raise ValueError(f"invalid site range ({lo}, {hi})")
-
-        for lo, hi in ranges:
-            # right-moving half sweep then left-moving half sweep
-            centers = list(range(lo, hi)) + list(range(hi - 1, lo - 1, -1))
-            directions = ["right"] * (hi - lo) + ["left"] * (hi - lo)
-            if psi.center != lo:
-                psi.move_center(lo)
-                envs.invalidate_all()
-            else:
-                envs.invalidate_from(lo)
-            for j, direction in zip(centers, directions):
-                bond_span = trace.timed_span("bond", "dmrg", sweep=sweep_id,
-                                             site=j,
-                                             direction=direction).start()
-                f0 = flopcount.total_flops()
-
-                left = envs.left(j)
-                right = envs.right(j + 1)
-                heff = EffectiveHamiltonian(left, operator.tensors[j],
-                                            operator.tensors[j + 1], right,
-                                            backend, site=j,
-                                            compile=config.compile_matvec,
-                                            programs=program_cache,
-                                            direction=direction,
-                                            overlap_compile=
-                                            config.overlap_compile)
-                x0 = two_site_tensor(psi, j, backend)
-                with trace.span("davidson", "dmrg", site=j) as dav_span:
-                    dav = davidson(heff, x0, max_iterations=dav_iters,
-                                   max_subspace=config.davidson_max_subspace,
-                                   tol=config.davidson_tol, rng=rng)
-                    dav_span.annotate(iterations=dav.iterations,
-                                      matvecs=dav.matvecs)
-                energy = dav.eigenvalue
-                # the SVD below rewrites the wavefunction and (on the next
-                # step) the environments: the bond's programs are detached
-                # — into the sweep cache when one is attached (the next
-                # visit refreshes or invalidates them against the rewritten
-                # operands), otherwise released and their buffers recycled
-                heff.release()
-
-                absorb = "right" if direction == "right" else "left"
-                with trace.span("svd", "dmrg", site=j):
-                    u, _, vh, info = backend.svd(
-                        dav.eigenvector, row_axes=[0, 1], col_axes=[2, 3],
-                        max_dim=maxdim, cutoff=cutoff,
-                        svd_min=config.svd_min,
-                        absorb=absorb, new_tag=f"l{j + 1}")
-                psi.tensors[j] = u
-                psi.tensors[j + 1] = vh
-                psi.center = j + 1 if direction == "right" else j
-                # the SVD rewrote both site tensors (and consumed the
-                # Davidson tensor) outside the cost model's view: their
-                # tracked layouts are stale, so the next contraction that
-                # touches them must charge a remapping again
-                backend.invalidate_layouts(site_key(j), site_key(j + 1),
-                                           davidson_key(j))
-
-                # extend the environment in the direction of motion and drop
-                # caches that are now stale
-                if direction == "right":
-                    envs.set_left(j + 1, extend_left(left, psi.tensors[j],
-                                                     operator.tensors[j],
-                                                     backend, site=j))
-                    envs.invalidate_from(j + 1)
-                else:
-                    envs.set_right(j, extend_right(right, psi.tensors[j + 1],
-                                                   operator.tensors[j + 1],
-                                                   backend, site=j + 1))
-                    envs.invalidate_from(j)
-                backend.synchronize()
-
-                seconds = bond_span.stop()
-                dflops = flopcount.total_flops() - f0
-                sweep_energy = energy
-                sweep_maxdim = max(sweep_maxdim, info.kept_dim)
-                sweep_maxtrunc = max(sweep_maxtrunc, info.truncation_error)
-                if config.record_site_details:
-                    result.site_records.append(SiteRecord(
-                        sweep_id, j, direction, energy, info.kept_dim,
-                        info.truncation_error, dav.iterations, dav.matvecs,
-                        dflops, seconds))
-                if config.verbose:  # pragma: no cover - console output
-                    print(f"  sweep {sweep_id} site {j:3d} [{direction:5s}] "
-                          f"E = {energy:+.10f}  m = {info.kept_dim:4d}  "
-                          f"trunc = {info.truncation_error:.2e}")
-
-        seconds = sweep_span.stop()
-        dflops = flopcount.total_flops() - sweep_flops0
-        plan_hits, plan_misses = plan_stats.sweep_counts()
-        layout_moves, layout_reuses = layout_stats.sweep_counts()
-        (prog_compiles, prog_refreshes, prog_retraces,
-         arena_acquires, arena_reuses, arena_bytes) = \
-            program_stats.sweep_counts()
-        result.sweep_records.append(SweepRecord(
-            sweep_id, sweep_energy, sweep_maxdim, sweep_maxtrunc, seconds,
-            dflops, plan_hits=plan_hits, plan_misses=plan_misses,
-            layout_moves=layout_moves, layout_reuses=layout_reuses,
-            program_compiles=prog_compiles,
-            program_refreshes=prog_refreshes,
-            program_retraces=prog_retraces,
-            arena_acquires=arena_acquires, arena_reuses=arena_reuses,
-            arena_bytes=arena_bytes))
-        result.energies.append(sweep_energy)
-        result.energy = sweep_energy
-        if config.sweep_hook is not None:
-            config.sweep_hook(sweep_id, psi, result)
-        if config.verbose:  # pragma: no cover
-            print(f"sweep {sweep_id}: E = {sweep_energy:+.10f} "
-                  f"(m = {sweep_maxdim}, {seconds:.2f} s)")
-        if (config.energy_tol > 0 and
-                abs(last_energy - sweep_energy) < config.energy_tol):
-            result.converged = True
-            break
-        last_energy = sweep_energy
-
-    precision.finish(psi, envs)
-    plan_stats.finalize(result)
-    layout_stats.finalize(result)
-    program_stats.finalize(result)
-    if program_cache is not None:
-        program_cache.release_all()
-    return result, psi
+    return run_sweeps(TwoSiteUpdate(), operator, psi0, config, backend, rng)
 
 
 def run_dmrg(operator: MPO, psi0: MPS, *, maxdim: int = 64, nsweeps: int = 6,

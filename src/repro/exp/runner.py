@@ -215,10 +215,8 @@ def execute_run(spec: RunSpec, *, checkpoint_path: str | Path | None = None,
         energies = [result.energy]
         states = [psi]
     elif spec.engine == "excited":
-        pairs = find_lowest_states(mpo, psi0, spec.nstates,
-                                   maxdim=spec.maxdim, nsweeps=spec.nsweeps,
-                                   cutoff=spec.cutoff, backend=backend,
-                                   compile_matvec=spec.compile_matvec, rng=rng)
+        pairs = find_lowest_states(mpo, psi0, spec.nstates, config=config,
+                                   backend=backend, rng=rng)
         energies = [e for e, _ in pairs]
         states = [s for _, s in pairs]
         psi = states[0]
@@ -275,9 +273,10 @@ def build_report(spec: RunSpec, result: Optional[DMRGResult], psi: MPS,
         report["sweeps"] = [
             {"sweep": r.sweep, "energy": r.energy,
              "max_bond_dim": r.max_bond_dim, "seconds": r.seconds,
-             "plan_hits": r.plan_hits, "plan_misses": r.plan_misses,
-             "layout_moves": r.layout_moves,
-             "layout_reuses": r.layout_reuses,
+             "plan_hits": r.metrics["plan_cache.hits"],
+             "plan_misses": r.metrics["plan_cache.misses"],
+             "layout_moves": r.metrics["layout.moves"],
+             "layout_reuses": r.metrics["layout.reuses"],
              "metrics": obs_metrics.sweep_metrics(r)}
             for r in result.sweep_records]
         report["plan_cache_hit_rate"] = result.plan_cache_hit_rate

@@ -151,16 +151,7 @@ def sweep_metrics(record: Any) -> Dict[str, float]:
         "sweep.seconds": record.seconds,
         "sweep.flops": record.flops,
         "sweep.max_bond_dim": record.max_bond_dim,
-        "plan_cache.hits": record.plan_hits,
-        "plan_cache.misses": record.plan_misses,
-        "layout.moves": record.layout_moves,
-        "layout.reuses": record.layout_reuses,
-        "program.compiles": record.program_compiles,
-        "program.refreshes": record.program_refreshes,
-        "program.retraces": record.program_retraces,
-        "arena.acquires": record.arena_acquires,
-        "arena.reuses": record.arena_reuses,
-        "arena.allocated_bytes": record.arena_bytes,
+        **record.metrics,
     }
 
 
@@ -176,18 +167,13 @@ def run_metrics(result: Any = None, backend: Any = None,
     """
     reg = MetricsRegistry()
     if result is not None:
-        reg.inc("plan_cache.hits", result.plan_cache_hits)
-        reg.inc("plan_cache.misses", result.plan_cache_misses)
-        reg.inc("layout.moves", result.layout_moves)
-        reg.inc("layout.reuses", result.layout_reuses)
-        reg.inc("program.compiles", result.program_compiles)
-        reg.inc("program.refreshes", result.program_refreshes)
-        reg.inc("program.retraces", result.program_retraces)
-        reg.inc("arena.acquires", result.arena_acquires)
-        reg.inc("arena.reuses", result.arena_reuses)
-        reg.inc("arena.allocated_bytes", result.arena_allocated_bytes)
-        reg.gauge("plan_cache.plan_seconds", result.plan_seconds)
-        reg.gauge("plan_cache.execute_seconds", result.plan_execute_seconds)
+        # same rule as ``absorb``: integer counts are counters, float
+        # accumulators (plan/execute seconds) are gauges
+        for name, value in result.metrics.items():
+            if isinstance(value, float):
+                reg.gauge(name, value)
+            else:
+                reg.inc(name, value)
         reg.inc("run.sweeps", len(result.sweep_records))
         reg.gauge("run.seconds", result.total_seconds)
         for rec in result.sweep_records:

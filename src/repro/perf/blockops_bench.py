@@ -71,7 +71,7 @@ def run_blockops_benchmark(*, nsites: int = 24, maxdim: int = 48,
     applies = {}
     for name in ("numpy", "threaded"):
         backend = DirectBackend(block_ops=name)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                     compile=True)
         seconds[name] = _time_applies(heff, x, repeats)
         applies[name] = heff.apply(x)
@@ -99,8 +99,8 @@ def run_blockops_benchmark(*, nsites: int = 24, maxdim: int = 48,
             "energy": float(res.energy),
             "modelled_seconds": world.modelled_seconds(),
             "tracker": world.layout_tracker.snapshot(),
-            "plan_hits": res.plan_cache_hits,
-            "plan_misses": res.plan_cache_misses,
+            "plan_hits": res.metrics["plan_cache.hits"],
+            "plan_misses": res.metrics["plan_cache.misses"],
         }
     num, thr = modelled["numpy"], modelled["threaded"]
     results["dmrg_energy_numpy"] = num["energy"]

@@ -252,7 +252,7 @@ def run_executor_benchmark(*, nsites: int = 24, maxdim: int = 48,
     for name in ("numpy", "process"):
         ops = BlockOps() if name == "numpy" else _process_ops(force_dispatch)
         backend = DirectBackend(block_ops=ops)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                     compile=True)
         seconds[name] = _time_applies(heff, x, repeats)
         applies[name] = heff.apply(x)
@@ -283,8 +283,8 @@ def run_executor_benchmark(*, nsites: int = 24, maxdim: int = 48,
             "energy": float(res.energy),
             "modelled_seconds": world.modelled_seconds(),
             "tracker": world.layout_tracker.snapshot(),
-            "plan_hits": res.plan_cache_hits,
-            "plan_misses": res.plan_cache_misses,
+            "plan_hits": res.metrics["plan_cache.hits"],
+            "plan_misses": res.metrics["plan_cache.misses"],
         }
         if name == "process":
             results["executor_stats"] = ops.describe()

@@ -78,10 +78,10 @@ def run_matvec_compile_benchmark(*, nsites: int = 32, maxdim: int = 64,
     from ..mps import MPS, build_mpo
 
     left, w1, w2, right, x = heff_setup(nsites, maxdim, model=model)
-    heff_plain = EffectiveHamiltonian(left, w1, w2, right, DirectBackend(),
+    heff_plain = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
                                       compile=False)
     backend = DirectBackend()
-    heff_comp = EffectiveHamiltonian(left, w1, w2, right, backend,
+    heff_comp = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                      compile=True)
     planned_seconds = _time_applies(heff_plain, x, repeats)
     compiled_seconds = _time_applies(heff_comp, x, repeats)
@@ -89,7 +89,7 @@ def run_matvec_compile_benchmark(*, nsites: int = 32, maxdim: int = 64,
     heff_comp.release()
     # the next bond's compile recycles the released panels and stacks: the
     # arena's reuse counter is the "zero large allocations" evidence
-    heff_next = EffectiveHamiltonian(left, w1, w2, right, backend,
+    heff_next = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                      compile=True)
     heff_next.apply(x)
     heff_next.apply(x)
@@ -123,13 +123,13 @@ def run_matvec_compile_benchmark(*, nsites: int = 32, maxdim: int = 64,
         "dmrg_energy_planned": float(res_off.energy),
         "dmrg_energy_delta": abs(float(res_on.energy) -
                                  float(res_off.energy)),
-        "plan_hits_compiled": res_on.plan_cache_hits,
-        "plan_hits_planned": res_off.plan_cache_hits,
-        "plan_misses_compiled": res_on.plan_cache_misses,
-        "plan_misses_planned": res_off.plan_cache_misses,
-        "plan_stats_equal": (res_on.plan_cache_hits == res_off.plan_cache_hits
-                             and res_on.plan_cache_misses
-                             == res_off.plan_cache_misses),
+        "plan_hits_compiled": res_on.metrics["plan_cache.hits"],
+        "plan_hits_planned": res_off.metrics["plan_cache.hits"],
+        "plan_misses_compiled": res_on.metrics["plan_cache.misses"],
+        "plan_misses_planned": res_off.metrics["plan_cache.misses"],
+        "plan_stats_equal": all(
+            res_on.metrics[name] == res_off.metrics[name]
+            for name in ("plan_cache.hits", "plan_cache.misses")),
     }
 
 
@@ -165,8 +165,8 @@ def run_matvec_layout_check(*, nsites: int = 8, maxdim: int = 16,
             "tracker": world.layout_tracker.snapshot(),
             "modelled_seconds": world.modelled_seconds(),
             "energy": float(res.energy),
-            "layout_moves": res.layout_moves,
-            "layout_reuses": res.layout_reuses,
+            "layout_moves": res.metrics["layout.moves"],
+            "layout_reuses": res.metrics["layout.reuses"],
         }
     on, off = snaps[True], snaps[False]
     return {
@@ -227,8 +227,12 @@ def run_program_cache_benchmark(*, nsites: int = 8, maxdim: int = 16,
     seconds_uncached, res_uncached = runs[False]
     seconds_cached, res_cached = runs[True]
     steady = res_cached.sweep_records[warmup_sweeps:]
-    steady_acquires = sum(r.arena_acquires for r in steady)
-    steady_reuses = sum(r.arena_reuses for r in steady)
+
+    def steady_total(name: str) -> float:
+        return sum(r.metrics[name] for r in steady)
+
+    steady_acquires = steady_total("arena.acquires")
+    steady_reuses = steady_total("arena.reuses")
 
     # -- refresh vs retrace at one bond ------------------------------------- #
     left, w1, w2, right, x = heff_setup(nsites, maxdim, model=model)
@@ -236,7 +240,7 @@ def run_program_cache_benchmark(*, nsites: int = 8, maxdim: int = 16,
     def visit(backend, programs) -> float:
         """One bond visit: build, apply twice, release; returns seconds."""
         t0 = time.perf_counter()
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                     compile=True, programs=programs)
         heff.apply(x)
         heff.apply(x)
@@ -286,17 +290,16 @@ def run_program_cache_benchmark(*, nsites: int = 8, maxdim: int = 16,
         "energy_uncached": float(res_uncached.energy),
         "energy_delta": abs(float(res_cached.energy)
                             - float(res_uncached.energy)),
-        "plan_stats_equal": (res_cached.plan_cache_hits
-                             == res_uncached.plan_cache_hits
-                             and res_cached.plan_cache_misses
-                             == res_uncached.plan_cache_misses),
-        "program_compiles": res_cached.program_compiles,
-        "program_refreshes": res_cached.program_refreshes,
-        "program_retraces": res_cached.program_retraces,
+        "plan_stats_equal": all(
+            res_cached.metrics[name] == res_uncached.metrics[name]
+            for name in ("plan_cache.hits", "plan_cache.misses")),
+        "program_compiles": res_cached.metrics["program.compiles"],
+        "program_refreshes": res_cached.metrics["program.refreshes"],
+        "program_retraces": res_cached.metrics["program.retraces"],
         "refresh_hit_rate": res_cached.program_refresh_rate,
-        "steady_state_retraces": sum(r.program_retraces for r in steady),
-        "steady_state_compiles": sum(r.program_compiles for r in steady),
-        "steady_state_arena_bytes": sum(r.arena_bytes for r in steady),
+        "steady_state_retraces": steady_total("program.retraces"),
+        "steady_state_compiles": steady_total("program.compiles"),
+        "steady_state_arena_bytes": steady_total("arena.allocated_bytes"),
         "steady_state_acquires": steady_acquires,
         "steady_state_reuses": steady_reuses,
         "steady_state_allocations_zero": steady_acquires == steady_reuses,

@@ -61,7 +61,8 @@ def run_micro_kernels(*, smoke: bool = True, repeats: int | None = None
         lambda: a.contract(b, axes=([2, 1], [0, 1])), repeats)
 
     # effective-Hamiltonian matvec: naive loop / planned / compiled
-    *ops, x = heff_setup(nsites, maxdim)
+    left, w1, w2, right, x = heff_setup(nsites, maxdim)
+    ops = (left, (w1, w2), right)
     heff_naive = EffectiveHamiltonian(*ops,
                                       DirectBackend(use_planner=False),
                                       compile=False)
@@ -82,7 +83,7 @@ def run_micro_kernels(*, smoke: bool = True, repeats: int | None = None
     site_a, _, _, _ = svd(x, row_axes=[0, 1], col_axes=[2, 3],
                           max_dim=maxdim, cutoff=1e-10, absorb="right")
     env_backend = DirectBackend()
-    extend_s = _best_of(lambda: extend_left(ops[0], site_a, ops[1],
+    extend_s = _best_of(lambda: extend_left(left, site_a, w1,
                                             env_backend), repeats)
 
     return {

@@ -71,7 +71,7 @@ def run_obs_overhead_benchmark(*, nsites: int = 16, maxdim: int = 32,
 
         # -- macro: compiled-matvec apply loop, disabled vs enabled --------- #
         left, w1, w2, right, x = heff_setup(nsites, maxdim, model=model)
-        heff = EffectiveHamiltonian(left, w1, w2, right, DirectBackend(),
+        heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
                                     compile=True)
         for _ in range(3):
             heff.apply(x)

@@ -63,13 +63,13 @@ def run_plan_cache_benchmark(*, nsites: int = 12, maxdim: int = 48,
         "planned_seconds": planned_seconds,
         "speedup": naive_seconds / planned_seconds
         if planned_seconds > 0 else float("inf"),
-        "plan_cache_hits": res_plan.plan_cache_hits,
-        "plan_cache_misses": res_plan.plan_cache_misses,
+        "plan_cache_hits": res_plan.metrics["plan_cache.hits"],
+        "plan_cache_misses": res_plan.metrics["plan_cache.misses"],
         "hit_rate": res_plan.plan_cache_hit_rate,
         "hit_rate_after_first_sweep":
             res_plan.plan_cache_hit_rate_after_first_sweep,
-        "plan_seconds": res_plan.plan_seconds,
-        "execute_seconds": res_plan.plan_execute_seconds,
+        "plan_seconds": res_plan.metrics["plan_cache.plan_seconds"],
+        "execute_seconds": res_plan.metrics["plan_cache.execute_seconds"],
     }
 
 

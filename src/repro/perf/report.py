@@ -110,12 +110,14 @@ def format_sweep_records(records,
     with ``compile_matvec=False`` or ``program_cache=False``).
     """
     rows = [(r.sweep, f"{r.energy:+.10f}", r.max_bond_dim,
-             r.plan_hits, r.plan_misses, f"{100.0 * r.plan_hit_rate:.0f}%",
-             r.layout_moves, r.layout_reuses,
+             r.metrics["plan_cache.hits"], r.metrics["plan_cache.misses"],
+             f"{100.0 * r.plan_hit_rate:.0f}%",
+             r.metrics["layout.moves"], r.metrics["layout.reuses"],
              f"{100.0 * r.layout_reuse_rate:.0f}%",
-             r.program_compiles, r.program_refreshes, r.program_retraces,
+             r.metrics["program.compiles"], r.metrics["program.refreshes"],
+             r.metrics["program.retraces"],
              f"{100.0 * r.program_refresh_rate:.0f}%",
-             r.arena_bytes)
+             r.metrics["arena.allocated_bytes"])
             for r in records]
     return format_table(
         ["sweep", "energy", "m", "plan hits", "plan misses", "hit rate",

@@ -39,7 +39,6 @@ charge_compiled_stage` — same plans, same flop counts, same
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -763,17 +762,6 @@ class SweepProgramCache:
                 "programs": self.programs, "arena": self.arena.snapshot()}
 
 
-class _PendingCompile:
-    """A background lowering in flight (``overlap_compile`` mode)."""
-
-    __slots__ = ("thread", "program", "error")
-
-    def __init__(self):
-        self.thread: Optional[threading.Thread] = None
-        self.program: Optional[MatvecProgram] = None
-        self.error: Optional[BaseException] = None
-
-
 class MatvecCompiler:
     """Per-bond compiler and program cache for one effective Hamiltonian.
 
@@ -788,18 +776,14 @@ class MatvecCompiler:
     table is the cache's sweep-persistent entry instead: binding refreshes
     or invalidates the cached programs against the current static operands,
     new compiles land in the cache, and ``release()`` leaves the programs
-    alive for the bond's next visit.  ``overlap=True`` moves the lowering
-    of a traced apply onto a background thread; the thread is always joined
-    before the next traced apply or release, so results and counters are
-    bit-identical to the synchronous path (the lowering itself performs no
-    arithmetic on the flowing tensor).
+    alive for the bond's next visit.
     """
 
     def __init__(self, backend, stages: Sequence[MatvecStage], *,
                  enabled: bool = True,
                  arena: Optional[WorkspaceArena] = None,
                  cache: Optional[SweepProgramCache] = None,
-                 bond_key=None, overlap: bool = False):
+                 bond_key=None):
         self.backend = backend
         self.stages = list(stages)
         supported = getattr(backend, "supports_compiled_matvec",
@@ -807,7 +791,6 @@ class MatvecCompiler:
         self.enabled = bool(enabled) and supported
         self.program_cache = cache if self.enabled else None
         self.bond_key = bond_key
-        self.overlap = bool(overlap) and self.enabled
         if self.program_cache is not None:
             # sweep-owned arena: buffers released at one bond serve the next
             self.arena = self.program_cache.arena
@@ -816,7 +799,6 @@ class MatvecCompiler:
                 backend, "workspace_arena", None) or WorkspaceArena()
         self._programs: Dict[tuple, MatvecProgram] = {}
         self._bound = self.program_cache is None
-        self._pending: Dict[tuple, _PendingCompile] = {}
 
     # -- chained (trace / fallback) path ----------------------------------- #
     def _chained(self, x: BlockSparseTensor,
@@ -890,52 +872,6 @@ class MatvecCompiler:
                                                  statics)
         self._bound = True
 
-    def _adopt(self, key: tuple, prog: MatvecProgram, counters) -> None:
-        """Install a freshly compiled program and account for it."""
-        self._programs[key] = prog
-        if counters is not None:
-            counters.compiles += 1
-        if self.program_cache is not None:
-            self.program_cache.compiles += 1
-
-    # -- background compilation (overlap mode) ------------------------------ #
-    def _spawn_compile(self, key: tuple, x: BlockSparseTensor,
-                       intermediates: List[BlockSparseTensor]) -> None:
-        """Lower the trace on a background thread (joined deterministically).
-
-        The lowering reads only the trace, the plan cache (``peek``, which
-        records no statistics) and the arena; it performs no arithmetic on
-        ``x``, so running it concurrently with the caller's non-contraction
-        work (Davidson vector algebra) cannot change any result or
-        counter.  :meth:`apply` drains every pending thread before running
-        another chained contraction, so the plan cache is never mutated
-        while a lowering reads it.
-        """
-        pending = _PendingCompile()
-
-        def work():
-            try:
-                with trace.span("matvec-compile", "matvec", overlap=True):
-                    pending.program = self._try_compile(x, intermediates)
-            except BaseException as exc:  # re-raised at the join point
-                pending.error = exc
-
-        pending.thread = threading.Thread(target=work, name="matvec-compile",
-                                          daemon=True)
-        self._pending[key] = pending
-        pending.thread.start()
-
-    def _drain_pending(self) -> None:
-        """Join every background lowering and adopt the finished programs."""
-        counters = getattr(self.backend, "matvec_counters", None)
-        while self._pending:
-            key, pending = self._pending.popitem()
-            pending.thread.join()
-            if pending.error is not None:
-                raise pending.error
-            if pending.program is not None:
-                self._adopt(key, pending.program, counters)
-
     # -- public API --------------------------------------------------------- #
     def apply(self, x: BlockSparseTensor) -> BlockSparseTensor:
         """Apply the chain to ``x``, compiling on first sight of a signature."""
@@ -948,10 +884,6 @@ class MatvecCompiler:
         self._ensure_bound()
         key = (tensor_signature(x), np.dtype(x.dtype).str)
         prog = self._programs.get(key)
-        if prog is None and self._pending:
-            # a chained apply is coming: no lowering may run concurrently
-            self._drain_pending()
-            prog = self._programs.get(key)
         if prog is not None:
             if counters is not None:
                 counters.compiled_applies += 1
@@ -961,13 +893,14 @@ class MatvecCompiler:
             y = self._chained(x, record=intermediates)
         if counters is not None:
             counters.traced_applies += 1
-        if self.overlap:
-            self._spawn_compile(key, x, intermediates)
-        else:
-            with trace.span("matvec-compile", "matvec"):
-                prog = self._try_compile(x, intermediates)
-            if prog is not None:
-                self._adopt(key, prog, counters)
+        with trace.span("matvec-compile", "matvec"):
+            prog = self._try_compile(x, intermediates)
+        if prog is not None:
+            self._programs[key] = prog
+            if counters is not None:
+                counters.compiles += 1
+            if self.program_cache is not None:
+                self.program_cache.compiles += 1
         return y
 
     def release(self) -> None:
@@ -981,7 +914,6 @@ class MatvecCompiler:
         persist in the cache and the next visit of this bond refreshes (or
         invalidates) them against the rewritten operands.
         """
-        self._drain_pending()
         if self.program_cache is not None:
             self._programs = {}
             self._bound = False

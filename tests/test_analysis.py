@@ -193,7 +193,7 @@ def compiled_program():
     from repro.perf.matvec_bench import heff_setup
 
     left, w1, w2, right, x = heff_setup(6, 8)
-    heff = EffectiveHamiltonian(left, w1, w2, right, DirectBackend(),
+    heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
                                 compile=True)
     heff.apply(x)
     heff.apply(x)

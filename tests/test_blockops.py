@@ -138,7 +138,8 @@ class TestModelledCostsInvariant:
                           rng=np.random.default_rng(9))
             out[ops_name] = (res.energy, world.modelled_seconds(),
                              world.layout_tracker.snapshot(),
-                             res.plan_cache_hits, res.plan_cache_misses)
+                             res.metrics["plan_cache.hits"],
+                             res.metrics["plan_cache.misses"])
         e0, sec0, trk0, h0, m0 = out["numpy"]
         e1, sec1, trk1, h1, m1 = out["threaded"]
         assert e0 == e1              # bit-identical arithmetic
@@ -155,7 +156,7 @@ class TestModelledCostsInvariant:
         ys = {}
         for ops_name in ("numpy", "threaded"):
             backend = DirectBackend(block_ops=ops_name)
-            heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+            heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                         compile=True)
             ys[ops_name] = heff.apply(x)
             heff.release()

@@ -252,7 +252,8 @@ class TestModelledCostsAcrossImplementations:
                       rng=np.random.default_rng(3))
         return (res.energy, world.modelled_seconds(),
                 world.layout_tracker.snapshot(),
-                res.plan_cache_hits, res.plan_cache_misses)
+                res.metrics["plan_cache.hits"],
+                res.metrics["plan_cache.misses"])
 
     def test_energy_and_costs_bit_identical(self):
         baseline = self._run(BlockOps())

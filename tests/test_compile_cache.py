@@ -1,4 +1,4 @@
-"""Sweep-persistent matvec program cache: refresh, invalidate, overlap.
+"""Sweep-persistent matvec program cache: refresh and invalidate.
 
 The cache (:class:`repro.symmetry.matvec.SweepProgramCache`) keeps every
 bond's compiled program alive across sweep re-visits and refreshes the
@@ -7,8 +7,8 @@ These tests pin the invalidation contract — bond-dimension growth, a
 mixed-precision dtype promotion and structure-changing environment
 rewrites must each retrace (never serve a stale refresh) — plus the
 steady-state guarantee (sweeps after warm-up are refresh-only with zero
-fresh arena allocations), the bit-identical cost accounting with the
-cache on or off, and the optional overlapped compilation mode.
+fresh arena allocations) and the bit-identical cost accounting with the
+cache on or off.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class TestRefreshCorrectness:
         backend = DirectBackend()
         cache = SweepProgramCache.for_backend(backend)
         for _ in range(3):
-            heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+            heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                         compile=True, programs=cache)
             heff.apply(x)
             heff.apply(x)
@@ -62,20 +62,20 @@ class TestRefreshCorrectness:
         left, w1, w2, right, x = heff_setup(8, 12)
         backend = DirectBackend()
         cache = SweepProgramCache.for_backend(backend)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                     compile=True, programs=cache)
         y_old = heff.apply(x)
         heff.release()
 
         new_left = left * 1.7
-        revisit = EffectiveHamiltonian(new_left, w1, w2, right, backend,
+        revisit = EffectiveHamiltonian(new_left, (w1, w2), right, backend,
                                        compile=True, programs=cache)
         revisit.apply(x)             # traced visit is itself exact
         y_new = revisit.apply(x)     # compiled through the refreshed panels
         revisit.release()
         assert cache.refreshes > 0 and cache.retraces == 0
 
-        reference = EffectiveHamiltonian(new_left, w1, w2, right,
+        reference = EffectiveHamiltonian(new_left, (w1, w2), right,
                                          DirectBackend(), compile=False)
         y_ref = reference.apply(x)
         assert (y_new - y_ref).norm() < 1e-10 * max(y_ref.norm(), 1.0)
@@ -89,7 +89,7 @@ class TestRefreshCorrectness:
         backend = DirectBackend()
         cache = SweepProgramCache.for_backend(backend)
         for (left, w1, w2, right, x) in (small, grown):
-            heff = EffectiveHamiltonian(left, w1, w2, right, backend,
+            heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                         compile=True, programs=cache)
             heff.apply(x)
             heff.apply(x)
@@ -104,7 +104,7 @@ class TestRefreshCorrectness:
                                              resolve_block_ops)
 
         left, w1, w2, right, x = heff_setup(8, 8)
-        heff = EffectiveHamiltonian(left, w1, w2, right, DirectBackend())
+        heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend())
         stages = heff.stages()
         base = resolve_block_ops(None)
         full = stage_signature(stages, base)
@@ -122,7 +122,7 @@ class TestInvalidation:
         res_plain = _run(mpo, psi0, sweeps=sweeps, compile_matvec=False)
         # the ramp grows bond signatures between sweeps: stale programs
         # must be invalidated (retraced), not refreshed
-        assert res_cached.program_retraces > 0
+        assert res_cached.metrics["program.retraces"] > 0
         assert abs(res_cached.energy - res_plain.energy) < 1e-10
 
     def test_precision_promotion_retraces_and_matches_uncompiled(self):
@@ -136,15 +136,17 @@ class TestInvalidation:
         # the float32 -> float64 switch lands at the start of sweep 2:
         # every cached warm-up program is stale there
         promotion = res_cached.sweep_records[2]
-        assert promotion.program_retraces > 0
+        assert promotion.metrics["program.retraces"] > 0
 
     def test_kill_switches(self):
         mpo, psi0 = _dmrg_problem()
         sweeps = Sweeps.fixed(16, 4, cutoff=1e-10)
         res = _run(mpo, psi0, sweeps=sweeps, program_cache=False)
-        assert res.program_compiles == 0 and res.program_refreshes == 0
+        assert res.metrics["program.compiles"] == 0
+        assert res.metrics["program.refreshes"] == 0
         res = _run(mpo, psi0, sweeps=sweeps, compile_matvec=False)
-        assert res.program_compiles == 0 and res.program_refreshes == 0
+        assert res.metrics["program.compiles"] == 0
+        assert res.metrics["program.refreshes"] == 0
 
 
 class TestSteadyState:
@@ -156,11 +158,12 @@ class TestSteadyState:
         steady = res.sweep_records[3:]
         assert steady, "smoke run too short to reach steady state"
         for rec in steady:
-            assert rec.program_retraces == 0
-            assert rec.program_compiles == 0
-            assert rec.program_refreshes > 0
-            assert rec.arena_bytes == 0
-            assert rec.arena_acquires == rec.arena_reuses == 0
+            assert rec.metrics["program.retraces"] == 0
+            assert rec.metrics["program.compiles"] == 0
+            assert rec.metrics["program.refreshes"] > 0
+            assert rec.metrics["arena.allocated_bytes"] == 0
+            assert rec.metrics["arena.acquires"] == 0
+            assert rec.metrics["arena.reuses"] == 0
             assert rec.program_refresh_rate == 1.0
 
     def test_stats_bit_identical_cache_on_off(self):
@@ -174,38 +177,9 @@ class TestSteadyState:
         assert len(res_on.energies) == len(res_off.energies)
         for e_on, e_off in zip(res_on.energies, res_off.energies):
             assert abs(e_on - e_off) < 1e-10
-        assert res_on.plan_cache_hits == res_off.plan_cache_hits
-        assert res_on.plan_cache_misses == res_off.plan_cache_misses
-        assert res_on.layout_moves == res_off.layout_moves
-        assert res_on.layout_reuses == res_off.layout_reuses
-
-
-class TestOverlapCompile:
-    """Background compilation is opt-in and bit-identical."""
-
-    def test_overlap_results_bit_identical(self):
-        mpo, psi0 = _dmrg_problem()
-        sweeps = Sweeps.fixed(16, 4, cutoff=1e-10)
-        res_sync = _run(mpo, psi0, sweeps=sweeps)
-        res_overlap = _run(mpo, psi0, sweeps=sweeps, overlap_compile=True)
-        assert res_sync.energies == res_overlap.energies
-        assert res_sync.plan_cache_hits == res_overlap.plan_cache_hits
-        assert res_sync.plan_cache_misses == res_overlap.plan_cache_misses
-        assert res_sync.program_compiles == res_overlap.program_compiles
-        assert res_sync.program_refreshes == res_overlap.program_refreshes
-
-    def test_overlap_spawns_and_drains_threads(self):
-        left, w1, w2, right, x = heff_setup(8, 12)
-        backend = DirectBackend()
-        cache = SweepProgramCache.for_backend(backend)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend,
-                                    compile=True, programs=cache,
-                                    overlap_compile=True)
-        y1 = heff.apply(x)           # traced; compile spawned in background
-        y2 = heff.apply(x)           # joins the pending compile, then runs it
-        heff.release()
-        assert cache.compiles >= 1
-        assert (y1 - y2).norm() < 1e-10 * max(y1.norm(), 1.0)
+        for name in ("plan_cache.hits", "plan_cache.misses", "layout.moves",
+                     "layout.reuses"):
+            assert res_on.metrics[name] == res_off.metrics[name]
 
 
 class TestResultRecords:
@@ -214,13 +188,11 @@ class TestResultRecords:
     def test_sweep_records_and_result_totals_agree(self):
         mpo, psi0 = _dmrg_problem()
         res = _run(mpo, psi0, sweeps=Sweeps.fixed(16, 4, cutoff=1e-10))
-        assert res.program_compiles == sum(r.program_compiles
-                                           for r in res.sweep_records)
-        assert res.program_refreshes == sum(r.program_refreshes
+        for name in ("program.compiles", "program.refreshes",
+                     "program.retraces"):
+            assert res.metrics[name] == sum(r.metrics[name]
                                             for r in res.sweep_records)
-        assert res.program_retraces == sum(r.program_retraces
-                                           for r in res.sweep_records)
-        assert res.program_refreshes > 0
+        assert res.metrics["program.refreshes"] > 0
         assert 0.0 < res.program_refresh_rate < 1.0
 
     def test_format_sweep_records_shows_program_columns(self):

@@ -62,9 +62,8 @@ class TestEnvironments:
         psi = MPS.product_state(sites, spin_chain_problem["config"])
         psi.canonicalize(0)
         envs = EnvironmentCache(psi, mpo)
-        heff = EffectiveHamiltonian(envs.left(0), mpo.tensors[0],
-                                    mpo.tensors[1], envs.right(1),
-                                    DirectBackend())
+        heff = EffectiveHamiltonian(envs.left(0), mpo.tensors[0:2],
+                                    envs.right(1), DirectBackend())
         x = two_site_tensor(psi, 0)
         energy = float(np.real(x.inner(heff.apply(x))))
         assert energy == pytest.approx(mpo.expectation(psi), abs=1e-10)

@@ -310,6 +310,21 @@ class TestSeededRuns:
         assert av == pytest.approx(bv)
 
 
+class TestExcitedRunsFollowTheSpec:
+    def test_fixed_schedule_runs_every_sweep_at_maxdim(self):
+        from repro.obs import trace
+
+        spec = tiny_spec(engine="excited", nstates=2, schedule="fixed",
+                         maxdim=12, nsweeps=3)
+        with trace.tracing() as rec:
+            execute_run(spec)
+        sweeps = [args for _ts, _dur, name, _cat, _pid, _lane, args
+                  in rec.events() if name == "sweep"]
+        assert len(sweeps) == spec.nstates * spec.nsweeps
+        assert {a["maxdim"] for a in sweeps} == {12}
+        assert {a["engine"] for a in sweeps} == {"excited"}
+
+
 # --------------------------------------------------------------------------- #
 # registry queries and diff
 # --------------------------------------------------------------------------- #

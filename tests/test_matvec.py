@@ -55,9 +55,9 @@ class TestCompiledMatvecEquality:
         for name, backend in _backends():
             casted = [_cast(t, dtype) for t in ops]
             left, w1, w2, right, x = casted
-            heff_plain = EffectiveHamiltonian(left, w1, w2, right,
+            heff_plain = EffectiveHamiltonian(left, (w1, w2), right,
                                               DirectBackend(), compile=False)
-            heff_comp = EffectiveHamiltonian(left, w1, w2, right, backend,
+            heff_comp = EffectiveHamiltonian(left, (w1, w2), right, backend,
                                              compile=True)
             y_ref = heff_plain.apply(x)
             y_trace = heff_comp.apply(x)      # traced (chained) application
@@ -73,11 +73,11 @@ class TestCompiledMatvecEquality:
         """Davidson residuals grow new blocks; each signature gets a program."""
         left, w1, w2, right, x = _heff_operands()
         backend = DirectBackend()
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         y = heff.apply(x)            # traced for x's signature
         z = heff.apply(y)            # y usually has more blocks: new trace
         z2 = heff.apply(y)           # now compiled
-        ref = EffectiveHamiltonian(left, w1, w2, right, DirectBackend(),
+        ref = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
                                    compile=False)
         assert (z2 - ref.apply(y)).norm() <= 1e-12 * max(z.norm(), 1.0)
         heff.release()
@@ -86,10 +86,10 @@ class TestCompiledMatvecEquality:
     def test_davidson_through_compiled_heff_matches(self):
         left, w1, w2, right, x = _heff_operands()
         res_comp = davidson(
-            EffectiveHamiltonian(left, w1, w2, right, DirectBackend()),
+            EffectiveHamiltonian(left, (w1, w2), right, DirectBackend()),
             x, max_iterations=3, rng=np.random.default_rng(0))
         res_ref = davidson(
-            EffectiveHamiltonian(left, w1, w2, right, DirectBackend(),
+            EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
                                  compile=False),
             x, max_iterations=3, rng=np.random.default_rng(0))
         assert res_comp.eigenvalue == pytest.approx(res_ref.eigenvalue,
@@ -99,7 +99,7 @@ class TestCompiledMatvecEquality:
         """No plan cache -> no compilation, plain Algorithm-2 semantics."""
         left, w1, w2, right, x = _heff_operands()
         backend = DirectBackend(use_planner=False)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         heff.apply(x)
         heff.apply(x)
         assert backend.matvec_counters.compiles == 0
@@ -118,7 +118,7 @@ class TestAliasingSafety:
         """Compiled outputs own their memory: later matvecs leave them alone."""
         left, w1, w2, right, x = _heff_operands()
         backend = DirectBackend()
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         heff.apply(x)                       # trace
         y1 = heff.apply(x)                  # compiled
         frozen = {k: v.copy() for k, v in y1.blocks.items()}
@@ -138,7 +138,7 @@ class TestAliasingSafety:
     def test_davidson_basis_survives_many_compiled_matvecs(self):
         """The h_basis vectors retained by Davidson stay bit-identical."""
         left, w1, w2, right, x = _heff_operands()
-        heff = EffectiveHamiltonian(left, w1, w2, right, DirectBackend())
+        heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend())
         heff.apply(x)                       # trace x's signature
         outputs = []
         copies = []
@@ -153,7 +153,7 @@ class TestAliasingSafety:
     def test_release_returns_buffers_to_pool(self):
         left, w1, w2, right, x = _heff_operands()
         backend = DirectBackend()
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         heff.apply(x)
         arena = backend.workspace_arena
         acquired_before_release = arena.acquires
@@ -163,7 +163,7 @@ class TestAliasingSafety:
         assert snap["releases"] == acquired_before_release
         assert snap["pooled_buffers"] > 0
         # a new bond with the same shapes recycles the pooled buffers
-        heff2 = EffectiveHamiltonian(left, w1, w2, right, backend)
+        heff2 = EffectiveHamiltonian(left, (w1, w2), right, backend)
         heff2.apply(x)
         assert arena.reuses > 0
         heff2.release()
@@ -226,11 +226,11 @@ class TestCostAccountingParity:
                           backend=DirectBackend(),
                           rng=np.random.default_rng(1))
         assert res_on.energy == pytest.approx(res_off.energy, abs=1e-10)
-        assert res_on.plan_cache_hits == res_off.plan_cache_hits
-        assert res_on.plan_cache_misses == res_off.plan_cache_misses
-        for r_on, r_off in zip(res_on.sweep_records, res_off.sweep_records):
-            assert (r_on.plan_hits, r_on.plan_misses) == \
-                (r_off.plan_hits, r_off.plan_misses)
+        for name in ("plan_cache.hits", "plan_cache.misses"):
+            assert res_on.metrics[name] == res_off.metrics[name]
+            for r_on, r_off in zip(res_on.sweep_records,
+                                   res_off.sweep_records):
+                assert r_on.metrics[name] == r_off.metrics[name]
 
     def test_layout_tracker_and_modelled_time_identical(self):
         """The compiled path replays the exact cost-model charge sequence."""
@@ -250,12 +250,11 @@ class TestCostAccountingParity:
                       DMRGConfig(sweeps=Sweeps.fixed(12, 2, cutoff=1e-10)),
                       backend=SparseSparseBackend(world),
                       rng=np.random.default_rng(2))
-        assert res.layout_moves > 0
-        assert res.layout_reuses > 0
-        assert res.layout_moves == sum(r.layout_moves
-                                       for r in res.sweep_records)
-        assert res.layout_reuses == sum(r.layout_reuses
-                                        for r in res.sweep_records)
+        assert res.metrics["layout.moves"] > 0
+        assert res.metrics["layout.reuses"] > 0
+        for name in ("layout.moves", "layout.reuses"):
+            assert res.metrics[name] == sum(r.metrics[name]
+                                            for r in res.sweep_records)
         assert 0.0 < res.layout_reuse_rate < 1.0
         # a cost-model-free backend reports zeros
         res_plain, _ = dmrg(mpo, psi0,
@@ -263,8 +262,8 @@ class TestCostAccountingParity:
                                                            cutoff=1e-10)),
                             backend=DirectBackend(),
                             rng=np.random.default_rng(2))
-        assert res_plain.layout_moves == 0
-        assert res_plain.layout_reuses == 0
+        assert res_plain.metrics["layout.moves"] == 0
+        assert res_plain.metrics["layout.reuses"] == 0
 
     def test_mapping_counts_match_chained_path(self):
         """The list backend's per-pair 2D/3D tallies are preserved."""
@@ -272,13 +271,13 @@ class TestCostAccountingParity:
         left, w1, w2, right, x = ops
         world_a = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
         backend_a = ListBackend(world_a)
-        heff_a = EffectiveHamiltonian(left, w1, w2, right, backend_a,
+        heff_a = EffectiveHamiltonian(left, (w1, w2), right, backend_a,
                                       compile=False)
         heff_a.apply(x)
         heff_a.apply(x)
         world_b = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
         backend_b = ListBackend(world_b)
-        heff_b = EffectiveHamiltonian(left, w1, w2, right, backend_b,
+        heff_b = EffectiveHamiltonian(left, (w1, w2), right, backend_b,
                                       compile=True)
         heff_b.apply(x)
         heff_b.apply(x)
@@ -326,7 +325,7 @@ class TestDavidsonAlgebraCharge:
         left, w1, w2, right, x = _heff_operands()
         world = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
         backend = SparseSparseBackend(world)
-        heff = EffectiveHamiltonian(left, w1, w2, right, backend)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         davidson(heff, x, max_iterations=2, rng=np.random.default_rng(0))
         heff.release()
         assert world.profiler.as_dict().get("davidson", 0.0) > 0
@@ -351,7 +350,7 @@ class TestDavidsonAlgebraCharge:
 class TestMatvecCompilerInternals:
     def test_stage_list_matches_chain(self):
         left, w1, w2, right, x = _heff_operands()
-        heff = EffectiveHamiltonian(left, w1, w2, right, DirectBackend(),
+        heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
                                     site=3)
         stages = heff.stages()
         assert len(stages) == 4
@@ -365,7 +364,7 @@ class TestMatvecCompilerInternals:
         backend = DirectBackend()
         compiler = MatvecCompiler(
             backend,
-            EffectiveHamiltonian(left, w1, w2, right, backend).stages())
+            EffectiveHamiltonian(left, (w1, w2), right, backend).stages())
         compiler.apply(x)
         assert compiler.programs == 1
         compiler.apply(x)

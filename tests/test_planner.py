@@ -136,10 +136,10 @@ class TestPlanCacheInDMRG:
         backend = DirectBackend()
         config = DMRGConfig(sweeps=Sweeps.fixed(24, 8, cutoff=1e-10))
         res, _ = dmrg(mpo, psi0, config, backend=backend)
-        assert res.plan_cache_hits > 0
+        assert res.metrics["plan_cache.hits"] > 0
         assert res.plan_cache_hit_rate > 0.5
         # once the block structure converges, sweeps run fully from cache
-        assert res.sweep_records[-1].plan_misses == 0
+        assert res.sweep_records[-1].metrics["plan_cache.misses"] == 0
         assert res.sweep_records[-1].plan_hit_rate == 1.0
         assert res.plan_cache_hit_rate_after_first_sweep > 0.8
 
@@ -153,8 +153,8 @@ class TestPlanCacheInDMRG:
         res_plan, _ = dmrg(mpo, psi0, config, backend=DirectBackend())
         assert res_plan.energy == pytest.approx(res_naive.energy, abs=1e-10)
         # the naive backend reports no plan statistics
-        assert res_naive.plan_cache_hits == 0
-        assert res_naive.plan_cache_misses == 0
+        assert res_naive.metrics["plan_cache.hits"] == 0
+        assert res_naive.metrics["plan_cache.misses"] == 0
 
 
 # --------------------------------------------------------------------------- #

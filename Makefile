@@ -16,9 +16,8 @@
 #                         descriptor shipping, respawn logic and the
 #                         happens-before invariants get end-to-end coverage
 #   make analyze        - static correctness gates (python -m repro analyze):
-#                         repo-invariant lint, matvec-program aliasing
-#                         verification, schedule race detection on a traced
-#                         executor run; emits BENCH_analyze.json
+#                         repo-invariant lint, schedule race detection on a
+#                         traced executor run; emits BENCH_analyze.json
 #   make bench-smoke    - measured benchmarks at tiny sizes + plan-aware
 #                         cost-model invariants (python -m repro bench --smoke);
 #                         emits the machine-readable BENCH_smoke.json artifact

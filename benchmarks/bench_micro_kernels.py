@@ -15,18 +15,13 @@ from repro.backends import DirectBackend
 from repro.dmrg import EffectiveHamiltonian, EnvironmentCache, davidson
 from repro.models import heisenberg_chain_model
 from repro.mps import MPS, build_mpo
-from repro.perf.matvec_bench import heff_setup
+from repro.perf.microbench import heff_setup
 from repro.symmetry import BlockSparseTensor, Index, svd
 
 
 def _dmrg_setup(model, n, maxdim):
     left, w1, w2, right, x = heff_setup(n, maxdim, model=model)
-    # these benchmarks track the per-contraction planned path (the compiled
-    # pipeline has its own harness, bench_matvec_compile.py) — pin the
-    # compile flag so the series stays comparable across commits
-    heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
-                                compile=False)
-    return heff, x
+    return EffectiveHamiltonian(left, (w1, w2), right, DirectBackend()), x
 
 
 @pytest.fixture(scope="module")

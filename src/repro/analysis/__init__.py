@@ -3,11 +3,10 @@
 Everything the executor stack guarantees today is checked dynamically — the
 conformance suite asserts bit-identity of results, the leak guard asserts no
 shared segment survives the session.  This package adds the static half: the
-same class of tooling (happens-before race checking, buffer-liveness
-verification, project-rule linting) that production training/inference
-stacks ship alongside their executors.
+same class of tooling (happens-before race checking, project-rule linting)
+that production training/inference stacks ship alongside their executors.
 
-Three passes, surfaced through ``repro analyze`` and ``make analyze``:
+Two passes, surfaced through ``repro analyze`` and ``make analyze``:
 
 :mod:`repro.analysis.schedule`
     **Schedule race detector.**  Extracts per-job read/write byte extents
@@ -20,14 +19,6 @@ Three passes, surfaced through ``repro analyze`` and ``make analyze``:
     (``REPRO_ANALYZE=shadow``) that raises the moment a conflicting job is
     submitted.
 
-:mod:`repro.analysis.aliasing`
-    **Matvec-program aliasing verifier.**  A liveness analysis over the
-    stages of a compiled :class:`~repro.symmetry.matvec.MatvecProgram`
-    proving that no GEMM destination view overlaps a still-live input
-    matrix and that no :class:`~repro.symmetry.matvec.WorkspaceArena`
-    buffer is issued twice while live.  Every program compiled during the
-    tier-1 suite is verified through a conftest hook.
-
 :mod:`repro.analysis.lint`
     **Repo-invariant linter.**  An AST pass over ``src/repro`` encoding the
     project rules that keep the executor seam sound: dense-block kernels
@@ -38,8 +29,6 @@ Three passes, surfaced through ``repro analyze`` and ``make analyze``:
     ``# repro-lint: ok(<rule>)`` pragma with a reason.
 """
 
-from .aliasing import (AliasFinding, AliasReport, verify_compiler,
-                       verify_program, verify_sample_programs)
 from .lint import (LintFinding, LintReport, RULES, format_lint_report,
                    run_lint)
 from .schedule import (Extent, JobAccess, RaceFinding, ScheduleRaceError,
@@ -47,8 +36,6 @@ from .schedule import (Extent, JobAccess, RaceFinding, ScheduleRaceError,
                        extents_overlap, trace_executor_schedule)
 
 __all__ = [
-    "AliasFinding", "AliasReport", "verify_compiler", "verify_program",
-    "verify_sample_programs",
     "LintFinding", "LintReport", "RULES", "format_lint_report", "run_lint",
     "Extent", "JobAccess", "RaceFinding", "ScheduleRaceError",
     "ScheduleReport", "ScheduleTrace", "check_trace", "extents_overlap",

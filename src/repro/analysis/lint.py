@@ -32,7 +32,7 @@ Rule catalogue (:data:`RULES`):
     ``analysis/`` carry docstrings (subsumes the retired
     ``tools/check_docstrings.py``).
 ``obs-span``
-    Hot-path modules (the DMRG drivers, the matvec compiler/executor seam
+    Hot-path modules (the DMRG drivers, the matvec chain, the plan executor
     and the process pool) acquire timing through the observability span
     API (:func:`repro.obs.trace.span` / ``timed_span``) instead of ad-hoc
     ``time.perf_counter()`` pairs, so every measured duration is also a

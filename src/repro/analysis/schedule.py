@@ -402,16 +402,16 @@ def trace_executor_schedule(*, nsites: int = 8, maxdim: int = 12,
                             ) -> ScheduleReport:
     """Trace a representative executor schedule and check it for races.
 
-    Runs the compiled Davidson matvec of a mid-chain effective Hamiltonian
-    on a fresh :class:`~repro.symmetry.procops.ProcessOps` with every
-    kernel forced through the workers and row-splitting forced on, so the
-    trace covers pinned static panels, fused/batch group fan-out, disjoint
+    Runs the Davidson matvec of a mid-chain effective Hamiltonian on a
+    fresh :class:`~repro.symmetry.procops.ProcessOps` with every kernel
+    forced through the workers and row-splitting forced on, so the trace
+    covers pinned operand panels, fused/batch group fan-out, disjoint
     output-row slices and refcount-recycled scratch.  Returns the offline
     :func:`check_trace` report.
     """
     from ..backends.base import DirectBackend
     from ..dmrg import EffectiveHamiltonian
-    from ..perf.matvec_bench import heff_setup
+    from ..perf.microbench import heff_setup
     from ..symmetry.procops import ProcessOps
 
     ops = ProcessOps(max_workers=workers, min_dispatch_flops=0.0,
@@ -421,11 +421,9 @@ def trace_executor_schedule(*, nsites: int = 8, maxdim: int = 12,
     try:
         left, w1, w2, right, x = heff_setup(nsites, maxdim)
         heff = EffectiveHamiltonian(left, (w1, w2), right,
-                                    DirectBackend(block_ops=ops),
-                                    compile=True)
+                                    DirectBackend(block_ops=ops))
         for _ in range(max(2, applies)):
             heff.apply(x)
-        heff.release()
     finally:
         ops.shutdown()
     return check_trace(trace.events())

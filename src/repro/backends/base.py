@@ -34,7 +34,6 @@ from ..symmetry import BlockSparseTensor
 from ..symmetry import linalg as blocklinalg
 from ..symmetry.blockops import BlockOps, resolve_block_ops
 from ..symmetry.engine import contract_planned
-from ..symmetry.matvec import MatvecCounters, StageCharge, WorkspaceArena
 from ..symmetry.planner import PlanCache
 
 
@@ -56,16 +55,9 @@ class ContractionBackend(ABC):
         # single-tensor algorithms use it to bound the format-conversion
         # volume of a subsequent SVD at the planned (block-aligned) layout
         self._last_plan = None
-        #: pooled scratch buffers shared by every compiled matvec program of
-        #: this backend (see :class:`repro.symmetry.matvec.WorkspaceArena`);
-        #: consecutive bond steps recycle each other's panels and stacks.
-        #: The ops implementation chooses the backing allocator — the
-        #: process executor places these buffers in shared memory so its
-        #: workers read panels and write output slices in place
-        self.workspace_arena = WorkspaceArena(
-            allocator=self.block_ops.allocator())
-        #: compiled-matvec lifecycle counters (compiles / applies / releases)
-        self.matvec_counters = MatvecCounters()
+        #: Davidson matvec chains applied through this backend
+        #: (:meth:`repro.symmetry.matvec.MatvecCompiler.apply`)
+        self.matvec_applies = 0
 
     @abstractmethod
     def contract(self, a: BlockSparseTensor, b: BlockSparseTensor,
@@ -98,29 +90,11 @@ class ContractionBackend(ABC):
             return plan
         return None
 
-    def supports_compiled_matvec(self) -> bool:
-        """Whether the compiled-matvec fast path may serve this backend.
-
-        Requires a plan cache (the compiler lowers cached plans).  Backends
-        whose ``contract`` can bypass the planner (e.g. the sparse-sparse
-        backend's real-sparse execution mode) override this to refuse, so the
-        compiled path never diverges from what ``contract`` would do.
-        """
-        return self.plan_cache is not None
-
-    def charge_compiled_stage(self, stage: StageCharge) -> None:
-        """Cost-model charge of one compiled-matvec stage.
-
-        Called by :meth:`repro.symmetry.matvec.MatvecProgram.execute` once per
-        stage, in chain order, with the same plan and operand statistics the
-        chained :meth:`contract` call would have derived from the live
-        tensors.  Backends with a simulated world override this to reproduce
-        their ``contract`` charges exactly (same plans, flop counts and
-        ``operand_keys``/``out_key`` layout-tracker traffic); the base
-        implementation only remembers the plan so a subsequent SVD can cap
-        its format-conversion volume, exactly as ``contract`` does.
-        """
-        self._last_plan = stage.plan
+    def charge_compiled_stage(self, stage) -> None:
+        """Placeholder pinned by ``benchmarks/e2e`` (see the pin comment in
+        :mod:`repro.symmetry.matvec`); never called: :meth:`contract` is the
+        single place a backend charges."""
+        raise NotImplementedError("compiled matvec programs were removed")
 
     def invalidate_layouts(self, *keys: str) -> None:
         """Forget tracked layouts of operands rewritten outside the model.

@@ -21,7 +21,6 @@ import numpy as np
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
 from ..symmetry.engine import execute_cached, plan_for
-from ..symmetry.matvec import StageCharge
 from .base import ContractionBackend
 
 
@@ -72,18 +71,6 @@ class ListBackend(ContractionBackend):
                 mapping=decision)
         return execute_cached(plan, a, b, self.plan_cache,
                               ops=self.block_ops)
-
-    def charge_compiled_stage(self, stage: StageCharge) -> None:
-        """Per-pair charges of one compiled stage — identical to contract."""
-        self._last_plan = stage.plan
-        decisions = self.world.pair_decisions(stage.plan)
-        for pair, decision in zip(stage.plan.pairs, decisions):
-            self.mapping_counts[decision.algorithm] += 1
-            self.world.charge_block_contraction(
-                pair.flops, pair.a_size, pair.b_size, pair.out_size,
-                num_blocks=stage.plan.npairs,
-                largest_block_share=stage.plan.largest_pair_share,
-                mapping=decision)
 
     def svd(self, t: BlockSparseTensor, row_axes: Sequence[int],
             col_axes: Sequence[int] | None = None, **kwargs):

@@ -15,7 +15,6 @@ from typing import Sequence
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
 from ..symmetry.engine import execute_cached, plan_for
-from ..symmetry.matvec import StageCharge
 from .base import ContractionBackend
 
 
@@ -79,31 +78,6 @@ class SparseDenseBackend(ContractionBackend):
                                                   algorithm="sparse-dense",
                                                   out_key=out_key)
         return result
-
-    def charge_compiled_stage(self, stage: StageCharge) -> None:
-        """Dense-intermediate pricing of one compiled stage — as contract.
-
-        The same decision tree as :meth:`contract`, evaluated on the stage's
-        precomputed operand statistics instead of live tensors.
-        """
-        self._last_plan = stage.plan
-        out_is_dense = (stage.out_ndim >= self.dense_intermediate_order)
-        a_is_dense = stage.a_ndim >= self.dense_intermediate_order
-        b_is_dense = stage.b_ndim >= self.dense_intermediate_order
-        if out_is_dense or a_is_dense or b_is_dense:
-            size_a = stage.a_dense_size if a_is_dense else stage.a_nnz
-            size_b = stage.b_dense_size if b_is_dense else stage.b_nnz
-            size_c = stage.out_dense_size if out_is_dense else stage.out_nnz
-            contracted_dim = max(stage.contracted_dim, 1)
-            free_a = stage.a_dense_size // contracted_dim
-            free_b = stage.b_dense_size // contracted_dim
-            modelled = 2.0 * free_a * contracted_dim * free_b
-            self.world.charge_dense_contraction(modelled, size_a, size_b,
-                                                size_c)
-        else:
-            self.world.charge_planned_contraction(stage.plan,
-                                                  algorithm="sparse-dense",
-                                                  out_key=stage.out_key)
 
     def svd(self, t: BlockSparseTensor, row_axes: Sequence[int],
             col_axes: Sequence[int] | None = None, **kwargs):

@@ -21,7 +21,6 @@ from ..ctf.sparse_tensor import SparseDistTensor
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
 from ..symmetry.engine import execute_cached, plan_for
-from ..symmetry.matvec import StageCharge
 from .base import ContractionBackend
 
 
@@ -89,22 +88,6 @@ class SparseSparseBackend(ContractionBackend):
                                               operand_keys=operand_keys,
                                               out_key=out_key)
         return result
-
-    def supports_compiled_matvec(self) -> bool:
-        """Refuse the compiled path when real-sparse execution is enabled.
-
-        With ``execute_sparse`` set, small contractions bypass the planner
-        entirely (:meth:`_contract_via_sparse`); a compiled program cannot
-        reproduce that dispatch, so the chain stays on ``contract``.
-        """
-        return super().supports_compiled_matvec() and not self.execute_sparse
-
-    def charge_compiled_stage(self, stage: StageCharge) -> None:
-        """Plan-aware sparse charge of one compiled stage — as contract."""
-        self._last_plan = stage.plan
-        self.world.charge_planned_contraction(
-            stage.plan, operand_nnz=(stage.a_nnz, stage.b_nnz),
-            operand_keys=stage.operand_keys, out_key=stage.out_key)
 
     def svd(self, t: BlockSparseTensor, row_axes: Sequence[int],
             col_axes: Sequence[int] | None = None, **kwargs):

@@ -29,15 +29,13 @@ The subcommands cover the everyday workflows:
 
 ``python -m repro bench --smoke [--json BENCH_smoke.json]``
     Benchmark smoke target: exercise the measured benchmarks — the
-    plan-cache/fused-GEMM comparison, the compiled-matvec comparison
-    (``matvec`` target), the block-ops kernel comparison (``blockops``
-    target: threaded vs numpy wall-clock, bit-identical modelled costs,
-    mixed-precision energy agreement), the process-executor validation
-    (``executor`` target: the planned SUMMA schedules run for real on worker
-    processes, bit-identical to serial numpy, with a modelled-vs-measured
-    per-category breakdown) and the micro-kernel suite — at tiny
-    sizes, and
-    assert the modelled-cost invariants: the plan-aware model's (equal to
+    plan-cache/fused-GEMM comparison, the block-ops kernel comparison
+    (``blockops`` target: threaded vs numpy wall-clock, bit-identical
+    modelled costs, mixed-precision energy agreement), the process-executor
+    validation (``executor`` target: the planned SUMMA schedules run for real
+    on worker processes, bit-identical to serial numpy, with a
+    modelled-vs-measured per-category breakdown) and the micro-kernel suite —
+    at tiny sizes, and assert the modelled-cost invariants: the plan-aware model's (equal to
     the aggregate model on a dense block, never worse on block-sparse
     structure, ``plan-cost`` target) and the sweep-persistent layout
     tracker's (first touch charges, unchanged layouts free, tracked total
@@ -47,13 +45,12 @@ The subcommands cover the everyday workflows:
     the perf trajectory can be tracked across commits (``make bench-smoke``
     emits ``BENCH_smoke.json``).
 
-``python -m repro analyze [--target schedule|program|lint] [--json PATH]``
+``python -m repro analyze [--target schedule|lint] [--json PATH]``
     Static correctness gates (:mod:`repro.analysis`): the repo-invariant
-    linter over ``src/repro``, the aliasing/liveness verifier on freshly
-    compiled matvec programs, and the schedule race detector on a traced
+    linter over ``src/repro`` and the schedule race detector on a traced
     process-executor run.  Exit 1 on any finding; ``--json`` writes the
-    rule counts / jobs checked / programs verified artifact ``make
-    analyze`` tracks (``BENCH_analyze.json``).
+    rule counts / jobs checked artifact ``make analyze`` tracks
+    (``BENCH_analyze.json``).
 
 ``python -m repro trace summarize|export FILE...``
     Work with the Chrome trace-event files ``run --trace PATH`` and ``sweep
@@ -88,7 +85,6 @@ BENCH_TARGETS: Dict[str, str] = {
                  "block-sparse never worse)",
     "layout": "sweep-persistent layout tracker invariants",
     "plan-cache": "planned vs naive contraction path (energy agreement)",
-    "matvec": "compiled matvec + sweep-persistent program cache",
     "blockops": "threaded/numpy kernel comparison + mixed precision",
     "executor": "process executor vs serial numpy (bit-identical)",
     "obs": "span tracer overhead (disabled unmeasurable, enabled < 5%)",
@@ -99,7 +95,6 @@ BENCH_TARGETS: Dict[str, str] = {
 ANALYZE_TARGETS: Dict[str, str] = {
     "all": "every pass below, in order",
     "lint": "repo-invariant linter over src/repro",
-    "program": "aliasing/liveness verifier on compiled matvec programs",
     "schedule": "race detector on a traced process-executor run",
 }
 
@@ -368,57 +363,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("error: planned and naive energies disagree "
                   f"({stats['energy_delta']:.3e})", file=sys.stderr)
             rc = 1
-    if args.target in ("all", "matvec"):
-        from .perf.matvec_bench import (format_matvec_benchmark,
-                                        run_matvec_compile_benchmark)
-        if args.full:
-            stats = run_matvec_compile_benchmark()
-        else:
-            stats = run_matvec_compile_benchmark(nsites=12, maxdim=16,
-                                                 repeats=5, dmrg_nsites=8,
-                                                 dmrg_maxdim=16,
-                                                 dmrg_nsweeps=3)
-        print(format_matvec_benchmark(stats))
-        emitted["matvec"] = stats
-        if stats["dmrg_energy_delta"] > 1e-8 or not stats["plan_stats_equal"]:
-            print("error: compiled matvec diverged from the planned path "
-                  f"(|dE| = {stats['dmrg_energy_delta']:.3e}, plan stats "
-                  f"equal: {stats['plan_stats_equal']})", file=sys.stderr)
-            rc = 1
-        from .perf.matvec_bench import (format_program_cache_benchmark,
-                                        run_program_cache_benchmark)
-        if args.full:
-            cache_stats = run_program_cache_benchmark(nsites=12, maxdim=32,
-                                                      nsweeps=7, repeats=10,
-                                                      warmup_sweeps=4)
-        else:
-            cache_stats = run_program_cache_benchmark()
-        print(format_program_cache_benchmark(cache_stats))
-        emitted["program_cache"] = cache_stats
-        if (cache_stats["energy_delta"] > 1e-10
-                or not cache_stats["plan_stats_equal"]
-                or not cache_stats["sim_tracker_equal"]
-                or cache_stats["sim_modelled_seconds_delta"] != 0.0):
-            print("error: the program cache changed observable results "
-                  f"(|dE| = {cache_stats['energy_delta']:.3e}, plan stats "
-                  f"equal: {cache_stats['plan_stats_equal']}, tracker "
-                  f"equal: {cache_stats['sim_tracker_equal']})",
-                  file=sys.stderr)
-            rc = 1
-        if (cache_stats["steady_state_retraces"] != 0
-                or not cache_stats["steady_state_allocations_zero"]
-                or cache_stats["steady_state_arena_bytes"] != 0):
-            print("error: steady-state sweeps are not refresh-only "
-                  f"(retraces = {cache_stats['steady_state_retraces']}, "
-                  f"arena bytes = "
-                  f"{cache_stats['steady_state_arena_bytes']})",
-                  file=sys.stderr)
-            rc = 1
-        if cache_stats["refresh_speedup"] <= 1.0:
-            print("error: refreshing a cached program is not faster than "
-                  f"retracing ({cache_stats['refresh_speedup']:.2f}x)",
-                  file=sys.stderr)
-            rc = 1
     if args.target in ("all", "blockops"):
         from .perf.blockops_bench import (format_blockops_benchmark,
                                           run_blockops_benchmark)
@@ -538,7 +482,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Run the static correctness passes (lint, program aliasing, schedule)."""
+    """Run the static correctness passes (lint, schedule)."""
     if args.list_targets:
         _print_targets(ANALYZE_TARGETS)
         return 0
@@ -552,14 +496,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(format_lint_report(report))
         emitted["lint"] = report.as_dict()
         rc = max(rc, 0 if report.ok else 1)
-    if args.target in ("all", "program"):
-        from .analysis import verify_sample_programs
-        programs: Dict[str, object] = {}
-        for model, rep in verify_sample_programs().items():
-            print(f"{model}: {rep.render()}")
-            programs[model] = rep.as_dict()
-            rc = max(rc, 0 if rep.ok else 1)
-        emitted["program"] = programs
     if args.target in ("all", "schedule"):
         from .analysis import trace_executor_schedule
         rep = trace_executor_schedule()
@@ -754,16 +690,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser(
         "analyze", help="run the static correctness passes "
-                        "(lint, program aliasing, schedule races)")
+                        "(lint, schedule races)")
     p_analyze.add_argument("--target", default="all", metavar="NAME",
                            help="analysis pass to run (see --list-targets; "
                                 "default: all)")
     p_analyze.add_argument("--list-targets", action="store_true",
                            help="list the valid analysis passes and exit")
     p_analyze.add_argument("--json", default=None, metavar="PATH",
-                           help="write rule counts, jobs checked and "
-                                "programs verified to this JSON artifact "
-                                "(e.g. BENCH_analyze.json)")
+                           help="write rule counts and jobs checked to "
+                                "this JSON artifact (e.g. "
+                                "BENCH_analyze.json)")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_trace = sub.add_parser(

@@ -2,11 +2,11 @@
 
 The process executor (:mod:`repro.symmetry.procops`) runs the planner's
 independent GEMM groups on worker processes.  Its operand panels — the
-matricized static operands pinned once per bond, the fused concat panels and
-batch stacks of the compiled matvec, and the disjoint output slices the
-workers write — live in ``multiprocessing.shared_memory`` segments so the
-parent and every worker address the *same* bytes: dispatching a GEMM ships a
-small descriptor tuple, never the matrix.
+matricized operands pinned once per contraction, the fused concat panels
+and batch stacks, and the disjoint output slices the workers write — live in
+``multiprocessing.shared_memory`` segments so the parent and every worker
+address the *same* bytes: dispatching a GEMM ships a small descriptor tuple,
+never the matrix.
 
 This module owns the segment lifecycle:
 

@@ -62,18 +62,6 @@ class DMRGConfig:
     energy_tol: float = 0.0          # stop early when sweep-to-sweep change is below
     site_ranges: Sequence[tuple[int, int]] | None = None  # restrict optimized sites
     record_site_details: bool = True
-    #: compile the Davidson matvec chain once per bond (static-operand caching
-    #: + workspace arena, :mod:`repro.symmetry.matvec`); ``False`` keeps the
-    #: per-contraction planned path (the benchmark baseline)
-    compile_matvec: bool = True
-    #: keep compiled matvec programs alive across bond re-visits in a
-    #: sweep-owned :class:`~repro.symmetry.matvec.SweepProgramCache`: a
-    #: re-visit with an unchanged stage signature refreshes the static
-    #: panels in place instead of retracing and recompiling, and all bonds
-    #: share one workspace arena.  ``False`` restores the PR-4 per-visit
-    #: compile (programs discarded at every ``heff.release()``).  No effect
-    #: when ``compile_matvec`` is off.
-    program_cache: bool = True
     #: reduced compute dtype ("float32") of the warm-up phase; the first
     #: ``warmup_sweeps`` sweeps run their contractions and factorizations
     #: through a :class:`~repro.symmetry.blockops.MixedPrecisionOps` wrapper,
@@ -140,25 +128,13 @@ class SweepRecord:
         """Fraction of this sweep's tracked operand touches that were free."""
         return _share(self.metrics, "layout.reuses", "layout.moves")
 
-    @property
-    def program_refresh_rate(self) -> float:
-        """Fraction of this sweep's cached-program visits served by refresh.
-
-        Compiles cover both first visits and signature-change recompiles,
-        so in steady state (no retraces, no new signatures) this reaches
-        1.0: every bond visit reuses its program with an in-place panel
-        refresh.
-        """
-        return _share(self.metrics, "program.refreshes", "program.compiles")
-
 
 class StatsRecorder:
     """Counter deltas of one DMRG run (and per sweep), by metric name.
 
-    The one place the sweep engine reads the plan cache, the layout
-    tracker, the sweep-persistent program cache and its arena.  A source the
-    run does not have (no planner, no simulated world, compiled matvec or
-    the program cache off) contributes zeros.
+    The one place the sweep engine reads the plan cache and the layout
+    tracker.  A source the run does not have (no planner, no simulated
+    world) contributes zeros.
     """
 
     #: metric name -> (source, attribute); ``*_seconds`` are wall-clock
@@ -169,23 +145,15 @@ class StatsRecorder:
         "plan_cache.misses": ("plan_cache", "misses"),
         "layout.moves": ("tracker", "charged_moves"),
         "layout.reuses": ("tracker", "reuses"),
-        "program.compiles": ("programs", "compiles"),
-        "program.refreshes": ("programs", "refreshes"),
-        "program.retraces": ("programs", "retraces"),
-        "arena.acquires": ("arena", "acquires"),
-        "arena.reuses": ("arena", "reuses"),
-        "arena.allocated_bytes": ("arena", "allocated_bytes"),
         "plan_cache.plan_seconds": ("plan_cache", "plan_seconds"),
         "plan_cache.execute_seconds": ("plan_cache", "execute_seconds"),
     }
 
-    def __init__(self, backend, program_cache):
+    def __init__(self, backend):
         world = getattr(backend, "world", None)
         self._objects = {
             "plan_cache": getattr(backend, "plan_cache", None),
             "tracker": getattr(world, "layout_tracker", None),
-            "programs": program_cache,
-            "arena": getattr(program_cache, "arena", None),
         }
         self._run0 = self._sweep0 = self._snap()
 
@@ -245,11 +213,6 @@ class DMRGResult:
     def layout_reuse_rate(self) -> float:
         """Fraction of tracked operand touches served in place (free)."""
         return _share(self.metrics, "layout.reuses", "layout.moves")
-
-    @property
-    def program_refresh_rate(self) -> float:
-        """Fraction of cached-program bond visits served by in-place refresh."""
-        return _share(self.metrics, "program.refreshes", "program.compiles")
 
     @property
     def plan_cache_hit_rate_after_first_sweep(self) -> float:

@@ -92,8 +92,7 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
     rng = rng if rng is not None else np.random.default_rng(7)
 
     def timed_apply(vec: BlockSparseTensor) -> BlockSparseTensor:
-        # every operator application shows up as its own trace span (the
-        # compiled program adds per-stage child spans underneath)
+        # every operator application shows up as its own trace span
         with trace.span("davidson-matvec", "davidson"):
             return apply_h(vec)
 

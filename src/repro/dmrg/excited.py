@@ -165,7 +165,6 @@ def find_lowest_states(operator: MPO, psi0: MPS, nstates: int, *,
                        maxdim: int = 64, nsweeps: int = 8,
                        cutoff: float = 1e-12, weight: float = 20.0,
                        backend: Optional[ContractionBackend] = None,
-                       compile_matvec: bool = True,
                        rng: np.random.Generator | None = None
                        ) -> List[tuple[float, MPS]]:
     """Compute the ``nstates`` lowest eigenstates in ``psi0``'s charge sector.
@@ -173,16 +172,15 @@ def find_lowest_states(operator: MPO, psi0: MPS, nstates: int, *,
     The first state is the ordinary DMRG ground state; each subsequent state
     penalizes every state found so far.  Returns ``(energy, MPS)`` pairs in
     ascending energy order.  Every state is swept with ``config``; without
-    one, ``maxdim``/``nsweeps``/``cutoff``/``compile_matvec`` describe a
-    doubling schedule.  ``rng`` seeds the Davidson randomization of
-    every state's sweep (``repro run --seed`` threads one generator through
-    the whole run so registry ids are reproducible end to end).
+    one, ``maxdim``/``nsweeps``/``cutoff`` describe a doubling schedule.
+    ``rng`` seeds the Davidson randomization of every state's sweep (``repro
+    run --seed`` threads one generator through the whole run so registry ids
+    are reproducible end to end).
     """
     if nstates < 1:
         raise ValueError("need at least one state")
     if config is None:
-        config = DMRGConfig(sweeps=Sweeps.ramp(maxdim, nsweeps, cutoff=cutoff),
-                            compile_matvec=compile_matvec)
+        config = DMRGConfig(sweeps=Sweeps.ramp(maxdim, nsweeps, cutoff=cutoff))
     found: List[tuple[float, MPS]] = []
     for _ in range(nstates):
         result, psi = excited_dmrg(operator, psi0, [s for _, s in found],

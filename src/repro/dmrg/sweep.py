@@ -27,7 +27,7 @@ from ..perf import flops as flopcount
 from ..symmetry import BlockSparseTensor
 from ..symmetry.blockops import MixedPrecisionOps
 from ..symmetry.linalg import TruncationInfo
-from ..symmetry.matvec import MatvecCompiler, MatvecStage, SweepProgramCache
+from ..symmetry.matvec import MatvecCompiler, MatvecStage
 from .config import (DMRGConfig, DMRGResult, SiteRecord, StatsRecorder,
                      Sweeps, SweepRecord)
 from .davidson import DavidsonResult, davidson
@@ -92,21 +92,6 @@ class EffectiveHamiltonian:
     (:mod:`repro.ctf.layout`): repeated Davidson matvecs reuse the operands'
     distributed layouts, so only the first application — or a genuine mapping
     change — charges a redistribution.
-
-    With ``compile=True`` (the default) the chain is lowered once per bond
-    into a :class:`~repro.symmetry.matvec.MatvecProgram`: the static operands
-    are matricized once and every further Davidson matvec and re-solve at
-    this bond runs through preallocated workspace buffers with zero symbolic
-    work, charging the cost model identically to the chained path.
-    :meth:`release` invalidates the programs (the sweep engine calls it
-    before the SVD rewrites the wavefunction) and recycles their buffers for
-    the next bond.
-
-    With ``programs`` (a :class:`~repro.symmetry.matvec.SweepProgramCache`)
-    the compiled programs instead persist across bond re-visits, keyed by
-    ``(len(ws), site, direction)``: :meth:`release` leaves them in the cache
-    and the next visit refreshes the static panels in place unless the
-    bond's stage signature changed.
     """
 
     left_env: BlockSparseTensor
@@ -114,10 +99,10 @@ class EffectiveHamiltonian:
     right_env: BlockSparseTensor
     backend: ContractionBackend
     site: Optional[int] = None
-    compile: bool = True
-    programs: Optional[SweepProgramCache] = None
-    direction: Optional[str] = None
-    _compiler: Optional[MatvecCompiler] = field(default=None, repr=False)
+    _chain: MatvecCompiler = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._chain = MatvecCompiler(self.backend, self.stages())
 
     def stages(self) -> list[MatvecStage]:
         """The chain's stage descriptions (operands, axes, layout keys)."""
@@ -143,25 +128,9 @@ class EffectiveHamiltonian:
                                   (hk[k], rk), hk[k + 1]))  # (bl, p1'..pk', br)
         return stages
 
-    def _get_compiler(self) -> MatvecCompiler:
-        if self._compiler is None:
-            bond_key = None
-            if self.programs is not None:
-                bond_key = (len(self.ws), self.site, self.direction)
-            self._compiler = MatvecCompiler(self.backend, self.stages(),
-                                            enabled=self.compile,
-                                            cache=self.programs,
-                                            bond_key=bond_key)
-        return self._compiler
-
     def apply(self, x: BlockSparseTensor) -> BlockSparseTensor:
         """Apply ``K`` to a tensor ``x`` with modes (l, p1, .., pk, r)."""
-        return self._get_compiler().apply(x)
-
-    def release(self) -> None:
-        """Drop the compiled programs (static operands are about to change)."""
-        if self._compiler is not None:
-            self._compiler.release()
+        return self._chain.apply(x)
 
     def __call__(self, x: BlockSparseTensor) -> BlockSparseTensor:
         return self.apply(x)
@@ -268,13 +237,10 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
     precision.begin()
     envs = EnvironmentCache(psi, operator, backend)
     caches = [envs] + update.companion_caches(psi)
-    program_cache = None
-    if config.compile_matvec and config.program_cache:
-        program_cache = SweepProgramCache.for_backend(backend)
 
     result = DMRGResult(energy=np.inf)
     last_energy = np.inf
-    stats = StatsRecorder(backend, program_cache)
+    stats = StatsRecorder(backend)
     label = f"[{update.engine}] " if update.engine else ""
     span_args = {"engine": update.engine} if update.engine else {}
 
@@ -307,9 +273,7 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
 
                 heff = EffectiveHamiltonian(
                     envs.left(j), operator.tensors[j:j + update.width],
-                    envs.right(j + update.width - 1), backend, site=j,
-                    compile=config.compile_matvec, programs=program_cache,
-                    direction=direction)
+                    envs.right(j + update.width - 1), backend, site=j)
                 solve = update.wrap(heff)
                 x0 = update.local_tensor(psi, j, backend)
                 with trace.span("davidson", "dmrg", site=j) as dav_span:
@@ -319,13 +283,6 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
                     dav_span.annotate(iterations=dav.iterations,
                                       matvecs=dav.matvecs)
                 energy = update.energy(heff, dav)
-                # the split below rewrites the wavefunction and (on the next
-                # step) the environments: the bond's programs are detached
-                # — into the sweep cache when one is attached (the next
-                # visit refreshes or invalidates them against the rewritten
-                # operands), otherwise released and their buffers recycled
-                heff.release()
-
                 info = update.split(psi, heff, direction, dav.eigenvector,
                                     truncation)
                 # extend the environments in the direction of motion and
@@ -371,8 +328,6 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
 
     precision.finish(psi, caches)
     result.metrics = stats.run_metrics()
-    if program_cache is not None:
-        program_cache.release_all()
     if update.normalize:
         psi.normalize()
     return result, psi

@@ -345,8 +345,8 @@ class RunRegistry:
         by more than ``energy_tolerance`` (DMRG is variational: a higher
         energy on the same spec is strictly worse), or any watched
         lower-is-better metric (:data:`repro.obs.metrics.REGRESSION_METRICS`:
-        plan-cache misses, layout moves, program retraces, executor
-        respawns, ...) grew between the two reports.
+        plan-cache misses, layout moves, executor respawns, ...) grew between
+        the two reports.
         """
         rec_a = self._require_completed(a)
         rec_b = self._require_completed(b)

@@ -192,8 +192,8 @@ def execute_run(spec: RunSpec, *, checkpoint_path: str | Path | None = None,
                 raise RunInterrupted(
                     f"interrupted after sweep {done}/{len(full_schedule)}")
 
-    config = DMRGConfig(sweeps=schedule, compile_matvec=spec.compile_matvec,
-                        sweep_hook=sweep_hook, verbose=verbose,
+    config = DMRGConfig(sweeps=schedule, sweep_hook=sweep_hook,
+                        verbose=verbose,
                         warmup_dtype="float32" if spec.mixed_precision
                         else None,
                         warmup_sweeps=(spec.nsweeps // 2)
@@ -284,7 +284,6 @@ def build_report(spec: RunSpec, result: Optional[DMRGResult], psi: MPS,
     if world is not None:
         report["modelled_seconds"] = world.profiler.total_seconds()
         report["layout_tracker"] = world.layout_tracker.snapshot()
-    report["matvec_compiler"] = backend.matvec_counters.snapshot()
     report["block_ops"] = backend.block_ops.describe()
     report["metrics"] = obs_metrics.run_metrics(
         result=result, backend=backend, world=world).flat()

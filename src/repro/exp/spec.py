@@ -70,7 +70,6 @@ class RunSpec:
     seed: int = 0
     initial_state: str = "product"
     initial_bond_dim: int = 8
-    compile_matvec: bool = True
     #: numerical kernels the run's backend executes through ("numpy" or
     #: "threaded"); modelled costs are identical for every choice, so this is
     #: an engine field campaigns can grid over for wall-clock comparisons
@@ -122,14 +121,21 @@ class RunSpec:
         Unknown keys are rejected (a typo in a grid file must not silently
         produce a differently-hashed spec of the *default* physics).
         """
+        clean = dict(data)
+        # spec files written while the compiled matvec path existed carry
+        # its switch; every archived run id was hashed with ``true``
+        if not clean.pop("compile_matvec", True):
+            raise ValueError("compile_matvec=false: the compiled matvec "
+                             "path this switched off was removed (the "
+                             "planned chain is the only matvec); drop the "
+                             "field — the run gets the id of the default")
         known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        unknown = set(clean) - known
         if unknown:
             raise ValueError(f"unknown spec field(s): {sorted(unknown)}; "
                              f"known fields: {sorted(known)}")
-        if "model" not in data:
+        if "model" not in clean:
             raise ValueError("spec needs at least a 'model' field")
-        clean = dict(data)
         clean["params"] = tuple(sorted(
             (str(k), v) for k, v in dict(clean.get("params", {})).items()))
         clean["observables"] = tuple(clean.get("observables", ()))
@@ -139,8 +145,6 @@ class RunSpec:
         for key in _FLOAT_FIELDS:
             if key in clean:
                 clean[key] = float(clean[key])
-        if "compile_matvec" in clean:
-            clean["compile_matvec"] = bool(clean["compile_matvec"])
         if "mixed_precision" in clean:
             clean["mixed_precision"] = bool(clean["mixed_precision"])
         return cls(**clean)
@@ -161,7 +165,8 @@ class RunSpec:
         with different insertion orders — or the same spec built in another
         process — serialize byte-identically.
         """
-        payload = {"spec_version": SPEC_VERSION}
+        # the removed field's constant keeps every existing run id
+        payload = {"spec_version": SPEC_VERSION, "compile_matvec": True}
         payload.update(self.to_dict())
         payload.pop("label", None)    # cosmetic, not part of the identity
         # engine fields added after spec_version 1 shipped are omitted at

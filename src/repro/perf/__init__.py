@@ -59,8 +59,6 @@ _LAZY = {
     "run_plan_cache_benchmark": "plan_bench",
     "format_plan_cost_check": "plan_bench",
     "run_plan_cost_check": "plan_bench",
-    "format_matvec_benchmark": "matvec_bench",
-    "run_matvec_compile_benchmark": "matvec_bench",
     "TimedOps": "executor_validate",
     "format_executor_benchmark": "executor_validate",
     "run_executor_benchmark": "executor_validate",

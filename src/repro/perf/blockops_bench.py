@@ -25,7 +25,7 @@ from typing import Dict
 import numpy as np
 
 from ..backends.base import DirectBackend
-from .matvec_bench import _time_applies, heff_setup
+from .microbench import _time_applies, heff_setup
 from .report import format_table
 
 
@@ -45,7 +45,7 @@ def run_blockops_benchmark(*, nsites: int = 24, maxdim: int = 48,
     Three measurements:
 
     * **steady-state matvec** — repeated applications of one mid-chain
-      compiled effective Hamiltonian with numpy vs threaded kernels; the
+      effective Hamiltonian with numpy vs threaded kernels; the
       threaded result must be bit-identical (each GEMM group is computed
       whole by one thread into a disjoint output region);
     * **modelled-cost invariance** — the same small DMRG on the list backend
@@ -71,11 +71,9 @@ def run_blockops_benchmark(*, nsites: int = 24, maxdim: int = 48,
     applies = {}
     for name in ("numpy", "threaded"):
         backend = DirectBackend(block_ops=name)
-        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
-                                    compile=True)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         seconds[name] = _time_applies(heff, x, repeats)
         applies[name] = heff.apply(x)
-        heff.release()
         results[f"ops_{name}"] = backend.block_ops.describe()
     results["numpy_seconds_per_matvec"] = seconds["numpy"]
     results["threaded_seconds_per_matvec"] = seconds["threaded"]

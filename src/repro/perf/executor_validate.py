@@ -11,7 +11,7 @@ measured wall-clock per category.
 
 Three measurements, mirroring :mod:`repro.perf.blockops_bench`:
 
-* **steady-state matvec** — repeated applications of one mid-chain compiled
+* **steady-state matvec** — repeated applications of one mid-chain
   effective Hamiltonian with numpy vs process kernels; the process result
   must be *bit-identical* (workers compute whole GEMMs, or disjoint
   output-row slices with a fixed accumulation order);
@@ -41,7 +41,7 @@ import numpy as np
 from ..backends.base import DirectBackend
 from ..symmetry.blockops import BlockOps, create_block_ops
 from .blockops_bench import _available_cores
-from .matvec_bench import _time_applies, heff_setup
+from .microbench import _time_applies, heff_setup
 from .report import format_table
 
 #: profiler category each kernel's wall time is attributed to (Fig. 7 set)
@@ -136,9 +136,6 @@ class TimedOps(BlockOps):
 
     def axpy(self, alpha, x, y):
         return self.base.axpy(alpha, x, y)
-
-    def allocator(self):
-        return self.base.allocator()
 
     def serial_reference(self):
         return self.base.serial_reference()
@@ -252,11 +249,9 @@ def run_executor_benchmark(*, nsites: int = 24, maxdim: int = 48,
     for name in ("numpy", "process"):
         ops = BlockOps() if name == "numpy" else _process_ops(force_dispatch)
         backend = DirectBackend(block_ops=ops)
-        heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
-                                    compile=True)
+        heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
         seconds[name] = _time_applies(heff, x, repeats)
         applies[name] = heff.apply(x)
-        heff.release()
         results[f"ops_{name}"] = backend.block_ops.describe()
         if name == "process":
             ops.shutdown()

@@ -1,8 +1,8 @@
 """Machine-readable micro-kernel timings (measured, not modelled).
 
 Times the real NumPy execution of the building blocks every algorithm shares
-— block-pair contraction, the Davidson matvec (naive / planned / compiled),
-the truncated block SVD and environment extension — and returns plain dicts
+— block-pair contraction, the Davidson matvec (naive / planned), the
+truncated block SVD and environment extension — and returns plain dicts
 suitable for the ``python -m repro bench --json`` artifact.  The
 pytest-benchmark suite (``benchmarks/bench_micro_kernels.py``) remains the
 interactive harness; this module is its scriptable twin so the perf
@@ -31,6 +31,44 @@ def _best_of(fn: Callable, repeats: int, warmup: int = 2) -> float:
     return best
 
 
+def heff_setup(nsites: int, maxdim: int, *, model: str = "heisenberg",
+               seed: int = 7):
+    """Mid-chain effective-Hamiltonian operands at bond dimension ``maxdim``.
+
+    Builds the named model, a random symmetric MPS canonicalized to the
+    middle bond, and returns ``(left_env, w1, w2, right_env, x)`` — the four
+    static operands of the two-site effective Hamiltonian plus the two-site
+    tensor.  The single setup recipe shared by the matvec/micro-kernel
+    benchmarks and the matvec test suite.
+    """
+    from ..dmrg import EnvironmentCache, two_site_tensor
+    from ..models import heisenberg_chain_model, hubbard_chain_model
+    from ..mps import MPS, build_mpo
+
+    builder = {"heisenberg": heisenberg_chain_model,
+               "hubbard": hubbard_chain_model}[model]
+    lattice, sites, opsum, config = builder(nsites)
+    mpo = build_mpo(opsum, sites)
+    psi = MPS.random(sites, total_charge=sites.total_charge(config),
+                     bond_dim=maxdim, rng=np.random.default_rng(seed))
+    psi.canonicalize(nsites // 2)
+    envs = EnvironmentCache(psi, mpo)
+    j = nsites // 2
+    return (envs.left(j), mpo.tensors[j], mpo.tensors[j + 1],
+            envs.right(j + 1), two_site_tensor(psi, j))
+
+
+def _time_applies(heff, x, repeats: int, warmup: int = 3) -> float:
+    for _ in range(warmup):
+        heff.apply(x)
+    t0 = time.perf_counter()
+    for _ in range(repeats):
+        y = heff.apply(x)
+    dt = (time.perf_counter() - t0) / repeats
+    assert y.norm() > 0
+    return dt
+
+
 def run_micro_kernels(*, smoke: bool = True, repeats: int | None = None
                       ) -> Dict[str, float]:
     """Time the shared computational kernels at smoke or measured sizes.
@@ -41,7 +79,6 @@ def run_micro_kernels(*, smoke: bool = True, repeats: int | None = None
     from ..backends import DirectBackend
     from ..dmrg import EffectiveHamiltonian, davidson, extend_left
     from ..symmetry import BlockSparseTensor, Index, svd
-    from .matvec_bench import heff_setup
 
     nsites, maxdim = (12, 16) if smoke else (32, 64)
     repeats = repeats if repeats is not None else (3 if smoke else 10)
@@ -60,20 +97,16 @@ def run_micro_kernels(*, smoke: bool = True, repeats: int | None = None
     contraction_s = _best_of(
         lambda: a.contract(b, axes=([2, 1], [0, 1])), repeats)
 
-    # effective-Hamiltonian matvec: naive loop / planned / compiled
+    # effective-Hamiltonian matvec: naive loop / planned
     left, w1, w2, right, x = heff_setup(nsites, maxdim)
     ops = (left, (w1, w2), right)
     heff_naive = EffectiveHamiltonian(*ops,
-                                      DirectBackend(use_planner=False),
-                                      compile=False)
-    heff_planned = EffectiveHamiltonian(*ops, DirectBackend(), compile=False)
-    heff_compiled = EffectiveHamiltonian(*ops, DirectBackend(), compile=True)
+                                      DirectBackend(use_planner=False))
+    heff_planned = EffectiveHamiltonian(*ops, DirectBackend())
     matvec_naive_s = _best_of(lambda: heff_naive.apply(x), repeats)
     matvec_planned_s = _best_of(lambda: heff_planned.apply(x), repeats)
-    matvec_compiled_s = _best_of(lambda: heff_compiled.apply(x), repeats)
     davidson_s = _best_of(
-        lambda: davidson(heff_compiled, x, max_iterations=2), repeats)
-    heff_compiled.release()
+        lambda: davidson(heff_planned, x, max_iterations=2), repeats)
 
     svd_s = _best_of(lambda: svd(x, row_axes=[0, 1], col_axes=[2, 3],
                                  max_dim=maxdim // 2, cutoff=1e-10,
@@ -92,10 +125,6 @@ def run_micro_kernels(*, smoke: bool = True, repeats: int | None = None
         "block_contraction_seconds": contraction_s,
         "matvec_naive_seconds": matvec_naive_s,
         "matvec_planned_seconds": matvec_planned_s,
-        "matvec_compiled_seconds": matvec_compiled_s,
-        "matvec_compiled_speedup_vs_planned":
-            matvec_planned_s / matvec_compiled_s
-            if matvec_compiled_s > 0 else float("inf"),
         "davidson_solve_seconds": davidson_s,
         "truncated_svd_seconds": svd_s,
         "environment_extension_seconds": extend_s,
@@ -110,9 +139,6 @@ def format_micro_kernels(stats: Dict[str, float]) -> str:
         ("block contraction s", f"{stats['block_contraction_seconds']:.3e}"),
         ("matvec naive s", f"{stats['matvec_naive_seconds']:.3e}"),
         ("matvec planned s", f"{stats['matvec_planned_seconds']:.3e}"),
-        ("matvec compiled s", f"{stats['matvec_compiled_seconds']:.3e}"),
-        ("compiled vs planned",
-         f"{stats['matvec_compiled_speedup_vs_planned']:.2f}x"),
         ("davidson solve s", f"{stats['davidson_solve_seconds']:.3e}"),
         ("truncated SVD s", f"{stats['truncated_svd_seconds']:.3e}"),
         ("env extension s",

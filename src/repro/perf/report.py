@@ -104,26 +104,17 @@ def format_sweep_records(records,
     :class:`~repro.dmrg.config.DMRGResult`; the layout columns show the
     sweep-persistent tracker's charged transitions next to the plan-cache
     hit rates (both stay zero for backends without the corresponding
-    machinery), and the program columns show the sweep-persistent
-    matvec-program cache's compiles / refreshes / retraces alongside the
-    shared workspace arena's fresh allocations for the sweep (all zero
-    with ``compile_matvec=False`` or ``program_cache=False``).
+    machinery).
     """
     rows = [(r.sweep, f"{r.energy:+.10f}", r.max_bond_dim,
              r.metrics["plan_cache.hits"], r.metrics["plan_cache.misses"],
              f"{100.0 * r.plan_hit_rate:.0f}%",
              r.metrics["layout.moves"], r.metrics["layout.reuses"],
-             f"{100.0 * r.layout_reuse_rate:.0f}%",
-             r.metrics["program.compiles"], r.metrics["program.refreshes"],
-             r.metrics["program.retraces"],
-             f"{100.0 * r.program_refresh_rate:.0f}%",
-             r.metrics["arena.allocated_bytes"])
+             f"{100.0 * r.layout_reuse_rate:.0f}%")
             for r in records]
     return format_table(
         ["sweep", "energy", "m", "plan hits", "plan misses", "hit rate",
-         "layout moves", "layout reuses", "reuse rate",
-         "compiles", "refreshes", "retraces", "refresh rate",
-         "arena bytes"], rows, title=title)
+         "layout moves", "layout reuses", "reuse rate"], rows, title=title)
 
 
 def format_layout_comparison(stats: Dict[str, object],

@@ -18,9 +18,7 @@ from .linalg import (SingularSpectrum, TruncationInfo, qr, spectrum_tensor,
 from .planner import (ContractionPlan, PlanCache, build_plan,
                       tensor_signature)
 from .engine import contract_planned, execute_plan
-from .matvec import (MatvecCompiler, MatvecCounters, MatvecProgram,
-                     MatvecStage, StageCharge, SweepProgramCache,
-                     WorkspaceArena, stage_signature)
+from .matvec import MatvecCompiler, MatvecStage
 from .reshape import FusedMode, fuse_modes, matricize, split_mode
 
 __all__ = [
@@ -28,9 +26,7 @@ __all__ = [
     "zero_charge", "Index", "fuse_indices", "BlockSparseTensor", "contract",
     "outer", "SingularSpectrum", "TruncationInfo", "qr", "spectrum_tensor",
     "svd", "ContractionPlan", "PlanCache", "build_plan", "tensor_signature",
-    "contract_planned", "execute_plan", "MatvecCompiler", "MatvecCounters",
-    "MatvecProgram", "MatvecStage", "StageCharge", "SweepProgramCache",
-    "WorkspaceArena", "stage_signature",
+    "contract_planned", "execute_plan", "MatvecCompiler", "MatvecStage",
     "FusedMode", "fuse_modes", "matricize", "split_mode",
     "BlockOps", "MixedPrecisionOps", "NumpyOps", "ThreadedOps",
     "create_block_ops", "default_block_ops", "make_block_ops",

@@ -103,15 +103,6 @@ class BlockOps:
         """
         return mat
 
-    def allocator(self):
-        """Allocator the backends' workspace arenas should draw from.
-
-        ``None`` means plain ``np.empty``; the process executor returns its
-        shared-memory allocator so compiled-matvec panels are visible to the
-        worker processes.
-        """
-        return None
-
     def serial_reference(self) -> "BlockOps":
         """A serial twin computing in this implementation's dtype environment.
 
@@ -325,9 +316,6 @@ class MixedPrecisionOps(BlockOps):
         # downcast operand into shared memory), so mixed precision composes
         # with every execution strategy
         return self.base.prepare(mat)
-
-    def allocator(self):
-        return self.base.allocator()
 
     def serial_reference(self) -> BlockOps:
         return MixedPrecisionOps(self.base.serial_reference(),

@@ -301,31 +301,6 @@ class PlanCache:
         self._plans[key] = plan
         return plan
 
-    def peek(self, a, b, axes: Tuple[Sequence[int], Sequence[int]]
-             ) -> Optional[ContractionPlan]:
-        """The cached plan for ``(a, b, axes)`` without counting a lookup.
-
-        The matvec compiler (:mod:`repro.symmetry.matvec`) reads the plans its
-        traced chained application just created; those reads are bookkeeping,
-        not contraction lookups, and must not skew the hit-rate statistics.
-        """
-        axes_a, axes_b = normalize_axes(a, b, axes)
-        key = (tensor_signature(a), tensor_signature(b), axes_a, axes_b)
-        return self._plans.get(key)
-
-    def record_hits(self, n: int = 1) -> None:
-        """Account ``n`` cache hits served outside :meth:`lookup`.
-
-        A compiled matvec program replays its (cached) plans without looking
-        them up again; recording the hits keeps the per-sweep and per-run
-        plan-cache statistics identical to the chained per-contraction path.
-        """
-        self.hits += int(n)
-        if self.record_global:
-            counter = _flops.plan_counter()
-            for _ in range(int(n)):
-                counter.record_lookup(True)
-
     @property
     def lookups(self) -> int:
         """Total number of plan lookups."""

@@ -3,15 +3,14 @@
 Every cost in :mod:`repro.ctf.world` is modelled; this module is the
 execution half.  :class:`ProcessOps` plugs into the same
 :class:`~repro.symmetry.blockops.BlockOps` seam as the numpy and threaded
-kernels, so the planner engine, the compiled matvec and all four backends
-get it for free — but its GEMMs and per-charge-group factorizations actually
-run on a persistent pool of worker processes over
-``multiprocessing.shared_memory`` panels (:mod:`repro.ctf.shm`):
+kernels, so the planner engine and all four backends get it for free — but
+its GEMMs and per-charge-group factorizations actually run on a persistent
+pool of worker processes over ``multiprocessing.shared_memory`` panels
+(:mod:`repro.ctf.shm`):
 
 * ``prepare`` pins matricized operands into shared scratch segments once per
-  contraction (the compiled matvec's static panels and batch stacks live in
-  shared segments permanently, via :meth:`ProcessOps.allocator`), so
-  dispatching a GEMM ships a descriptor tuple, not the matrix;
+  contraction, so dispatching a GEMM ships a descriptor tuple, not the
+  matrix;
 * large GEMMs with a shared output are **row-split** across workers — each
   worker computes a disjoint slice of output rows, mirroring the
   stationary-C data decomposition of the 2D/3D SUMMA mappings the simulated
@@ -530,15 +529,6 @@ class ProcessOps(ThreadedOps):
 
     # -- operand placement -------------------------------------------------- #
 
-    def allocator(self):
-        """Shared-segment allocator for the backends' workspace arenas.
-
-        Compiled-matvec panels, stacks and intermediate outputs allocated
-        through this land in shared memory, so workers read operands and
-        write output slices with zero copies across the process boundary.
-        """
-        return self._shm.allocate
-
     @staticmethod
     def _scratch_anchor(flat: np.ndarray) -> np.ndarray:
         """The root ndarray every view of this scratch buffer hangs off.
@@ -575,8 +565,7 @@ class ProcessOps(ThreadedOps):
         """Return provably-dead scratch buffers to the free pool.
 
         Pinned operands, fused panels and staging targets have caller-managed
-        lifetimes — a compiled matvec holds its pinned static operands across
-        many applies, and the engine's serial path consumes a concat panel in
+        lifetimes — the engine's serial path consumes a concat panel in
         GEMMs issued *after* the panel-building call returns.  Recycling on a
         schedule would hand a buffer to a new allocation while such views
         still read it, so a buffer is recycled only when every view of its

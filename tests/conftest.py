@@ -28,54 +28,6 @@ def shared_memory_leak_guard():
         f"shared-memory segments leaked past the test session: {leaked}")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def verify_compiled_programs():
-    """Statically verify every matvec program compiled during the suite.
-
-    Wraps :meth:`MatvecCompiler._try_compile` so each successfully compiled
-    :class:`~repro.symmetry.matvec.MatvecProgram` passes through the
-    aliasing/liveness verifier (:mod:`repro.analysis.aliasing`) before it is
-    ever executed — a wrong slot map or reissued arena buffer fails the
-    compiling test with exact stage/unit coordinates instead of surfacing
-    as a numeric diff somewhere downstream.
-    """
-    from repro.analysis import verify_program
-    from repro.symmetry.matvec import MatvecCompiler, SweepProgramCache
-
-    original = MatvecCompiler._try_compile
-
-    def checked(self, x, intermediates):
-        program = original(self, x, intermediates)
-        if program is not None:
-            report = verify_program(program)
-            assert report.ok, \
-                "compiled program failed static verification:\n" + \
-                report.render()
-        return program
-
-    # refreshed programs get the same treatment: after a sweep-cache bind
-    # rewrites static panels in place, every surviving program must still
-    # satisfy the memory discipline
-    original_bind = SweepProgramCache.bind
-
-    def checked_bind(self, bond_key, signature, statics):
-        programs = original_bind(self, bond_key, signature, statics)
-        for program in programs.values():
-            report = verify_program(program)
-            assert report.ok, \
-                "refreshed program failed static verification:\n" + \
-                report.render()
-        return programs
-
-    MatvecCompiler._try_compile = checked
-    SweepProgramCache.bind = checked_bind
-    try:
-        yield
-    finally:
-        MatvecCompiler._try_compile = original
-        SweepProgramCache.bind = original_bind
-
-
 @pytest.fixture
 def rng():
     """A deterministic random generator."""

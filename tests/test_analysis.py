@@ -1,14 +1,11 @@
 """Tests for the static correctness layer (:mod:`repro.analysis`).
 
-Three groups, one per pass:
+Two groups, one per pass:
 
 * **schedule** — extent-overlap geometry, happens-before replay, seeded
   defects (a traced schedule mutated so two concurrent write extents
   overlap must be reported with the exact job pair), and the online shadow
   checker raising at submit time;
-* **aliasing** — a real compiled program verifies clean, and seeded defects
-  (a destination view aliased onto a live input, an arena buffer reissued
-  while live) are reported with exact stage/unit coordinates;
 * **lint** — fixture files exercising every rule in the catalogue plus the
   pragma suppression path, and the gate itself: ``src/repro`` lints clean.
 """
@@ -22,8 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (Extent, ScheduleRaceError, ScheduleTrace,
-                            check_trace, extents_overlap, run_lint,
-                            verify_program)
+                            check_trace, extents_overlap, run_lint)
 from repro.analysis.schedule import JobAccess, _payload_extents
 
 
@@ -179,141 +175,6 @@ def test_live_executor_trace_is_race_free():
     report = trace_executor_schedule(nsites=6, maxdim=8, applies=2)
     assert report.ok, report.render()
     assert report.shm_jobs > 0 and report.pairs_checked > 0
-
-
-# --------------------------------------------------------------------------- #
-# aliasing: real programs + seeded defects
-# --------------------------------------------------------------------------- #
-
-@pytest.fixture(scope="module")
-def compiled_program():
-    """A freshly compiled effective-Hamiltonian matvec program."""
-    from repro.backends.base import DirectBackend
-    from repro.dmrg import EffectiveHamiltonian
-    from repro.perf.matvec_bench import heff_setup
-
-    left, w1, w2, right, x = heff_setup(6, 8)
-    heff = EffectiveHamiltonian(left, (w1, w2), right, DirectBackend(),
-                                compile=True)
-    heff.apply(x)
-    heff.apply(x)
-    (program,) = heff._get_compiler().iter_programs()
-    yield program
-    heff.release()
-
-
-class TestAliasingVerifier:
-    """Liveness analysis over compiled program stages."""
-
-    def test_real_program_verifies_clean(self, compiled_program):
-        report = verify_program(compiled_program)
-        assert report.ok, report.render()
-        assert report.stages >= 2 and report.units_checked > 0
-        assert report.buffers_checked == \
-            len(compiled_program.owned_buffers())
-
-    def test_aliased_destination_names_exact_stage_and_unit(
-            self, compiled_program):
-        # seeded defect: point one GEMM's destination at a live input of
-        # its own stage, then restore the program afterwards
-        stage_idx, stage = next(
-            (i, st) for i, st in enumerate(compiled_program.stages)
-            if not st.is_final and st.units)
-        unit_idx = len(stage.units) - 1
-        kind, lhs, rhs, _ = stage.units[unit_idx]
-        victim = next(arr for ref in (lhs, rhs)
-                      for arr in [ref[1] if ref[0] == "c"
-                                  else stage.dmats[ref[1]]]
-                      if arr is not None)
-        saved = stage.units[unit_idx]
-        stage.units[unit_idx] = (kind, lhs, rhs, victim)
-        try:
-            report = verify_program(compiled_program)
-        finally:
-            stage.units[unit_idx] = saved
-        assert not report.ok
-        hits = [f for f in report.findings
-                if f.stage == stage_idx and f.unit == unit_idx]
-        assert hits, report.render()
-        assert any(f.rule in ("out-aliases-input", "live-input-overlap",
-                              "out-overlap") for f in hits)
-
-    def test_reissued_arena_buffer_is_reported(self, compiled_program):
-        # seeded defect: the arena hands the same buffer out twice
-        owned = compiled_program._owned
-        if not owned:
-            pytest.skip("program owns no arena buffers at this size")
-        owned.append(owned[0])
-        try:
-            report = verify_program(compiled_program)
-        finally:
-            owned.pop()
-        assert not report.ok
-        assert any(f.rule == "arena-reissue" for f in report.findings)
-
-    def test_refresh_ops_counted_and_clean(self, compiled_program):
-        report = verify_program(compiled_program)
-        assert report.ok, report.render()
-        assert report.refresh_ops_checked > 0
-        assert report.refresh_ops_checked == sum(
-            len(st.refreshes) for st in compiled_program.stages)
-
-    def test_tampered_refresh_destination_names_exact_stage(
-            self, compiled_program):
-        # seeded defect: point one static-refresh view at memory outside
-        # the arena buffer it claims to write, then restore the program
-        stage_idx, stage, ri = next(
-            (i, st, k) for i, st in enumerate(compiled_program.stages)
-            for k in range(len(st.refreshes)))
-        dst, key, perm, owner = stage.refreshes[ri]
-        stage.refreshes[ri] = (np.empty_like(dst), key, perm, owner)
-        try:
-            report = verify_program(compiled_program)
-        finally:
-            stage.refreshes[ri] = (dst, key, perm, owner)
-        assert not report.ok
-        hits = [f for f in report.findings
-                if f.rule == "refresh-aliases-live"
-                and f.stage == stage_idx and f.unit == ri]
-        assert hits, report.render()
-
-    def test_refresh_into_foreign_live_buffer_is_reported(
-            self, compiled_program):
-        # seeded defect: a refresh destination rewired into arena bytes a
-        # *different* live buffer owns — the hazard the sweep-persistent
-        # cache introduces if a stale view survives a retrace
-        stage_idx, stage, ri = next(
-            (i, st, k) for i, st in enumerate(compiled_program.stages)
-            for k in range(len(st.refreshes)))
-        dst, key, perm, owner = stage.refreshes[ri]
-        foreign = next((b for b in compiled_program.owned_buffers()
-                        if b is not owner and b.size >= dst.size), None)
-        if foreign is None:
-            pytest.skip("no second arena buffer large enough at this size")
-        bad = foreign.reshape(-1)[:dst.size].reshape(dst.shape)
-        stage.refreshes[ri] = (bad, key, perm, owner)
-        try:
-            report = verify_program(compiled_program)
-        finally:
-            stage.refreshes[ri] = (dst, key, perm, owner)
-        assert not report.ok
-        assert any(f.rule == "refresh-aliases-live" and f.stage == stage_idx
-                   for f in report.findings), report.render()
-
-    def test_final_stage_tiling_defect(self, compiled_program):
-        # seeded defect: shift a final-stage output slice onto its neighbor
-        final = compiled_program.stages[-1]
-        assert final.is_final
-        if len(final.units) < 2:
-            pytest.skip("final stage has a single unit at this size")
-        kind, lhs, rhs, (off, shape) = final.units[1]
-        saved = final.units[1]
-        final.units[1] = (kind, lhs, rhs, (final.units[0][3][0], shape))
-        try:
-            report = verify_program(compiled_program)
-        finally:
-            final.units[1] = saved
-        assert any(f.rule == "final-overlap" for f in report.findings)
 
 
 # --------------------------------------------------------------------------- #

@@ -150,16 +150,14 @@ class TestModelledCostsInvariant:
     def test_compiled_matvec_identical(self):
         from repro.backends import DirectBackend
         from repro.dmrg import EffectiveHamiltonian
-        from repro.perf.matvec_bench import heff_setup
+        from repro.perf.microbench import heff_setup
 
         left, w1, w2, right, x = heff_setup(10, 12)
         ys = {}
         for ops_name in ("numpy", "threaded"):
             backend = DirectBackend(block_ops=ops_name)
-            heff = EffectiveHamiltonian(left, (w1, w2), right, backend,
-                                        compile=True)
+            heff = EffectiveHamiltonian(left, (w1, w2), right, backend)
             ys[ops_name] = heff.apply(x)
-            heff.release()
         assert (ys["numpy"] - ys["threaded"]).norm() == 0.0
 
 

@@ -1,10 +1,11 @@
-"""The three DMRG drivers against a golden pinned before they shared an engine.
+"""The three DMRG drivers on all four backends against a pinned golden.
 
-``tests/data/engine_parity_golden.json`` was generated at the commit that
-still had three separate sweep loops (``python tests/test_engine_parity.py
---regenerate`` there; the collector only uses API both sides share).  Every
-case must reproduce its energies, per-bond records, counters, modelled
-seconds and the exact order of recorded spans.
+``tests/data/engine_parity_golden.json`` was generated at commit 361355a, the
+last one with compiled matvec programs, with them switched off: on the planned
+chain that is now the only Davidson matvec (CHANGES.md, PR 20, has the exact
+collector edits and command).  Every case must reproduce its
+energies, per-bond records, counters, modelled seconds and the exact order of
+recorded spans.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ GOLDEN = Path(__file__).parent / "data" / "engine_parity_golden.json"
 
 MODELS = {"heisenberg-chain": {"n": 8}, "hubbard-chain": {"n": 4}}
 ENGINES = ("two-site", "single-site", "excited")
-BACKENDS = ("direct", "sparse-sparse")
+BACKENDS = ("direct", "list", "sparse-dense", "sparse-sparse")
 CASES = [(model, engine, backend) for model in MODELS for engine in ENGINES
          for backend in BACKENDS]
 
@@ -118,18 +119,12 @@ def test_matches_pre_refactor_golden(case, golden):
     want = golden[_case_id(case)]
     got = collect(case)
     assert got["energies"] == pytest.approx(want["energies"], rel=1e-12)
-    if case[1] == "excited":
-        # the old excited loop recorded no per-bond details; the shared
-        # engine does, one per optimized bond
-        bonds = got["spans"]["by_name"]["dmrg/bond"]
-        assert len(got["site_records"]) == bonds > 0
-    else:
-        # flops are differences of a process-wide running total: equal up
-        # to the rounding of wherever that total stood
-        assert [r[:5] for r in got["site_records"]] == \
-            [r[:5] for r in want["site_records"]]
-        assert [r[5] for r in got["site_records"]] == pytest.approx(
-            [r[5] for r in want["site_records"]], rel=1e-9)
+    # flops are differences of a process-wide running total: equal up to the
+    # rounding of wherever that total stood
+    assert [r[:5] for r in got["site_records"]] == \
+        [r[:5] for r in want["site_records"]]
+    assert [r[5] for r in got["site_records"]] == pytest.approx(
+        [r[5] for r in want["site_records"]], rel=1e-9)
     assert len(got["sweep_metrics"]) == len(want["sweep_metrics"])
     for got_sweep, want_sweep in zip(got["sweep_metrics"],
                                      want["sweep_metrics"]):

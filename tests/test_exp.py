@@ -66,6 +66,16 @@ class TestSpecHashing:
         with pytest.raises(ValueError):
             RunSpec.from_dict({"model": "tfim", "backend": "mpi"})
 
+    def test_run_ids_survive_the_removed_compile_matvec_field(self):
+        # literal computed at 361355a, where the field still existed
+        default = RunSpec(model="heisenberg-chain")
+        assert default.run_id == "heisenberg-chain-two-site-01bf3471f6b1"
+        assert "compile_matvec" not in default.to_dict()
+        legacy = dict(tiny_spec().to_dict(), compile_matvec=True)
+        assert RunSpec.from_dict(legacy).run_id == tiny_spec().run_id
+        with pytest.raises(ValueError, match="was removed"):
+            RunSpec.from_dict(dict(legacy, compile_matvec=False))
+
     def test_stable_across_process_boundary(self):
         """The same spec hashed in a fresh interpreter gives the same id."""
         spec = tiny_spec(params={"n": 8, "j2": 0.25}, maxdim=48)
@@ -308,6 +318,30 @@ class TestSeededRuns:
         av = a.psi.to_dense_vector()
         bv = b.psi.to_dense_vector()
         assert av == pytest.approx(bv)
+
+
+class TestReportKeysTheBenchmarkReads:
+    def test_report_has_every_key_per_layer_indexes(self):
+        """``benchmarks/e2e/run.py::per_layer`` indexes these unconditionally
+        (via ``child.py``'s copy of the report); a missing one is a KeyError
+        in every ``--trace 1`` run."""
+        report = execute_run(tiny_spec()).report
+        run_keys = ("program.compiles", "program.refreshes",
+                    "program.retraces", "matvec.compiled_applies",
+                    "matvec.traced_applies", "arena.acquires", "arena.reuses",
+                    "arena.allocated_bytes", "plan_cache.hits",
+                    "plan_cache.misses", "layout.moves", "layout.reuses")
+        sweep_keys = ("program.compiles", "program.refreshes",
+                      "program.retraces", "arena.allocated_bytes")
+        assert not [k for k in run_keys if k not in report["metrics"]]
+        assert len(report["sweeps"]) == 2
+        for row in report["sweeps"]:
+            assert not [k for k in sweep_keys if k not in row["metrics"]]
+            assert {"seconds", "energy", "max_bond_dim"} <= set(row)
+        assert {"energies", "max_bond_dimension"} <= set(report)
+        # the one live count among the matvec keys
+        assert report["metrics"]["matvec.traced_applies"] > 0
+        assert report["metrics"]["matvec.compiled_applies"] == 0
 
 
 class TestExcitedRunsFollowTheSpec:

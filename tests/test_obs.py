@@ -194,22 +194,22 @@ class TestRunReportMetrics:
         assert flat["sweep.seconds.count"] == 2
         for row in out.report["sweeps"]:
             assert row["metrics"]["plan_cache.hits"] == row["plan_hits"]
-            assert "program.retraces" in row["metrics"]
+            assert "plan_cache.misses" in row["metrics"]
 
     def test_registry_diff_flags_injected_metric_regression(self, tmp_path):
         registry = RunRegistry(tmp_path / "history")
         spec_a, spec_b = tiny_spec(seed=1), tiny_spec(seed=2)
         base = execute_run(spec_a).report
         worse = json.loads(json.dumps(base))
-        worse["metrics"]["program.retraces"] = \
-            base["metrics"]["program.retraces"] + 7
+        worse["metrics"]["plan_cache.misses"] = \
+            base["metrics"]["plan_cache.misses"] + 7
         registry.write(spec_a, status="completed", report=base)
         registry.write(spec_b, status="completed", report=worse)
         diff = registry.diff(spec_a.run_id, spec_b.run_id)
-        assert any("program.retraces" in r for r in diff.regressions)
+        assert any("plan_cache.misses" in r for r in diff.regressions)
         assert diff.regressed
-        assert diff.metric_changes["program.retraces"][1] == \
-            diff.metric_changes["program.retraces"][0] + 7
+        assert diff.metric_changes["plan_cache.misses"][1] == \
+            diff.metric_changes["plan_cache.misses"][0] + 7
         # the CLI path renders and gates on it
         code = main(["history", "--history", str(tmp_path / "history"),
                      "--diff", spec_a.run_id, spec_b.run_id,
@@ -346,7 +346,8 @@ class TestCLI:
     def test_bench_list_targets(self, capsys):
         assert main(["bench", "--list-targets"]) == 0
         out = capsys.readouterr().out
-        assert "obs" in out and "matvec" in out
+        assert "obs" in out and "plan-cache" in out
+        assert "matvec" not in out
 
     def test_bench_unknown_target_rejected_with_list(self, capsys):
         assert main(["bench", "--target", "bogus"]) == 2
@@ -357,8 +358,11 @@ class TestCLI:
     def test_analyze_list_and_unknown_target(self, capsys):
         assert main(["analyze", "--list-targets"]) == 0
         assert "lint" in capsys.readouterr().out
-        assert main(["analyze", "--target", "bogus"]) == 2
-        assert "unknown analyze target" in capsys.readouterr().err
+        for gone in ("bogus", "program"):
+            assert main(["analyze", "--target", gone]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown analyze target {gone!r}" in err
+            assert "lint" in err and "schedule" in err
 
     def test_run_trace_produces_expected_spans(self, tmp_path, capsys):
         path = tmp_path / "run.trace.json"
@@ -373,7 +377,7 @@ class TestCLI:
                  if e["ph"] in ("X", "i")}
         assert {"run", "sweep", "bond", "davidson", "davidson-matvec",
                 "svd"} <= names
-        assert "matvec-stage" in names or "matvec" in names
+        assert "matvec" in names
 
     def test_trace_summarize_and_export(self, tmp_path, capsys):
         paths = []

@@ -87,68 +87,6 @@ class TestSingleSiteDMRG:
         assert result.energy == pytest.approx(exact, abs=1e-5)
 
 
-class TestSingleSiteCompiledMatvec:
-    """The 3-stage chain is compiled like the two-site/excited drivers."""
-
-    def test_compiled_path_engages_and_matches_chained(self, heisenberg8):
-        _, _, mpo, psi0, exact = heisenberg8
-        sweeps = Sweeps.ramp(32, 6, cutoff=1e-12)
-
-        res_on, _ = single_site_dmrg(mpo, psi0,
-                                     DMRGConfig(sweeps=sweeps,
-                                                compile_matvec=True))
-        res_off, _ = single_site_dmrg(mpo, psi0,
-                                      DMRGConfig(sweeps=sweeps,
-                                                 compile_matvec=False))
-        assert res_on.energy == pytest.approx(res_off.energy, abs=1e-10)
-        assert res_on.energy == pytest.approx(exact, abs=1e-5)
-
-    def test_kill_switch_and_counters(self, heisenberg8):
-        _, _, mpo, psi0, _ = heisenberg8
-        from repro.backends import DirectBackend
-
-        sweeps = Sweeps.ramp(24, 4, cutoff=1e-12)
-        on = DirectBackend()
-        # program_cache=False pins the per-visit compile/release lifecycle
-        # this test asserts; the sweep-persistent cache is covered in
-        # tests/test_compile_cache.py
-        single_site_dmrg(mpo, psi0, DMRGConfig(sweeps=sweeps,
-                                               compile_matvec=True,
-                                               program_cache=False),
-                         backend=on)
-        snap_on = on.matvec_counters.snapshot()
-        assert snap_on["compiles"] > 0
-        assert snap_on["compiled_applies"] > 0
-        assert snap_on["releases"] == snap_on["compiles"]
-
-        off = DirectBackend()
-        single_site_dmrg(mpo, psi0, DMRGConfig(sweeps=sweeps,
-                                               compile_matvec=False),
-                         backend=off)
-        snap_off = off.matvec_counters.snapshot()
-        assert snap_off["compiles"] == 0
-        assert snap_off["compiled_applies"] == 0
-
-    def test_modelled_costs_identical_on_sim_backend(self, heisenberg8):
-        """Compiled stages replay the chained path's charges exactly."""
-        _, _, mpo, psi0, _ = heisenberg8
-        from repro.backends import make_backend
-        from repro.ctf import SimWorld
-
-        totals = {}
-        layouts = {}
-        for compile_matvec in (True, False):
-            world = SimWorld(nodes=2, procs_per_node=4)
-            backend = make_backend("sparse-sparse", world)
-            config = DMRGConfig(sweeps=Sweeps.ramp(24, 4, cutoff=1e-12),
-                                compile_matvec=compile_matvec)
-            single_site_dmrg(mpo, psi0, config, backend=backend)
-            totals[compile_matvec] = world.profiler.total_seconds()
-            layouts[compile_matvec] = world.layout_tracker.snapshot()
-        assert totals[True] == totals[False]
-        assert layouts[True] == layouts[False]
-
-
 class TestSingleSiteOtherModels:
     def test_tfim_chain(self):
         n = 8

@@ -59,7 +59,11 @@ def check_record_layout(registry: RunRegistry, spec: RunSpec) -> list[str]:
                         f"{round_trip.run_id}")
     if not rec.report or not rec.report.get("energies"):
         problems.append(f"{spec.run_id}: report has no energies")
-    if rec.report and rec.report.get("spec") != spec.to_dict():
+    # compared as specs, not dicts: a record archived before a spec field
+    # was retired still carries that field
+    archived = (rec.report or {}).get("spec")
+    if rec.report and (archived is None
+                       or RunSpec.from_dict(archived) != spec):
         problems.append(f"{spec.run_id}: report spec differs from spec.json")
     return problems
 

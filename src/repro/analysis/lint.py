@@ -1,11 +1,12 @@
-"""Repo-invariant linter: AST rules that keep the executor seam sound.
+"""Repo-invariant linter: AST rules that keep the block-ops seam sound.
 
 Several project invariants cannot be expressed as unit tests because they
 are properties of the *source*, not of any particular run: a dense-block
 numpy call that bypasses :class:`~repro.symmetry.blockops.BlockOps` is
 bit-identical under the default implementation and only diverges when the
-threaded / mixed-precision / process executor is selected; an unseeded rng
-is deterministic per-process and only breaks reproducibility across runs.
+mixed-precision wrapper (or an injected implementation) is active; an
+unseeded rng is deterministic per-process and only breaks reproducibility
+across runs.
 This pass encodes those rules over ``src/repro`` and fails ``make check``
 the moment a violation lands.
 
@@ -32,8 +33,8 @@ Rule catalogue (:data:`RULES`):
     ``analysis/`` carry docstrings (subsumes the retired
     ``tools/check_docstrings.py``).
 ``obs-span``
-    Hot-path modules (the DMRG drivers, the matvec chain, the plan executor
-    and the process pool) acquire timing through the observability span
+    Hot-path modules (the DMRG drivers, the matvec chain and the plan
+    executor) acquire timing through the observability span
     API (:func:`repro.obs.trace.span` / ``timed_span``) instead of ad-hoc
     ``time.perf_counter()`` pairs, so every measured duration is also a
     trace span; the profiler itself is the audited exception.
@@ -100,8 +101,7 @@ _KERNEL_HOME = ("symmetry/blockops.py",)
 _OBS_SPAN_MODULES = ("dmrg/sweep.py", "dmrg/single_site.py",
                      "dmrg/excited.py", "dmrg/davidson.py",
                      "symmetry/matvec.py", "symmetry/engine.py",
-                     "symmetry/planner.py", "symmetry/procops.py",
-                     "ctf/profiler.py")
+                     "symmetry/planner.py", "ctf/profiler.py")
 
 #: subpackages whose public surface must be documented
 _DOC_ROOTS = ("ctf", "analysis")

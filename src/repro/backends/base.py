@@ -45,7 +45,7 @@ class ContractionBackend(ABC):
 
     def __init__(self, block_ops=None) -> None:
         #: the numerical kernels every contraction and factorization of this
-        #: backend runs through (``None`` → ``$REPRO_BLOCK_OPS`` or numpy);
+        #: backend runs through (``None`` → numpy, or a ``BlockOps`` instance);
         #: plans, flops and modelled charges are independent of this choice
         self.block_ops: BlockOps = resolve_block_ops(block_ops)
         #: memoized contraction plans, shared by every contraction this

@@ -113,9 +113,9 @@ def make_backend(name: str, world: SimWorld | None = None, *,
                  block_ops=None, **kwargs):
     """Factory: ``"direct"``, ``"list"``, ``"sparse-dense"`` or ``"sparse-sparse"``.
 
-    ``block_ops`` selects the numerical kernels (``None`` → process default,
-    a name like ``"threaded"``, or a :class:`~repro.symmetry.blockops.BlockOps`
-    instance); the modelled costs are identical for every choice.
+    ``block_ops`` is the numerical-kernel instance (``None`` → numpy, or a
+    :class:`~repro.symmetry.blockops.BlockOps` instance); the modelled costs
+    are identical for every choice.
     """
     from .base import DirectBackend
     from .list_backend import ListBackend

@@ -29,14 +29,10 @@ The subcommands cover the everyday workflows:
 
 ``python -m repro bench --smoke [--json BENCH_smoke.json]``
     Benchmark smoke target: exercise the measured benchmarks — the
-    plan-cache/fused-GEMM comparison, the block-ops kernel comparison
-    (``blockops`` target: threaded vs numpy wall-clock, bit-identical
-    modelled costs, mixed-precision energy agreement), the process-executor
-    validation (``executor`` target: the planned SUMMA schedules run for real
-    on worker processes, bit-identical to serial numpy, with a
-    modelled-vs-measured per-category breakdown) and the micro-kernel suite —
-    at tiny sizes, and assert the modelled-cost invariants: the plan-aware model's (equal to
-    the aggregate model on a dense block, never worse on block-sparse
+    plan-cache/fused-GEMM comparison, the span-tracer overhead gate and the
+    micro-kernel suite — at tiny sizes, and assert the modelled-cost
+    invariants: the plan-aware model's (equal to the aggregate model on a
+    dense block, never worse on block-sparse
     structure, ``plan-cost`` target) and the sweep-persistent layout
     tracker's (first touch charges, unchanged layouts free, tracked total
     never worse, transposition share strictly shrinks, ``layout`` target),
@@ -45,12 +41,10 @@ The subcommands cover the everyday workflows:
     the perf trajectory can be tracked across commits (``make bench-smoke``
     emits ``BENCH_smoke.json``).
 
-``python -m repro analyze [--target schedule|lint] [--json PATH]``
+``python -m repro analyze [--target lint] [--json PATH]``
     Static correctness gates (:mod:`repro.analysis`): the repo-invariant
-    linter over ``src/repro`` and the schedule race detector on a traced
-    process-executor run.  Exit 1 on any finding; ``--json`` writes the
-    rule counts / jobs checked artifact ``make analyze`` tracks
-    (``BENCH_analyze.json``).
+    linter over ``src/repro``.  Exit 1 on any finding; ``--json`` writes the
+    rule-count artifact ``make analyze`` tracks (``BENCH_analyze.json``).
 
 ``python -m repro trace summarize|export FILE...``
     Work with the Chrome trace-event files ``run --trace PATH`` and ``sweep
@@ -85,8 +79,6 @@ BENCH_TARGETS: Dict[str, str] = {
                  "block-sparse never worse)",
     "layout": "sweep-persistent layout tracker invariants",
     "plan-cache": "planned vs naive contraction path (energy agreement)",
-    "blockops": "threaded/numpy kernel comparison + mixed precision",
-    "executor": "process executor vs serial numpy (bit-identical)",
     "obs": "span tracer overhead (disabled unmeasurable, enabled < 5%)",
     "micro-kernels": "micro-kernel suite (pytest-benchmark harness)",
 }
@@ -95,7 +87,6 @@ BENCH_TARGETS: Dict[str, str] = {
 ANALYZE_TARGETS: Dict[str, str] = {
     "all": "every pass below, in order",
     "lint": "repo-invariant linter over src/repro",
-    "schedule": "race detector on a traced process-executor run",
 }
 
 
@@ -163,7 +154,6 @@ def _spec_from_args(args: argparse.Namespace):
         "seed": args.seed,
         "initial_state": args.initial_state,
         "initial_bond_dim": args.initial_bond_dim,
-        "block_ops": args.block_ops,
         "mixed_precision": args.mixed_precision,
         "observables": args.measure or [],
     })
@@ -363,62 +353,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("error: planned and naive energies disagree "
                   f"({stats['energy_delta']:.3e})", file=sys.stderr)
             rc = 1
-    if args.target in ("all", "blockops"):
-        from .perf.blockops_bench import (format_blockops_benchmark,
-                                          run_blockops_benchmark)
-        if args.full:
-            stats = run_blockops_benchmark()
-        else:
-            stats = run_blockops_benchmark(nsites=12, maxdim=16, repeats=5,
-                                           dmrg_nsites=8, dmrg_maxdim=16,
-                                           dmrg_nsweeps=4)
-        print(format_blockops_benchmark(stats))
-        emitted["blockops"] = stats
-        if (stats["matvec_delta_norm"] > 1e-10
-                or stats["dmrg_energy_delta"] > 1e-10
-                or not stats["modelled_seconds_equal"]
-                or not stats["layout_tracker_equal"]
-                or stats["mixed_energy_delta"] > 1e-8):
-            print("error: block-ops implementations diverged "
-                  f"(|matvec delta| = {stats['matvec_delta_norm']:.3e}, "
-                  f"|dE| = {stats['dmrg_energy_delta']:.3e}, modelled equal: "
-                  f"{stats['modelled_seconds_equal']}, tracker equal: "
-                  f"{stats['layout_tracker_equal']}, |mixed dE| = "
-                  f"{stats['mixed_energy_delta']:.3e})", file=sys.stderr)
-            rc = 1
-        if stats["multicore"] and stats["speedup"] < 1.3 and args.full:
-            print("error: threaded kernels below the 1.3x bar on a "
-                  f"multi-core host ({stats['speedup']:.2f}x on "
-                  f"{stats['cores']} cores)", file=sys.stderr)
-            rc = 1
-    if args.target in ("all", "executor"):
-        from .perf.executor_validate import (format_executor_benchmark,
-                                             run_executor_benchmark)
-        if args.full:
-            stats = run_executor_benchmark()
-        else:
-            stats = run_executor_benchmark(nsites=12, maxdim=16, repeats=5,
-                                           dmrg_nsites=8, dmrg_maxdim=16,
-                                           dmrg_nsweeps=3)
-        print(format_executor_benchmark(stats))
-        emitted["executor"] = stats
-        if (stats["matvec_delta_norm"] != 0.0
-                or stats["dmrg_energy_delta"] != 0.0
-                or not stats["modelled_seconds_equal"]
-                or not stats["layout_tracker_equal"]
-                or not stats["plan_stats_equal"]):
-            print("error: process executor diverged from serial numpy "
-                  f"(|matvec delta| = {stats['matvec_delta_norm']:.3e}, "
-                  f"|dE| = {stats['dmrg_energy_delta']:.3e}, modelled equal: "
-                  f"{stats['modelled_seconds_equal']}, tracker equal: "
-                  f"{stats['layout_tracker_equal']}, plan stats equal: "
-                  f"{stats['plan_stats_equal']})", file=sys.stderr)
-            rc = 1
-        if stats["multicore"] and stats["speedup"] < 1.3 and args.full:
-            print("error: process executor below the 1.3x bar on a "
-                  f"multi-core host ({stats['speedup']:.2f}x on "
-                  f"{stats['cores']} cores)", file=sys.stderr)
-            rc = 1
     if args.target in ("all", "obs"):
         from .perf.obs_bench import (format_obs_benchmark,
                                      run_obs_overhead_benchmark)
@@ -482,33 +416,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Run the static correctness passes (lint, schedule)."""
+    """Run the static correctness passes (the repo-invariant linter)."""
     if args.list_targets:
         _print_targets(ANALYZE_TARGETS)
         return 0
     if not _check_target(args.target, ANALYZE_TARGETS, "analyze"):
         return 2
-    rc = 0
-    emitted: Dict[str, object] = {}
-    if args.target in ("all", "lint"):
-        from .analysis import format_lint_report, run_lint
-        report = run_lint()
-        print(format_lint_report(report))
-        emitted["lint"] = report.as_dict()
-        rc = max(rc, 0 if report.ok else 1)
-    if args.target in ("all", "schedule"):
-        from .analysis import trace_executor_schedule
-        rep = trace_executor_schedule()
-        print(rep.render())
-        emitted["schedule"] = rep.as_dict()
-        rc = max(rc, 0 if rep.ok else 1)
+    # ``all`` and ``lint`` name the same (only) pass
+    from .analysis import format_lint_report, run_lint
+    report = run_lint()
+    print(format_lint_report(report))
+    rc = 0 if report.ok else 1
     if args.json:
         artifact = {
             "schema": "repro-analyze/1",
             "created_unix": time.time(),
             "target": args.target,
-            "ok": rc == 0,
-            "passes": emitted,
+            "ok": report.ok,
+            "passes": {"lint": report.as_dict()},
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(artifact, fh, indent=2, sort_keys=True, default=float)
@@ -593,11 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "seeded random block-sparse MPS")
     p_run.add_argument("--initial-bond-dim", type=int, default=8,
                        help="bond dimension of --initial-state random")
-    p_run.add_argument("--block-ops", default="numpy",
-                       choices=["numpy", "threaded", "process"],
-                       help="numerical kernel implementation the backend "
-                            "executes through; modelled costs are identical "
-                            "for every choice")
     p_run.add_argument("--mixed-precision", action="store_true",
                        help="float32 Davidson warm-up for the first half of "
                             "the sweep schedule, float64 polish after")
@@ -689,17 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_analyze = sub.add_parser(
-        "analyze", help="run the static correctness passes "
-                        "(lint, schedule races)")
+        "analyze", help="run the static correctness passes (lint)")
     p_analyze.add_argument("--target", default="all", metavar="NAME",
                            help="analysis pass to run (see --list-targets; "
                                 "default: all)")
     p_analyze.add_argument("--list-targets", action="store_true",
                            help="list the valid analysis passes and exit")
     p_analyze.add_argument("--json", default=None, metavar="PATH",
-                           help="write rule counts and jobs checked to "
-                                "this JSON artifact (e.g. "
-                                "BENCH_analyze.json)")
+                           help="write the rule counts to this JSON "
+                                "artifact (e.g. BENCH_analyze.json)")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_trace = sub.add_parser(

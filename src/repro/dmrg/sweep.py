@@ -223,6 +223,20 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
     environments; keep the per-bond and per-sweep records.
     """
     backend = backend if backend is not None else DirectBackend()
+    base_ops = backend.block_ops
+    try:
+        return _sweep_loop(update, operator, psi0, config, backend, rng)
+    finally:
+        # an exception during the float32 warm-up (a raising ``sweep_hook``,
+        # KeyboardInterrupt, LinAlgError) skips ``PrecisionSchedule.finish``;
+        # the caller's backend must not keep the reduced-precision wrapper
+        backend.block_ops = base_ops
+
+
+def _sweep_loop(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
+                config: DMRGConfig, backend: ContractionBackend,
+                rng: np.random.Generator) -> tuple[DMRGResult, MPS]:
+    """The body of :func:`run_sweeps` (which restores the block ops)."""
     psi = psi0.copy()
     n = len(psi)
     if n < 2:

@@ -121,7 +121,7 @@ def ground_state(opsum: OpSum, sites: SiteSet,
         hs = hs.real
     dim = hs.shape[0]
     if dim <= 256:
-        evals, evecs = np.linalg.eigh(hs.toarray())  # repro-lint: ok(blockops-route): ED is the independent reference the executors are validated against; it must not share their kernels
+        evals, evecs = np.linalg.eigh(hs.toarray())  # repro-lint: ok(blockops-route): ED is the independent reference the block-ops kernels are validated against; it must not share them
         evals, evecs = evals[:k], evecs[:, :k]
     else:
         evals, evecs = spla.eigsh(hs, k=k, which="SA")

@@ -75,7 +75,7 @@ def build_schedule(spec: RunSpec) -> Sweeps:
 def build_backend(spec: RunSpec):
     """``(backend, world)`` for the spec's backend/machine shape."""
     if spec.backend == "direct":
-        return make_backend("direct", None, block_ops=spec.block_ops), None
+        return make_backend("direct", None), None
     try:
         machine = MACHINES[spec.machine]
     except KeyError:
@@ -83,7 +83,7 @@ def build_backend(spec: RunSpec):
                          f"choose from {sorted(MACHINES)}") from None
     world = SimWorld(nodes=spec.nodes, procs_per_node=spec.procs_per_node,
                      machine=machine)
-    return make_backend(spec.backend, world, block_ops=spec.block_ops), world
+    return make_backend(spec.backend, world), world
 
 
 def build_initial_state(spec: RunSpec, sites, config_state,
@@ -284,7 +284,6 @@ def build_report(spec: RunSpec, result: Optional[DMRGResult], psi: MPS,
     if world is not None:
         report["modelled_seconds"] = world.profiler.total_seconds()
         report["layout_tracker"] = world.layout_tracker.snapshot()
-    report["block_ops"] = backend.block_ops.describe()
     report["metrics"] = obs_metrics.run_metrics(
         result=result, backend=backend, world=world).flat()
     if spec.mixed_precision:

@@ -38,7 +38,6 @@ ENGINES = ("two-site", "single-site", "excited")
 BACKENDS = ("direct", "list", "sparse-dense", "sparse-sparse")
 SCHEDULES = ("ramp", "fixed")
 INITIAL_STATES = ("product", "random")
-BLOCK_OPS_CHOICES = ("numpy", "threaded", "process")
 
 #: int-valued spec fields (coerced on load so ``64`` and ``64.0`` hash equal)
 _INT_FIELDS = ("nodes", "procs_per_node", "maxdim", "nsweeps", "nstates",
@@ -70,10 +69,6 @@ class RunSpec:
     seed: int = 0
     initial_state: str = "product"
     initial_bond_dim: int = 8
-    #: numerical kernels the run's backend executes through ("numpy" or
-    #: "threaded"); modelled costs are identical for every choice, so this is
-    #: an engine field campaigns can grid over for wall-clock comparisons
-    block_ops: str = "numpy"
     #: float32 Davidson warm-up for the first half of the schedule, float64
     #: polish for the rest (``DMRGConfig.warmup_dtype``/``warmup_sweeps``)
     mixed_precision: bool = False
@@ -96,9 +91,6 @@ class RunSpec:
         if self.initial_state not in INITIAL_STATES:
             raise ValueError(f"unknown initial_state {self.initial_state!r}; "
                              f"choose from {INITIAL_STATES}")
-        if self.block_ops not in BLOCK_OPS_CHOICES:
-            raise ValueError(f"unknown block_ops {self.block_ops!r}; "
-                             f"choose from {BLOCK_OPS_CHOICES}")
         # normalize container fields so construction paths hash identically
         object.__setattr__(self, "params",
                            tuple(sorted((str(k), v) for k, v in
@@ -129,6 +121,14 @@ class RunSpec:
                              "path this switched off was removed (the "
                              "planned chain is the only matvec); drop the "
                              "field — the run gets the id of the default")
+        # likewise the executor selector: archived reports and spec files
+        # carry ``"numpy"``, which was never part of the hashed payload
+        legacy_ops = clean.pop("block_ops", "numpy")
+        if legacy_ops != "numpy":
+            raise ValueError(f"block_ops={legacy_ops!r}: the threaded and "
+                             "process executors were removed (numpy is the "
+                             "only block-ops executor); drop the field — "
+                             "the run gets the id of the default")
         known = set(cls.__dataclass_fields__)
         unknown = set(clean) - known
         if unknown:
@@ -172,8 +172,6 @@ class RunSpec:
         # engine fields added after spec_version 1 shipped are omitted at
         # their defaults, so every pre-existing spec keeps its run id (the
         # registry stays content-addressed across releases)
-        if payload.get("block_ops") == "numpy":
-            payload.pop("block_ops", None)
         if payload.get("mixed_precision") is False:
             payload.pop("mixed_precision", None)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -194,8 +192,6 @@ class RunSpec:
         bits = [self.model + (f"({params})" if params else ""),
                 self.engine, self.backend, f"m={self.maxdim}",
                 f"sweeps={self.nsweeps}"]
-        if self.block_ops != "numpy":
-            bits.append(f"ops={self.block_ops}")
         if self.mixed_precision:
             bits.append("mixed-precision")
         if self.backend != "direct":

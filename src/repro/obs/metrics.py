@@ -1,9 +1,9 @@
 """Unified metrics registry: counters, gauges, histograms, regressions.
 
 The DMRG stack already counts nearly everything — plan-cache hits, layout
-moves, executor respawns — but every subsystem keeps its own ad-hoc dict.
+moves, matvec applications — but every subsystem keeps its own ad-hoc dict.
 This module gives those numbers one home with namespaced names
-(``plan_cache.misses``, ``layout.moves``, ``executor.respawns``, ...), a
+(``plan_cache.misses``, ``layout.moves``, ``matvec.traced_applies``, ...), a
 uniform snapshot shape, and a regression comparator so ``repro history
 --diff`` can flag "this change rebuilds plans every sweep" exactly the way
 it already flags modelled-seconds regressions.
@@ -26,14 +26,10 @@ __all__ = [
 #: Lower-is-better metrics whose growth between two attempts of the same
 #: spec is a regression, mapped to the fractional slack allowed before the
 #: diff flags it.  Counters here are deterministic for a fixed spec and
-#: code version, so the default slack is zero; executor incidents are
-#: environmental but *any* growth is exactly what the diff should surface.
+#: code version, so the slack is zero.
 REGRESSION_METRICS: Dict[str, float] = {
     "plan_cache.misses": 0.0,
     "layout.moves": 0.0,
-    "executor.respawns": 0.0,
-    "executor.timeouts": 0.0,
-    "executor.failures": 0.0,
 }
 
 
@@ -169,9 +165,8 @@ def run_metrics(result: Any = None, backend: Any = None,
 
     Every source is optional and duck-typed: ``result`` is a
     ``DMRGResult`` (run-total counters plus per-sweep histograms),
-    ``backend`` contributes its plan cache, matvec count and block-ops
-    executor description, ``world`` its layout tracker.  Shared-memory
-    slab usage is read from the process-global segment registry.
+    ``backend`` contributes its plan cache and matvec count, ``world`` its
+    layout tracker.
     """
     reg = MetricsRegistry()
     for name in PINNED_ZERO_RUN_METRICS:
@@ -196,18 +191,10 @@ def run_metrics(result: Any = None, backend: Any = None,
         # the name dates from when some applications were served by
         # compiled programs; it is pinned with the zeros above
         reg.inc("matvec.traced_applies", backend.matvec_applies)
-        ops = getattr(backend, "block_ops", None)
-        if ops is not None:
-            reg.absorb("executor", ops.describe())
     if world is not None:
         tracker = getattr(world, "layout_tracker", None)
         if tracker is not None:
             reg.absorb("layout_tracker", tracker.snapshot())
-    try:
-        from ..ctf import shm
-        reg.gauge("shm.live_segments", len(shm.live_segment_names()))
-    except Exception:
-        pass
     return reg
 
 

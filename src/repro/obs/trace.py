@@ -11,10 +11,9 @@ Design goals, in order:
    append path.  Export happens once, after the run.
 3. **Cross-process mergeable.**  Timestamps are wall-clock anchored
    (``time.time() - time.perf_counter()`` sampled once per recorder), so
-   spans recorded in :class:`~repro.symmetry.procops.ProcessOps` workers
-   ship back with job results and land on the parent's timeline without
-   clock gymnastics.  Worker jobs render on their own ``tid`` lanes
-   (``WORKER_LANE_BASE + worker_index``) beside the parent's thread lanes.
+   the per-run traces a campaign's worker processes export merge into one
+   timeline (:func:`merge_traces`) without clock gymnastics.  Within a
+   process every thread records on its own ``tid`` lane.
 
 Two span flavours cover the two call-site shapes in the codebase:
 
@@ -44,15 +43,11 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "WORKER_LANE_BASE", "Span", "SpanRecorder", "TimedSpan",
+    "Span", "SpanRecorder", "TimedSpan",
     "chrome_trace_events", "enabled", "install", "instant", "load_trace",
     "merge_traces", "recorder", "span", "summarize_events", "timed_span",
     "traced", "tracing", "uninstall", "write_trace",
 ]
-
-#: ``tid`` lanes at or above this value belong to executor worker slots
-#: (lane = base + worker index); below it are the parent's own threads.
-WORKER_LANE_BASE = 1000
 
 _TRACE_SCHEMA = "repro-trace/1"
 
@@ -190,33 +185,23 @@ class SpanRecorder:
         return Span(self, name, category, args or None)
 
     def record(self, name: str, category: str, t0_pc: float, dur: float,
-               args: Optional[Dict[str, Any]] = None,
-               lane: Optional[int] = None) -> None:
+               args: Optional[Dict[str, Any]] = None) -> None:
         """Append a completed span timed with this process's perf_counter."""
-        self.add_event(name, category, self._anchor + t0_pc, dur,
-                       lane=lane, args=args)
+        self.add_event(name, category, self._anchor + t0_pc, dur, args)
 
     def instant(self, name: str, category: str = "span",
-                lane: Optional[int] = None, **args: Any) -> None:
+                **args: Any) -> None:
         """Record a zero-duration marker event at the current time."""
-        self.add_event(name, category, time.time(), 0.0, lane=lane,
-                       args=args or None)
+        self.add_event(name, category, time.time(), 0.0, args or None)
 
     def add_event(self, name: str, category: str, ts: float, dur: float,
-                  *, lane: Optional[int] = None, pid: Optional[int] = None,
                   args: Optional[Dict[str, Any]] = None) -> None:
-        """Append a raw event (``ts`` in epoch seconds, ``dur`` seconds).
-
-        This is the merge entry point: the executor uses it to land spans
-        shipped back from worker processes on their ``WORKER_LANE_BASE``
-        lanes of the parent's timeline.
-        """
-        if lane is None:
-            lane = self._current_lane()
+        """Append a raw event (``ts`` in epoch seconds, ``dur`` seconds) on
+        the calling thread's lane."""
         if len(self._events) == self.capacity:
             self.dropped += 1
-        self._events.append((ts, dur, name, category,
-                             self.pid if pid is None else pid, lane, args))
+        self._events.append((ts, dur, name, category, self.pid,
+                             self._current_lane(), args))
 
     def _current_lane(self) -> int:
         ident = threading.get_ident()
@@ -228,11 +213,6 @@ class SpanRecorder:
                 self._lane_names.setdefault(lane, f"thread-{lane}")
         return lane
 
-    def name_lane(self, lane: int, name: str) -> None:
-        """Give a lane a human-readable name for the exported metadata."""
-        with self._lock:
-            self._lane_names[lane] = name
-
     # -- inspection / export ---------------------------------------------
 
     def __len__(self) -> int:
@@ -241,16 +221,6 @@ class SpanRecorder:
     def events(self) -> List[Tuple]:
         """A snapshot list of the buffered event tuples."""
         return list(self._events)
-
-    def drain(self) -> List[Tuple]:
-        """Pop and return every buffered event (used by worker shipping)."""
-        out = []
-        try:
-            while True:
-                out.append(self._events.popleft())
-        except IndexError:
-            pass
-        return out
 
     def chrome(self) -> Dict[str, Any]:
         """The buffer as a Chrome trace-event JSON payload (a dict)."""
@@ -372,8 +342,7 @@ def chrome_trace_events(events: Iterable[Tuple], *,
 
     ``ts`` is normalized to the earliest event so the exported numbers are
     small; durations come out in microseconds as the format requires.
-    Worker lanes (``tid >= WORKER_LANE_BASE``) are auto-named when no
-    explicit lane name is supplied.
+    Lanes without an explicit name are labelled ``thread-<lane>``.
     """
     evs = sorted(events, key=lambda e: e[0])
     t0 = evs[0][0] if evs else 0.0
@@ -404,10 +373,7 @@ def chrome_trace_events(events: Iterable[Tuple], *,
                      "args": {"name": process_names.get(pid,
                                                         f"repro-{pid}")}})
     for pid, lane in seen_lanes:
-        label = lane_names.get((pid, lane))
-        if label is None:
-            label = (f"worker-{lane - WORKER_LANE_BASE}"
-                     if lane >= WORKER_LANE_BASE else f"thread-{lane}")
+        label = lane_names.get((pid, lane), f"thread-{lane}")
         meta.append({"name": "thread_name", "ph": "M", "pid": pid,
                      "tid": lane, "args": {"name": label}})
     return {

@@ -59,10 +59,6 @@ _LAZY = {
     "run_plan_cache_benchmark": "plan_bench",
     "format_plan_cost_check": "plan_bench",
     "run_plan_cost_check": "plan_bench",
-    "TimedOps": "executor_validate",
-    "format_executor_benchmark": "executor_validate",
-    "run_executor_benchmark": "executor_validate",
-    "run_executor_validation": "executor_validate",
     "format_micro_kernels": "microbench",
     "run_micro_kernels": "microbench",
     "format_sweep_records": "report",

@@ -17,7 +17,7 @@ runs the GEMMs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
     bmats = _matricize(b, plan.b_slots, ops)
     results: List[Optional[np.ndarray]] = [None] * len(plan.out_specs)
 
-    def run_fused(grp):
+    for grp in plan.fused_groups:
         if len(grp.a_slots) == 1:
             lhs, rhs = amats[grp.a_slots[0]], bmats[grp.b_slots[0]]
         else:
@@ -63,7 +63,7 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
             rhs = ops.concat([bmats[i] for i in grp.b_slots], axis=0)
         results[grp.out_slot] = ops.matmul(lhs, rhs)
 
-    def run_batch(batch):
+    for batch in plan.batch_groups:
         entries = batch.entries
         if len(entries) == 1:
             so, sa, sb = entries[0]
@@ -74,19 +74,6 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
             prod = ops.matmul(lhs, rhs)
             for i, (so, _, _) in enumerate(entries):
                 results[so] = prod[i]
-
-    if ops.parallel and len(plan.fused_groups) + len(plan.batch_groups) > 1:
-        tasks: List[Callable[[], None]] = []
-        tasks.extend((lambda g=grp: run_fused(g))
-                     for grp in plan.fused_groups)
-        tasks.extend((lambda b_=batch: run_batch(b_))
-                     for batch in plan.batch_groups)
-        ops.run(tasks)
-    else:
-        for grp in plan.fused_groups:
-            run_fused(grp)
-        for batch in plan.batch_groups:
-            run_batch(batch)
 
     if count_flops and plan.total_flops:
         _flops.add_flops(plan.total_flops, "gemm")

@@ -168,8 +168,8 @@ def svd(t: BlockSparseTensor, row_axes: Sequence[int],
     out_dtype = ops.result_type(t.dtype)
     records = _assemble_groups(t, row_axes, col_axes)
 
-    # independent per-charge-group factorizations; threaded ops run them
-    # concurrently, flop accounting stays in group order either way.
+    # independent per-charge-group factorizations, handed over as one list;
+    # flop accounting stays in group order.
     facts = ops.svd_many([rec[1] for rec in records])
     factored = []
     all_sq = []

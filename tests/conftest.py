@@ -8,26 +8,6 @@ import pytest
 from repro.symmetry import Index, BlockSparseTensor
 
 
-@pytest.fixture(scope="session", autouse=True)
-def shared_memory_leak_guard():
-    """Fail the suite if any shared-memory segment survives teardown.
-
-    Every segment the process executor (or anything else using
-    :class:`repro.ctf.shm.ShmArena`) creates is tracked in a module-level
-    registry until unlinked.  After the last test, shut down the block-ops
-    singletons that own worker pools and assert the registry is empty — a
-    surviving name is a real leak that would outlive the interpreter.
-    """
-    yield
-    from repro.ctf import shm
-    from repro.symmetry import blockops
-
-    blockops.shutdown_all()
-    leaked = shm.live_segment_names()
-    assert not leaked, (
-        f"shared-memory segments leaked past the test session: {leaked}")
-
-
 @pytest.fixture
 def rng():
     """A deterministic random generator."""

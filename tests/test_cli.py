@@ -26,6 +26,11 @@ class TestParser:
         assert args.engine == "two-site"
         assert args.backend == "direct"
         assert args.maxdim == 64
+        # the executor selector is gone, not defaulted
+        assert not hasattr(args, "block_ops")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--model", "tfim",
+                                       "--block-ops", "numpy"])
 
     def test_models_subcommand(self, capsys):
         assert main(["models"]) == 0
@@ -50,6 +55,7 @@ class TestRunCommand:
                                     charge=sites.total_charge(config))
         assert report["energies"][0] == pytest.approx(exact, abs=1e-6)
         assert "Sz" in report["profiles"]
+        assert "block_ops" not in report and "block_ops" not in report["spec"]
         # the saved state reloads onto the same site set
         psi = load_mps(state_file, sites)
         assert len(psi) == 8

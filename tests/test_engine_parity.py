@@ -3,9 +3,11 @@
 ``tests/data/engine_parity_golden.json`` was generated at commit 361355a, the
 last one with compiled matvec programs, with them switched off: on the planned
 chain that is now the only Davidson matvec (CHANGES.md, PR 20, has the exact
-collector edits and command).  Every case must reproduce its
-energies, per-bond records, counters, modelled seconds and the exact order of
-recorded spans.
+collector edits and command); PR 21 deleted the two constant-zero keys of the
+removed executors (``executor.parallel``, ``shm.live_segments``) from each
+case's ``run_metrics`` by editing the file, not by regenerating it.  Every
+case must reproduce its energies, per-bond records, counters, modelled seconds
+and the exact order of recorded spans.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _problem(case):
     return mpo, psi0, previous
 
 
-def _run(case, problem, **config_kwargs):
+def _run(case, problem, backend=None, **config_kwargs):
     """One driver run with its default rng; ``(result, world, backend)``."""
     _, engine, backend_name = case
     mpo, psi0, previous = problem
@@ -66,7 +68,8 @@ def _run(case, problem, **config_kwargs):
     if backend_name != "direct":
         world = SimWorld(nodes=2, procs_per_node=4,
                          machine=MACHINES["blue-waters"])
-    backend = make_backend(backend_name, world)
+    if backend is None:
+        backend = make_backend(backend_name, world)
     if engine == "two-site":
         result, _ = dmrg(mpo, psi0, config, backend=backend)
     elif engine == "single-site":
@@ -172,6 +175,31 @@ def test_float32_warmup_then_float64_polish(engine):
     assert dtypes == [np.float32, np.float32, np.float64, np.float64]
     assert mixed.energy == pytest.approx(plain.energy, abs=1e-7)
     assert type(backend.block_ops).__name__ != "MixedPrecisionOps"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_interrupted_warmup_restores_the_backend_ops(engine):
+    """An exception during the float32 warm-up (a raising hook is the
+    campaign interrupt path) leaves the caller's backend as it found it."""
+    case = ("heisenberg-chain", engine, "direct")
+    problem = _problem(case)
+
+    class Interrupt(Exception):
+        pass
+
+    def hook(sweep_id, psi, result):
+        raise Interrupt
+
+    backend = make_backend("direct")
+    base_ops = backend.block_ops
+    with pytest.raises(Interrupt):
+        _run(case, problem, backend=backend, sweep_hook=hook,
+             warmup_dtype="float32", warmup_sweeps=2)
+    assert backend.block_ops is base_ops
+    # so a plain run on the same backend is a float64 run, to the bit
+    again, _, _ = _run(case, problem, backend=backend)
+    plain, _, _ = _run(case, problem)
+    assert again.energy == plain.energy
 
 
 @pytest.mark.parametrize("engine, touched", [

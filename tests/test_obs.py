@@ -3,8 +3,7 @@
 Covers the span recorder (nesting, ring-buffer drops, decorator, Chrome
 export), the null fast path while tracing is disabled, the unified metrics
 registry and its regression comparator, the registry-diff integration
-(``repro history --diff`` flags metric regressions), the cross-process trace
-merge with a SIGKILLed-and-respawned executor worker, the nesting-safe
+(``repro history --diff`` flags metric regressions), the nesting-safe
 profiler sections, and the new CLI surface (``--list-targets``, ``run
 --trace``, ``trace summarize|export``).
 """
@@ -21,8 +20,8 @@ from repro.exp import RunRegistry, RunSpec, execute_run, run_campaign
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry, diff_metrics
-from repro.obs.trace import (WORKER_LANE_BASE, SpanRecorder, load_trace,
-                             merge_traces, summarize_events)
+from repro.obs.trace import (SpanRecorder, load_trace, merge_traces,
+                             summarize_events)
 
 
 @pytest.fixture(autouse=True)
@@ -229,75 +228,6 @@ class TestRunReportMetrics:
 
 
 # --------------------------------------------------------------------------- #
-# cross-process: executor worker spans survive a SIGKILL + respawn
-# --------------------------------------------------------------------------- #
-class TestCrossProcessTrace:
-    def test_worker_spans_merge_and_respawn_counts_match(self):
-        import numpy as np
-
-        from tests.test_procops_faults import fresh_ops, kill_worker
-
-        rec = trace.install(capacity=4096)
-        ops = fresh_ops()
-        try:
-            rng = np.random.default_rng(2)
-            a, b = rng.standard_normal((16, 12)), rng.standard_normal((12, 8))
-            want = a @ b
-            np.testing.assert_array_equal(ops.matmul(a, b), want)
-            # park worker 0 in a sleep job and SIGKILL it mid-job; the retry
-            # completes on the respawned worker and its span still ships
-            job = ops._submit("sleep", 0.25, worker=0)
-            kill_worker(ops, 0)
-            assert ops._wait(job) is None
-            np.testing.assert_array_equal(ops.matmul(a, b), want)
-            described = ops.describe()
-        finally:
-            ops.shutdown()
-            trace.uninstall()
-
-        events = rec.events()
-        job_spans = [ev for ev in events if ev[2].startswith("job:")]
-        assert job_spans, "worker job spans must merge into the parent trace"
-        lanes = {ev[5] for ev in job_spans}
-        assert all(lane >= WORKER_LANE_BASE for lane in lanes)
-        # the killed job's retry ran on the replacement worker process
-        retried = [ev for ev in job_spans
-                   if ev[2] == "job:sleep" and ev[6]["attempts"] == 2]
-        assert retried
-        respawn_marks = [ev for ev in events if ev[2] == "worker-respawn"]
-        assert len(respawn_marks) == described["respawns"] >= 1
-        assert any(ev[2] == "job-retry" for ev in events)
-
-        reg = MetricsRegistry()
-        reg.absorb("executor", described)
-        assert reg.counters["executor.respawns"] == described["respawns"]
-        assert reg.counters["executor.respawns"] == len(respawn_marks)
-
-    def test_completed_job_spans_survive_worker_death(self):
-        """Spans ship per-result, so jobs done *before* the kill are kept."""
-        import numpy as np
-
-        from tests.test_procops_faults import fresh_ops, kill_worker
-
-        rec = trace.install(capacity=4096)
-        ops = fresh_ops()
-        try:
-            rng = np.random.default_rng(3)
-            a, b = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
-            ops.matmul(a, b)
-            before = sum(1 for ev in rec.events()
-                         if ev[2].startswith("job:"))
-            kill_worker(ops, 0)
-            ops.matmul(a, b)
-        finally:
-            ops.shutdown()
-            trace.uninstall()
-        assert before > 0
-        after = sum(1 for ev in rec.events() if ev[2].startswith("job:"))
-        assert after > before
-
-
-# --------------------------------------------------------------------------- #
 # profiler: nesting-safe sections
 # --------------------------------------------------------------------------- #
 class TestProfilerNesting:
@@ -347,22 +277,24 @@ class TestCLI:
         assert main(["bench", "--list-targets"]) == 0
         out = capsys.readouterr().out
         assert "obs" in out and "plan-cache" in out
-        assert "matvec" not in out
+        for gone in ("matvec", "blockops", "executor"):
+            assert gone not in out
 
     def test_bench_unknown_target_rejected_with_list(self, capsys):
-        assert main(["bench", "--target", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown bench target 'bogus'" in err
-        assert "micro-kernels" in err
+        for gone in ("bogus", "blockops", "executor"):
+            assert main(["bench", "--target", gone]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown bench target {gone!r}" in err
+            assert "micro-kernels" in err
 
     def test_analyze_list_and_unknown_target(self, capsys):
         assert main(["analyze", "--list-targets"]) == 0
         assert "lint" in capsys.readouterr().out
-        for gone in ("bogus", "program"):
+        for gone in ("bogus", "program", "schedule"):
             assert main(["analyze", "--target", gone]) == 2
             err = capsys.readouterr().err
             assert f"unknown analyze target {gone!r}" in err
-            assert "lint" in err and "schedule" in err
+            assert "lint" in err
 
     def test_run_trace_produces_expected_spans(self, tmp_path, capsys):
         path = tmp_path / "run.trace.json"

@@ -42,20 +42,27 @@ class CollectiveCost:
                               self.messages + other.messages)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CollectiveModel:
     """Alpha-beta collective costs on a concrete machine + topology.
 
     ``alpha`` (seconds per message) combines the machine's injection latency
     with the topology's average hop latency; ``beta`` (seconds per word) is
     the inverse of the effective per-node bandwidth, with all ranks of a node
-    sharing the node's injection bandwidth.
+    sharing the node's injection bandwidth.  Both are pure in the frozen
+    fields and computed once.  Word counts may be numpy arrays.
     """
 
     machine: MachineSpec
     topology: Topology
     procs_per_node: int = 1
     word_bytes: int = 8
+
+    def __post_init__(self):
+        object.__setattr__(self, "_betas", {})
+        object.__setattr__(self, "_alpha", (
+            self.machine.network_latency_us
+            + self.topology.point_to_point_latency_us()) * 1e-6)
 
     @classmethod
     def for_machine(cls, machine: MachineSpec, nodes: int,
@@ -70,15 +77,17 @@ class CollectiveModel:
     # ------------------------------------------------------------------ #
     def alpha(self) -> float:
         """Per-message latency (seconds)."""
-        return (self.machine.network_latency_us
-                + self.topology.point_to_point_latency_us()) * 1e-6
+        return self._alpha
 
     def beta(self, pattern: str = "nearest") -> float:
         """Per-word transfer time (seconds) under a traffic pattern."""
-        node_bw = min(self.machine.network_bandwidth_gb_per_s,
-                      self.topology.effective_bandwidth_gb_s(pattern)) * 1e9
-        per_rank_bw = node_bw / max(self.procs_per_node, 1)
-        return self.word_bytes / per_rank_bw
+        beta = self._betas.get(pattern)
+        if beta is None:
+            node_bw = min(self.machine.network_bandwidth_gb_per_s,
+                          self.topology.effective_bandwidth_gb_s(pattern)) * 1e9
+            per_rank_bw = node_bw / max(self.procs_per_node, 1)
+            beta = self._betas[pattern] = self.word_bytes / per_rank_bw
+        return beta
 
     def _cost(self, messages: float, words: float,
               pattern: str = "nearest") -> CollectiveCost:

@@ -38,7 +38,8 @@ class GemmShape:
     """Dimensions of a matricized contraction ``C[m, n] += A[m, k] B[k, n]``.
 
     ``flops`` is in floating-point operations; the ``words_*`` properties are
-    operand sizes in words (8-byte elements).
+    operand sizes in words (8-byte elements).  ``m``, ``n``, ``k`` may be
+    per-pair numpy arrays; the cost formulas then evaluate element-wise.
     """
 
     m: int
@@ -53,17 +54,17 @@ class GemmShape:
     @property
     def words_a(self) -> float:
         """Elements (words) of the ``m x k`` operand A."""
-        return float(self.m) * self.k
+        return 1.0 * self.m * self.k
 
     @property
     def words_b(self) -> float:
         """Elements (words) of the ``k x n`` operand B."""
-        return float(self.k) * self.n
+        return 1.0 * self.k * self.n
 
     @property
     def words_c(self) -> float:
         """Elements (words) of the ``m x n`` output C."""
-        return float(self.m) * self.n
+        return 1.0 * self.m * self.n
 
     @property
     def total_words(self) -> float:
@@ -194,16 +195,15 @@ def candidate_mappings(shape: GemmShape, nprocs: int,
     while c <= cmax:
         cands.append(summa_25d(shape, nprocs, c, model))
         c *= 2
-    if cmax > 1:
+    if c // 2 != cmax:  # the doubling loop stopped short of the 3D grid
         cands.append(summa_3d(shape, nprocs, model))
     return cands
 
 
-def _combine_pair_decisions(decisions: Sequence[MappingDecision],
-                            owned_words_per_rank: Sequence[float],
+def _combine_pair_decisions(family: MappingDecision, owned_words_per_rank,
                             resident_words_per_rank: float = 0.0
                             ) -> MappingDecision:
-    """Aggregate per-pair decisions of one candidate family into one decision.
+    """Aggregate one candidate family (arrays over pairs) into one decision.
 
     Communication words, supersteps and seconds add across the pairs (they
     execute sequentially on the same grid).  The memory requirement is the
@@ -213,15 +213,19 @@ def _combine_pair_decisions(decisions: Sequence[MappingDecision],
     minus that pair's owned share (``owned_words_per_rank``), so owned block
     storage is counted exactly once.
     """
-    first = decisions[0]
-    transient = max(max(d.memory_words_per_rank - own, 0.0)
-                    for d, own in zip(decisions, owned_words_per_rank))
+    npairs = len(owned_words_per_rank)
+
+    def total(values) -> float:
+        # Python's sum over the per-pair floats in plan order: bit-identical
+        # to adding per-pair scalar costs (np.sum's pairwise order is not)
+        return sum(np.broadcast_to(values, (npairs,)).tolist())
+
+    transient = max(float(np.max(family.memory_words_per_rank
+                                 - owned_words_per_rank)), 0.0)
     return MappingDecision(
-        first.algorithm, first.grid, first.replication,
-        sum(d.words_per_rank for d in decisions),
-        sum(d.supersteps for d in decisions),
-        resident_words_per_rank + transient,
-        sum(d.seconds for d in decisions))
+        family.algorithm, family.grid, family.replication,
+        total(family.words_per_rank), total(family.supersteps),
+        resident_words_per_rank + transient, total(family.seconds))
 
 
 def plan_candidate_mappings(pair_shapes: Sequence[GemmShape], nprocs: int,
@@ -232,10 +236,9 @@ def plan_candidate_mappings(pair_shapes: Sequence[GemmShape], nprocs: int,
 
     Each candidate family (2D, 2.5D at each replication factor, 3D) is priced
     as the sum of its per-pair costs — the quantity a contraction plan
-    actually executes — rather than from one aggregate shape.  The candidate
-    set is the same as :func:`candidate_mappings`, whose grids and
-    replication factors depend only on ``nprocs``; the per-shape candidate
-    lists therefore align positionally and combine family by family.
+    actually executes — rather than from one aggregate shape.  All pairs are
+    scored in one :func:`candidate_mappings` call on a :class:`GemmShape`
+    whose ``m``, ``n``, ``k`` are the per-pair arrays.
     ``resident_words_per_rank`` (words) is the per-rank share of the plan's
     distinct blocks, which no mapping choice can avoid holding; each
     candidate's memory requirement is that floor plus its largest transient
@@ -243,11 +246,11 @@ def plan_candidate_mappings(pair_shapes: Sequence[GemmShape], nprocs: int,
     """
     if not pair_shapes:
         raise ValueError("need at least one pair shape")
-    per_shape = [candidate_mappings(s, nprocs, model) for s in pair_shapes]
-    owned = [s.total_words / max(nprocs, 1) for s in pair_shapes]
-    return [_combine_pair_decisions(list(family), owned,
-                                    resident_words_per_rank)
-            for family in zip(*per_shape)]
+    pairs = GemmShape(*np.array([(s.m, s.n, s.k) for s in pair_shapes],
+                                dtype=float).T)
+    owned = pairs.total_words / max(nprocs, 1)
+    return [_combine_pair_decisions(family, owned, resident_words_per_rank)
+            for family in candidate_mappings(pairs, nprocs, model)]
 
 
 def choose_mapping(shape: GemmShape | None, nprocs: int,

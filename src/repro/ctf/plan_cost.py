@@ -34,7 +34,7 @@ skeletons the scaling benchmarks use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .bsp import parallel_gemm_efficiency
@@ -72,7 +72,8 @@ class PlanCost:
     operand block once even when it participates in several pairs — this is
     the volume a block-aligned redistribution of the planned layout actually
     has to move, and it is never larger than the operand's aggregate nnz
-    (blocks no pair touches do not move).
+    (blocks no pair touches do not move).  ``decisions`` memoizes the
+    plan's mapping decisions per machine (:meth:`SimWorld.preferred_mapping`).
     """
 
     pairs: Tuple[PairCost, ...]
@@ -81,6 +82,7 @@ class PlanCost:
     output_words: float
     total_flops: float
     largest_pair_share: float
+    decisions: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def npairs(self) -> int:

@@ -105,7 +105,7 @@ class Topology(ABC):
         raise ValueError(f"unknown traffic pattern {pattern!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Torus3D(Topology):
     """A 3D torus (Cray Gemini, as on Blue Waters).
 
@@ -120,7 +120,7 @@ class Torus3D(Topology):
     def __post_init__(self):
         if any(d < 1 for d in self.dims):
             raise ValueError(f"invalid torus dimensions {self.dims}")
-        self.nodes = int(self.dims[0] * self.dims[1] * self.dims[2])
+        object.__setattr__(self, "nodes", int(math.prod(self.dims)))
 
     @classmethod
     def for_nodes(cls, nodes: int, **kwargs) -> "Torus3D":
@@ -151,7 +151,7 @@ class Torus3D(Topology):
         return 2 * dims[0] * dims[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FatTree(Topology):
     """A folded-Clos / fat-tree (Intel Omni-Path, as on Stampede2)."""
 
@@ -197,7 +197,7 @@ class FatTree(Topology):
         return max(int(self.nodes / (2.0 * self.oversubscription)), 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingleNode(Topology):
     """Degenerate topology for single-node (shared-memory) runs."""
 

@@ -41,24 +41,16 @@ class SimWorld:
         if self.nodes < 1 or self.procs_per_node < 1:
             raise ValueError("nodes and procs_per_node must be positive")
         self._collective_model: CollectiveModel | None = None
-        # memoized mapping decisions keyed by id of the lowered PlanCost; the
-        # cost object itself is kept in the value so the id stays valid
-        self._preferred_mappings: dict = {}
-        self._pair_decisions: dict = {}
 
-    @staticmethod
-    def _memo_per_cost(cache: dict, cost, factory):
-        """Memoize ``factory(cost)`` per lowered plan cost (id-keyed)."""
-        cached = cache.get(id(cost))
-        if cached is not None and cached[0] is cost:
-            return cached[1]
-        value = factory(cost)
-        if len(cache) > 512:
-            # drop one arbitrary (oldest-inserted) entry; a wholesale clear
-            # would also evict the hot plans still being re-charged
-            cache.pop(next(iter(cache)))
-        cache[id(cost)] = (cost, value)
-        return value
+    def _plan_decision(self, plan, decide):
+        """``decide(cost, nprocs, model)`` on this machine, memoized in
+        :attr:`~repro.ctf.plan_cost.PlanCost.decisions` of the lowered plan."""
+        cost = as_plan_cost(plan)
+        key = (decide, self.nprocs, self.collective_model())
+        decision = cost.decisions.get(key)
+        if decision is None:
+            decision = cost.decisions[key] = decide(cost, *key[1:])
+        return decision
 
     @property
     def nprocs(self) -> int:
@@ -482,30 +474,22 @@ class SimWorld:
     def preferred_mapping(self, plan) -> MappingDecision:
         """The mapping :func:`choose_plan_mapping` picks for ``plan`` here.
 
-        Memoized per lowered :class:`~repro.ctf.plan_cost.PlanCost` (plans
-        are cached and re-charged thousands of times), so the candidate
-        scoring runs once per distinct plan.
+        Memoized on the lowered :class:`~repro.ctf.plan_cost.PlanCost`
+        (plans are cached and re-charged thousands of times), so the
+        candidate scoring runs once per plan and machine.
         """
-        cost = as_plan_cost(plan)
-        return self._memo_per_cost(
-            self._preferred_mappings, cost,
-            lambda c: choose_plan_mapping(c, self.nprocs,
-                                          self.collective_model()))
+        return self._plan_decision(plan, choose_plan_mapping)
 
     def pair_decisions(self, plan) -> tuple:
         """Per-block-pair mapping decisions of ``plan`` on this machine.
 
         The :func:`~repro.ctf.plan_cost.pair_mapping_decisions` 2D-vs-3D
-        grain-efficiency crossover, memoized per lowered plan cost.  Shared
+        grain-efficiency crossover, memoized on the lowered plan.  Shared
         by the ``list`` backend and the modelled
         :meth:`charge_planned_contraction` list path, so real execution and
         shape-level simulation price the same pairs identically.
         """
-        cost = as_plan_cost(plan)
-        return self._memo_per_cost(
-            self._pair_decisions, cost,
-            lambda c: pair_mapping_decisions(c, self.nprocs,
-                                             self.collective_model()))
+        return self._plan_decision(plan, pair_mapping_decisions)
 
     def charge_layout_transition(self, operand_key: str | None, *,
                                  plan=None, operand: str = "all",

@@ -83,6 +83,34 @@ class TestMappingDecisions:
         names = {c.algorithm for c in candidate_mappings(shape, 64, model64)}
         assert "summa-2d" in names
 
+    @pytest.mark.parametrize("nprocs", [8, 64, 1000])
+    def test_no_duplicate_3d_candidate(self, model64, nprocs):
+        """Dropping the repeated 3D candidate keeps every choice unchanged.
+
+        The reference list is the earlier one: 2D, 2.5D at every power of
+        two up to the cube root, then ``summa_3d`` even when the doubling
+        loop had already priced it.
+        """
+        shape = GemmShape(2048, 512, 1024)
+        cands = candidate_mappings(shape, nprocs, model64)
+        assert len(set(cands)) == len(cands)
+        cmax = round(nprocs ** (1.0 / 3.0))
+        reference = ([summa_2d(shape, nprocs, model64)]
+                     + [summa_25d(shape, nprocs, 2 ** i, model64)
+                        for i in range(1, cmax.bit_length())]
+                     + [summa_3d(shape, nprocs, model64)])
+        assert cands == list(dict.fromkeys(reference))
+        for budget in [None, 10.0] + [c.memory_words_per_rank
+                                      for c in reference]:
+            fitting = [c for c in reference if budget is None
+                       or c.memory_words_per_rank <= budget]
+            expected = (min(fitting, key=lambda c: (c.seconds,
+                                                    c.words_per_rank))
+                        if fitting else
+                        min(reference, key=lambda c: c.memory_words_per_rank))
+            assert choose_mapping(shape, nprocs, model64,
+                                  memory_words_per_rank=budget) == expected
+
     @settings(max_examples=25, deadline=None)
     @given(m=st.integers(min_value=64, max_value=8192),
            n=st.integers(min_value=64, max_value=8192),

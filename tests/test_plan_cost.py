@@ -14,12 +14,17 @@ acceptance properties:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import make_backend
-from repro.ctf import (BLUE_WATERS, CollectiveModel, GemmShape, PlanCost,
-                       SimWorld, choose_mapping, choose_plan_mapping,
-                       gemm_shape_of_contraction, lower_plan,
+from repro.ctf import (BLUE_WATERS, STAMPEDE2, CollectiveModel, GemmShape,
+                       MappingDecision, PairCost, PlanCost, SimWorld,
+                       candidate_mappings, choose_mapping,
+                       choose_plan_mapping, gemm_shape_of_contraction,
+                       lower_plan, pair_mapping_decisions,
                        plan_candidate_mappings, redistribution_words)
+from repro.ctf import mapping as mapping_module
 from repro.perf.block_model import GeometricBlockModel
 from repro.perf.shapesim import (ShapeTensor, charge_contraction,
                                  plan_shape_contraction)
@@ -28,6 +33,51 @@ from repro.symmetry import BlockSparseTensor, Index, build_plan
 
 def make_world() -> SimWorld:
     return SimWorld(nodes=4, procs_per_node=16, machine=BLUE_WATERS)
+
+
+MODEL = CollectiveModel.for_machine(BLUE_WATERS, nodes=4, procs_per_node=16)
+
+
+def oracle_plan_candidates(shapes, nprocs, model, resident=0.0):
+    """Per-pair scalar reference for ``plan_candidate_mappings``.
+
+    Prices every pair on its own with ``candidate_mappings`` and adds the
+    per-pair decisions family by family, left to right in plan order.
+    """
+    per_pair = [candidate_mappings(s, nprocs, model) for s in shapes]
+    owned = [s.total_words / max(nprocs, 1) for s in shapes]
+    combined = []
+    for family in zip(*per_pair):
+        first = family[0]
+        transient = max(max(d.memory_words_per_rank - own, 0.0)
+                        for d, own in zip(family, owned))
+        combined.append(MappingDecision(
+            first.algorithm, first.grid, first.replication,
+            sum(d.words_per_rank for d in family),
+            sum(d.supersteps for d in family),
+            resident + transient,
+            sum(d.seconds for d in family)))
+    return combined
+
+
+def oracle_choose(cands, budget=None):
+    """``choose_mapping``'s selection rule applied to a candidate list."""
+    if budget is not None:
+        fitting = [c for c in cands if c.memory_words_per_rank <= budget]
+        if not fitting:
+            return min(cands, key=lambda c: c.memory_words_per_rank)
+        cands = fitting
+    return min(cands, key=lambda c: (c.seconds, c.words_per_rank))
+
+
+def synthetic_plan_cost(shapes) -> PlanCost:
+    """A lowered plan whose pairs have the given GEMM shapes."""
+    pairs = tuple(PairCost(s, s.flops, s.words_a, s.words_b, s.words_c)
+                  for s in shapes)
+    return PlanCost(pairs, sum(s.words_a for s in shapes),
+                    sum(s.words_b for s in shapes),
+                    sum(s.words_c for s in shapes),
+                    sum(s.flops for s in shapes), 1.0 / len(shapes))
 
 
 @pytest.fixture
@@ -249,22 +299,61 @@ class TestPlanDrivenMapping:
         assert by_plan == by_shape
 
     def test_plan_candidates_aggregate_pair_costs(self, model):
-        from repro.ctf import candidate_mappings
         shapes = (GemmShape(64, 64, 64), GemmShape(8, 8, 8))
         resident = sum(s.total_words for s in shapes) / 64
         cands = plan_candidate_mappings(shapes, 64, model,
                                         resident_words_per_rank=resident)
-        singles = [candidate_mappings(s, 64, model) for s in shapes]
-        for combined, per_pair in zip(cands, zip(*singles)):
-            assert combined.seconds == pytest.approx(
-                sum(d.seconds for d in per_pair))
-            assert combined.words_per_rank == pytest.approx(
-                sum(d.words_per_rank for d in per_pair))
-            # memory: resident floor + largest transient (owned counted once)
-            expected = resident + max(
-                d.memory_words_per_rank - s.total_words / 64
-                for d, s in zip(per_pair, shapes))
-            assert combined.memory_words_per_rank == pytest.approx(expected)
+        # bit for bit: the array scorer adds in the per-pair loop's order
+        assert cands == oracle_plan_candidates(shapes, 64, model, resident)
+        assert all(type(v) is float
+                   for c in cands for v in (c.seconds, c.words_per_rank,
+                                            c.supersteps,
+                                            c.memory_words_per_rank))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.tuples(st.integers(1, 4096), st.integers(1, 4096),
+                                   st.integers(1, 4096)),
+                         min_size=1, max_size=300),
+           nprocs=st.sampled_from([1, 2, 16, 64, 1000, 4096]),
+           resident=st.floats(0.0, 1e9),
+           budgeted=st.booleans())
+    def test_array_scorer_matches_per_pair_oracle(self, dims, nprocs,
+                                                  resident, budgeted):
+        """Every field of every candidate, and the chosen decision, equal
+        the per-pair scalar oracle exactly (1 and 1000 ranks: no replicated
+        candidate, and a cube root that is not a power of two)."""
+        shapes = [GemmShape(*d) for d in dims]
+        cands = plan_candidate_mappings(shapes, nprocs, MODEL, resident)
+        expected = oracle_plan_candidates(shapes, nprocs, MODEL, resident)
+        assert cands == expected
+        budget = None
+        if budgeted:
+            budget = float(np.median([c.memory_words_per_rank
+                                      for c in expected]))
+        chosen = choose_mapping(None, nprocs, MODEL,
+                                memory_words_per_rank=budget,
+                                pair_shapes=shapes,
+                                resident_words_per_rank=resident)
+        assert chosen == oracle_choose(expected, budget)
+
+    def test_plan_scoring_is_not_per_pair(self, monkeypatch):
+        """Scoring a plan prices each candidate family once, not per pair."""
+        calls = []
+        real = mapping_module.summa_25d
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mapping_module, "summa_25d", counting)
+        counts = []
+        for npairs in (60, 240):
+            calls.clear()
+            shapes = [GemmShape(8 + i, 16, 4 + i % 7) for i in range(npairs)]
+            choose_plan_mapping(synthetic_plan_cost(shapes), 64, MODEL)
+            counts.append(len(calls))
+        # 64 ranks: the 2.5D (c=2) and 3D (c=4) families, whatever the size
+        assert counts == [2, 2]
 
     def test_resident_blocks_enforce_memory_floor(self, model):
         """A budget below the owned-block share forces the 2D fallback.
@@ -304,6 +393,65 @@ class TestPlanDrivenMapping:
         with pytest.raises(ValueError):
             choose_plan_mapping(PlanCost((), 0.0, 0.0, 0.0, 0.0, 1.0),
                                 64, model)
+
+
+# --------------------------------------------------------------------------- #
+# mapping decisions memoized on the lowered plan
+# --------------------------------------------------------------------------- #
+class TestMappingMemo:
+    @pytest.fixture
+    def scorings(self, monkeypatch):
+        calls = []
+        real = mapping_module.candidate_mappings
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mapping_module, "candidate_mappings", counting)
+        return calls
+
+    def test_recharging_a_plan_never_rescores_it(self, scorings):
+        a, b, axes = block_sparse_pair()
+        plan = build_plan(a, b, axes)
+        world = make_world()
+        for _ in range(3):
+            world.charge_planned_contraction(
+                plan, operand_nnz=(a.nnz, b.nnz), operand_keys=("a", "b"),
+                out_key="c")
+        assert len(scorings) == 1
+        # scoring many other plans evicts nothing: the memo lives on the plan
+        for i in range(600):
+            world.preferred_mapping(synthetic_plan_cost([GemmShape(i + 1, 3,
+                                                                   5)]))
+        assert len(scorings) == 601
+        world.charge_planned_contraction(
+            plan, operand_nnz=(a.nnz, b.nnz), operand_keys=("a", "b"))
+        assert len(scorings) == 601
+
+    def test_each_world_gets_its_own_decision(self):
+        a, b, axes = block_sparse_pair(192)
+        cost = lower_plan(build_plan(a, b, axes))
+        worlds = [make_world(),
+                  SimWorld(nodes=4, procs_per_node=16, machine=STAMPEDE2),
+                  SimWorld(nodes=2, procs_per_node=4, machine=BLUE_WATERS)]
+        for _ in range(2):
+            for w in worlds:
+                model = w.collective_model()
+                assert w.preferred_mapping(cost) == choose_plan_mapping(
+                    cost, w.nprocs, model)
+                assert w.pair_decisions(cost) == pair_mapping_decisions(
+                    cost, w.nprocs, model)
+        grids = {w.preferred_mapping(cost).grid for w in worlds}
+        assert len(grids) >= 2
+        assert len(cost.decisions) == 2 * len(worlds)
+
+    def test_equal_machines_share_decisions(self):
+        a, b, axes = block_sparse_pair()
+        cost = lower_plan(build_plan(a, b, axes))
+        first, second = make_world(), make_world()
+        assert first.preferred_mapping(cost) is second.preferred_mapping(cost)
+        assert len(cost.decisions) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -33,11 +33,12 @@ Rule catalogue (:data:`RULES`):
     ``analysis/`` carry docstrings (subsumes the retired
     ``tools/check_docstrings.py``).
 ``obs-span``
-    Hot-path modules (the DMRG drivers, the matvec chain and the plan
-    executor) acquire timing through the observability span
-    API (:func:`repro.obs.trace.span` / ``timed_span``) instead of ad-hoc
-    ``time.perf_counter()`` pairs, so every measured duration is also a
-    trace span; the profiler itself is the audited exception.
+    Hot-path modules (the DMRG drivers, the matvec chain, the plan
+    executor and the modelled-time profiler) acquire timing through the
+    observability span API (:func:`repro.obs.trace.span` /
+    ``timed_span``) instead of ad-hoc ``time.perf_counter()`` pairs, so
+    every measured duration is also a trace span; none of them carries an
+    exception.
 ``pragma-reason``
     Every suppression pragma must state *why* the exception is sound.
 
@@ -97,7 +98,7 @@ _RNG_SAMPLERS = {"rand", "randn", "randint", "random", "normal", "uniform",
 _KERNEL_HOME = ("symmetry/blockops.py",)
 
 #: hot-path modules where ad-hoc perf_counter timing must be an obs span
-#: (the profiler is in scope on purpose: its exemption is an audited pragma)
+#: (the profiler holds modelled seconds only and must never time code)
 _OBS_SPAN_MODULES = ("dmrg/sweep.py", "dmrg/single_site.py",
                      "dmrg/excited.py", "dmrg/davidson.py",
                      "symmetry/matvec.py", "symmetry/engine.py",

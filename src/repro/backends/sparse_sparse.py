@@ -6,18 +6,12 @@ is used to precompute the output sparsity, which Cyclops exploits to control
 memory during the contraction; the cost model therefore charges sparse-kernel
 time on the actual number of nonzeros and the Table II ``O(M_D / p^(1/2))``
 communication volume in ``O(1)`` supersteps.
-
-For small problems the backend can also *execute* the contraction through the
-genuinely sparse path (:class:`~repro.ctf.sparse_tensor.SparseDistTensor`,
-i.e. a matricized sparse-matrix multiply), which is used by the test suite to
-verify that the sparse execution path and the block-pair path agree.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..ctf.sparse_tensor import SparseDistTensor
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
 from ..symmetry.engine import execute_cached, plan_for
@@ -29,48 +23,15 @@ class SparseSparseBackend(ContractionBackend):
 
     name = "sparse-sparse"
 
-    def __init__(self, world: SimWorld, *, execute_sparse: bool = False,
-                 sparse_execution_limit: int = 200_000, block_ops=None):
+    def __init__(self, world: SimWorld, *, block_ops=None):
         super().__init__(block_ops=block_ops)
         self.world = world
-        #: when set, contractions below the size limit run through the real
-        #: scipy.sparse matricized-multiply path instead of the block loop
-        self.execute_sparse = execute_sparse
-        self.sparse_execution_limit = sparse_execution_limit
 
-    # -- helpers -------------------------------------------------------------
-    def _contract_via_sparse(self, a: BlockSparseTensor, b: BlockSparseTensor,
-                             axes) -> BlockSparseTensor:
-        """Execute through the real sparse path and convert back to blocks."""
-        sa = SparseDistTensor.from_dense(a.to_dense(), self.world)
-        sb = SparseDistTensor.from_dense(b.to_dense(), self.world)
-        sc = sa.contract(sb, axes)
-        axes_a = tuple(int(x) % a.ndim for x in axes[0])
-        axes_b = tuple(int(x) % b.ndim for x in axes[1])
-        keep_a = [i for i in range(a.ndim) if i not in axes_a]
-        keep_b = [i for i in range(b.ndim) if i not in axes_b]
-        out_indices = tuple(a.indices[i] for i in keep_a) + \
-            tuple(b.indices[i] for i in keep_b)
-        from ..symmetry.charges import add_charges
-        return BlockSparseTensor.from_dense(
-            sc.to_dense(), out_indices, flux=add_charges(a.flux, b.flux),
-            tol=0.0, require_symmetric=False)
-
-    # -- backend API ----------------------------------------------------------
     def contract(self, a: BlockSparseTensor, b: BlockSparseTensor,
                  axes: tuple[Sequence[int], Sequence[int]], *,
                  operand_keys: tuple | None = None,
                  out_key: str | None = None) -> BlockSparseTensor:
         """Contract as one sparse tensor op, priced from the compiled plan."""
-        use_sparse_exec = (self.execute_sparse and
-                           a.dense_size <= self.sparse_execution_limit and
-                           b.dense_size <= self.sparse_execution_limit)
-        if use_sparse_exec:
-            # the sparse execution path bypasses the planner: whatever plan
-            # ran last no longer describes the tensor returned here, so it
-            # must not cap a later SVD's format-conversion volume
-            self._last_plan = None
-            return self._contract_via_sparse(a, b, axes)
         # the plan's output-block list is exactly the "precomputed output
         # sparsity" the sparse-sparse algorithm hands to Cyclops, and its
         # block-pair structure is what the plan-aware cost model prices
@@ -110,19 +71,21 @@ class SparseSparseBackend(ContractionBackend):
 
 
 def make_backend(name: str, world: SimWorld | None = None, *,
-                 block_ops=None, **kwargs):
+                 block_ops=None):
     """Factory: ``"direct"``, ``"list"``, ``"sparse-dense"`` or ``"sparse-sparse"``.
 
     ``block_ops`` is the numerical-kernel instance (``None`` → numpy, or a
     :class:`~repro.symmetry.blockops.BlockOps` instance); the modelled costs
-    are identical for every choice.
+    are identical for every choice.  Every backend it builds runs through
+    the planner; construct ``DirectBackend(use_planner=False)`` directly for
+    the naive Algorithm-2 reference.
     """
     from .base import DirectBackend
     from .list_backend import ListBackend
     from .sparse_dense import SparseDenseBackend
 
     if name == "direct":
-        return DirectBackend(block_ops=block_ops, **kwargs)
+        return DirectBackend(block_ops=block_ops)
     if world is None:
         raise ValueError(f"backend {name!r} requires a SimWorld")
     if name == "list":
@@ -130,5 +93,5 @@ def make_backend(name: str, world: SimWorld | None = None, *,
     if name == "sparse-dense":
         return SparseDenseBackend(world, block_ops=block_ops)
     if name == "sparse-sparse":
-        return SparseSparseBackend(world, block_ops=block_ops, **kwargs)
+        return SparseSparseBackend(world, block_ops=block_ops)
     raise ValueError(f"unknown backend {name!r}")

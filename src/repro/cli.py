@@ -28,15 +28,14 @@ The subcommands cover the everyday workflows:
     energies and modelled seconds with regression detection.
 
 ``python -m repro bench --smoke [--json BENCH_smoke.json]``
-    Benchmark smoke target: exercise the measured benchmarks — the
-    plan-cache/fused-GEMM comparison, the span-tracer overhead gate and the
-    micro-kernel suite — at tiny sizes, and assert the modelled-cost
-    invariants: the plan-aware model's (equal to the aggregate model on a
-    dense block, never worse on block-sparse
-    structure, ``plan-cost`` target) and the sweep-persistent layout
+    Benchmark invariant gates: the plan-aware cost model's (equal to the
+    aggregate model on a dense block, never worse on block-sparse
+    structure, ``plan-cost`` target), the sweep-persistent layout
     tracker's (first touch charges, unchanged layouts free, tracked total
-    never worse, transposition share strictly shrinks, ``layout`` target),
-    so the perf code cannot silently rot.  ``--json PATH`` additionally
+    never worse, transposition share strictly shrinks, ``layout`` target)
+    and the span tracer's overhead bound (``obs`` target), so the perf
+    code cannot silently rot.  Wall-clock performance is measured by
+    ``benchmarks/e2e/run.py`` instead.  ``--json PATH`` additionally
     writes every target's machine-readable metrics to one JSON artifact so
     the perf trajectory can be tracked across commits (``make bench-smoke``
     emits ``BENCH_smoke.json``).
@@ -78,9 +77,7 @@ BENCH_TARGETS: Dict[str, str] = {
     "plan-cost": "plan-aware cost model invariants (dense equal, "
                  "block-sparse never worse)",
     "layout": "sweep-persistent layout tracker invariants",
-    "plan-cache": "planned vs naive contraction path (energy agreement)",
     "obs": "span tracer overhead (disabled unmeasurable, enabled < 5%)",
-    "micro-kernels": "micro-kernel suite (pytest-benchmark harness)",
 }
 
 #: ``analyze --target`` registry, same contract as :data:`BENCH_TARGETS`.
@@ -304,7 +301,7 @@ def cmd_history(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark smoke targets (measured + modelled consistency)."""
+    """Run the benchmark invariant gates (modelled cost + tracer overhead)."""
     if args.list_targets:
         _print_targets(BENCH_TARGETS)
         return 0
@@ -340,19 +337,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("error: sweep-persistent layout tracker violated an "
                   "invariant (see table above)", file=sys.stderr)
             rc = 1
-    if args.target in ("all", "plan-cache"):
-        from .perf.plan_bench import (format_plan_cache_benchmark,
-                                      run_plan_cache_benchmark)
-        if args.full:
-            stats = run_plan_cache_benchmark()
-        else:
-            stats = run_plan_cache_benchmark(nsites=8, maxdim=16, nsweeps=3)
-        print(format_plan_cache_benchmark(stats))
-        emitted["plan_cache"] = stats
-        if stats["energy_delta"] > 1e-8:
-            print("error: planned and naive energies disagree "
-                  f"({stats['energy_delta']:.3e})", file=sys.stderr)
-            rc = 1
     if args.target in ("all", "obs"):
         from .perf.obs_bench import (format_obs_benchmark,
                                      run_obs_overhead_benchmark)
@@ -371,33 +355,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   f"{100.0 * stats['enabled_overhead']:+.2f}%)",
                   file=sys.stderr)
             rc = 1
-    if args.target in ("all", "micro-kernels"):
-        import importlib.util
-        import pathlib
-
-        if args.json:
-            # the scriptable twin runs the same kernels and feeds the JSON
-            # artifact; running the pytest harness on top would execute the
-            # suite a second time for no extra signal
-            from .perf.microbench import format_micro_kernels, run_micro_kernels
-            stats = run_micro_kernels(smoke=not args.full)
-            print(format_micro_kernels(stats))
-            emitted["micro_kernels"] = stats
-        else:
-            bench = (pathlib.Path(__file__).resolve().parents[2] /
-                     "benchmarks" / "bench_micro_kernels.py")
-            if not bench.exists():
-                print(f"micro-kernel benchmarks not found at {bench}; "
-                      "skipping")
-            elif (importlib.util.find_spec("pytest") is None or
-                  importlib.util.find_spec("pytest_benchmark") is None):
-                print("pytest/pytest-benchmark not installed; "
-                      "skipping micro-kernel benchmarks")
-            else:
-                import pytest
-                flags = [] if args.full else ["--benchmark-disable"]
-                rc = max(rc, int(pytest.main(
-                    [str(bench), "-q", "-p", "no:cacheprovider"] + flags)))
     if args.json:
         artifact = {
             "schema": "repro-bench/1",

@@ -1,22 +1,21 @@
-"""Simulated Cyclops-like distributed tensor framework.
+"""Simulated Cyclops-like distributed machine and cost model.
 
-Provides dense and sparse distributed tensors over a virtual machine
-(:class:`SimWorld`), a BSP communication model matching Table II of the paper,
+Charges the distributed execution of the planned block-sparse contractions
+to a virtual machine (:class:`SimWorld`): a BSP communication model matching
+Table II of the paper, SUMMA mappings and collectives over interconnect
+topologies, sweep-persistent tensor layouts, memory accounting,
 per-category profiling matching Fig. 7, and machine presets for Blue Waters
 and Stampede2.
 """
 
 from .machine import BLUE_WATERS, LAPTOP, MACHINES, STAMPEDE2, MachineSpec
 from .profiler import CATEGORIES, Profiler
-from .distribution import Distribution, factor_processor_grid
+from .distribution import factor_processor_grid
 from .bsp import (CommCost, blockwise_contraction_comm, dense_contraction_comm,
                   load_imbalance_fraction, parallel_gemm_efficiency,
                   redistribution_comm, scalapack_svd_comm,
                   sparse_contraction_comm)
 from .world import SimWorld
-from .dense_tensor import DistTensor
-from .sparse_tensor import SparseDistTensor
-from .linalg import distributed_eigh, distributed_qr, distributed_svd, matricize
 from .topology import (FatTree, SingleNode, Topology, Torus3D,
                        topology_for_machine)
 from .collectives import CollectiveCost, CollectiveModel
@@ -36,12 +35,11 @@ from .memory import (Allocation, MemoryTracker, OutOfMemoryError,
 
 __all__ = [
     "BLUE_WATERS", "LAPTOP", "MACHINES", "STAMPEDE2", "MachineSpec",
-    "CATEGORIES", "Profiler", "Distribution", "factor_processor_grid",
+    "CATEGORIES", "Profiler", "factor_processor_grid",
     "CommCost", "blockwise_contraction_comm", "dense_contraction_comm",
     "load_imbalance_fraction", "parallel_gemm_efficiency",
     "redistribution_comm", "scalapack_svd_comm", "sparse_contraction_comm",
-    "SimWorld", "DistTensor", "SparseDistTensor",
-    "distributed_eigh", "distributed_qr", "distributed_svd", "matricize",
+    "SimWorld",
     "FatTree", "SingleNode", "Topology", "Torus3D", "topology_for_machine",
     "CollectiveCost", "CollectiveModel",
     "GemmShape", "MappingDecision", "RedistributionPlan",

@@ -1,15 +1,13 @@
-"""Cyclic data distributions over a virtual processor grid.
+"""Processor-grid factorization for dense tensor mappings.
 
 Cyclops assigns every dense tensor a processor grid and distributes each mode
-cyclically over one grid dimension.  The simulated framework reproduces that
-bookkeeping: a :class:`Distribution` knows which virtual rank owns every
-element, how large each rank's local piece is, and how imbalanced the layout
-is.  These invariants are exercised directly by the property-based tests.
+cyclically over one grid dimension.  :func:`factor_processor_grid` chooses
+that grid; the SUMMA mapper (:mod:`repro.ctf.mapping`) uses it to lay out a
+contraction's operands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -44,80 +42,3 @@ def factor_processor_grid(nprocs: int, shape: Sequence[int]) -> Tuple[int, ...]:
         mode = int(np.argmax([remaining[i] / grid[i] for i in range(ndim)]))
         grid[mode] *= f
     return tuple(grid)
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A cyclic distribution of a dense tensor over a processor grid."""
-
-    shape: Tuple[int, ...]
-    grid: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.shape) != len(self.grid):
-            raise ValueError("shape and grid ranks differ")
-        if any(g < 1 for g in self.grid):
-            raise ValueError("grid extents must be positive")
-
-    @classmethod
-    def build(cls, shape: Sequence[int], nprocs: int) -> "Distribution":
-        """Choose a processor grid for ``shape`` on ``nprocs`` ranks."""
-        return cls(tuple(int(s) for s in shape),
-                   factor_processor_grid(nprocs, shape))
-
-    @property
-    def nprocs(self) -> int:
-        """Total number of ranks in the grid."""
-        return int(np.prod(self.grid)) if self.grid else 1
-
-    @property
-    def size(self) -> int:
-        """Total number of tensor elements."""
-        return int(np.prod(self.shape)) if self.shape else 1
-
-    def grid_coords(self, rank: int) -> Tuple[int, ...]:
-        """Grid coordinates of a rank (row-major rank ordering)."""
-        if not 0 <= rank < self.nprocs:
-            raise ValueError(f"rank {rank} outside grid of {self.nprocs}")
-        coords = []
-        for g in reversed(self.grid):
-            coords.append(rank % g)
-            rank //= g
-        return tuple(reversed(coords))
-
-    def owner(self, index: Sequence[int]) -> int:
-        """Rank owning a tensor element (cyclic along each mode)."""
-        if len(index) != len(self.shape):
-            raise ValueError("index rank mismatch")
-        rank = 0
-        for i, (x, s, g) in enumerate(zip(index, self.shape, self.grid)):
-            if not 0 <= x < s:
-                raise ValueError(f"index {x} out of bounds for mode {i}")
-            rank = rank * g + (x % g)
-        return rank
-
-    def local_shape(self, rank: int) -> Tuple[int, ...]:
-        """Shape of the local piece stored by ``rank``."""
-        coords = self.grid_coords(rank)
-        return tuple(
-            (s - c + g - 1) // g
-            for s, g, c in zip(self.shape, self.grid, coords))
-
-    def local_size(self, rank: int) -> int:
-        """Number of elements stored by ``rank``."""
-        return int(np.prod(self.local_shape(rank))) if self.shape else 1
-
-    def max_local_size(self) -> int:
-        """Largest per-rank element count (load-balance numerator)."""
-        return max(self.local_size(r) for r in range(self.nprocs))
-
-    def imbalance(self) -> float:
-        """Max-over-mean load imbalance of the layout (1.0 = perfect)."""
-        mean = self.size / self.nprocs
-        return self.max_local_size() / mean if mean > 0 else 1.0
-
-    def local_indices(self, rank: int) -> List[np.ndarray]:
-        """Global indices owned by ``rank`` along each mode."""
-        coords = self.grid_coords(rank)
-        return [np.arange(c, s, g)
-                for s, g, c in zip(self.shape, self.grid, coords)]

@@ -13,9 +13,7 @@ The categories are exactly those of the paper's breakdown plot:
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -28,13 +26,13 @@ _RESERVED = ("total", "comm_words", "supersteps", "flops")
 
 @dataclass
 class Profiler:
-    """Accumulates modelled (or measured) seconds per category.
+    """Accumulates modelled seconds per category.
 
     The canonical categories are the paper's Fig. 7 set (:data:`CATEGORIES`);
-    custom labels recorded through :meth:`section` (or merged in from another
-    profiler) are carried alongside them, and every reporting method —
-    :meth:`total_seconds`, :meth:`breakdown`, :meth:`as_dict` — accounts for
-    *all* recorded categories, so percentages always sum to 100.
+    custom labels admitted with ``allow_custom=True`` (or merged in from
+    another profiler) are carried alongside them, and every reporting
+    method — :meth:`total_seconds`, :meth:`breakdown`, :meth:`as_dict` —
+    accounts for *all* recorded categories, so percentages always sum to 100.
     """
 
     seconds: Dict[str, float] = field(
@@ -43,11 +41,6 @@ class Profiler:
     comm_words: float = 0.0
     supersteps: float = 0.0
     flops: float = 0.0
-    #: per-category nesting depth of live :meth:`section` blocks; only the
-    #: outermost block of a category charges elapsed time (transient state,
-    #: excluded from comparisons so profilers stay equal by recorded totals)
-    _section_depth: Dict[str, int] = field(
-        default_factory=dict, repr=False, compare=False)
 
     def add(self, category: str, seconds: float, *, count: int = 1,
             allow_custom: bool = False) -> None:
@@ -55,8 +48,8 @@ class Profiler:
 
         Modelled charges must use the canonical Fig. 7 :data:`CATEGORIES`
         (anything else raises, catching typos); ``allow_custom=True`` admits
-        a custom label, which :meth:`section` uses for measured wall-clock
-        sections.
+        a custom label, which :class:`~repro.ctf.world.SimWorld` uses for the
+        Davidson vector algebra (``"davidson"``).
         """
         if category in _RESERVED or not category:
             raise ValueError(f"category {category!r} is reserved")
@@ -91,9 +84,9 @@ class Profiler:
     def breakdown(self) -> Dict[str, float]:
         """Percentage of time per category (the paper's Fig. 7 quantity).
 
-        Covers every recorded category — custom :meth:`section` labels
-        included — so the shares always sum to 100 (they used to silently
-        drop non-canonical categories that :meth:`total_seconds` counted).
+        Covers every recorded category — custom labels included — so the
+        shares always sum to 100 (they used to silently drop non-canonical
+        categories that :meth:`total_seconds` counted).
         """
         cats = self.categories()
         total = self.total_seconds()
@@ -123,33 +116,6 @@ class Profiler:
         self.comm_words += other.comm_words
         self.supersteps += other.supersteps
         self.flops += other.flops
-
-    @contextmanager
-    def section(self, category: str):
-        """Measure wall-clock time of a real code section into a category.
-
-        Any label is accepted — custom sections show up in
-        :meth:`breakdown`/:meth:`as_dict` alongside the Fig. 7 categories.
-        Nesting-safe: when a category's section is re-entered recursively,
-        only the outermost block charges its elapsed wall-clock (the inner
-        blocks still count an entry), so recursive sections no longer
-        double-count the same seconds.
-        """
-        depth = self._section_depth
-        depth[category] = depth.get(category, 0) + 1
-        # the profiler is itself a measurement primitive feeding the Fig. 7
-        # accounting; it cannot be built on the obs span API layered above it
-        t0 = time.perf_counter()  # repro-lint: ok(obs-span): measurement primitive itself
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - t0  # repro-lint: ok(obs-span): measurement primitive itself
-            outermost = depth[category] == 1
-            depth[category] -= 1
-            if not depth[category]:
-                del depth[category]
-            self.add(category, elapsed if outermost else 0.0,
-                     allow_custom=True)
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict snapshot (seconds per recorded category plus totals)."""

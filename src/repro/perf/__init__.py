@@ -6,9 +6,8 @@ loaded lazily on first attribute access to avoid circular imports.
 """
 
 from . import flops
-from .flops import (FlopCounter, PlanCounter, add_flops, count_flops,
-                    global_counter, plan_counter, reset_flops, reset_plans,
-                    total_flops)
+from .flops import (FlopCounter, add_flops, count_flops, global_counter,
+                    reset_flops, total_flops)
 
 _LAZY = {
     "GeometricBlockModel": "block_model",
@@ -49,24 +48,18 @@ _LAZY = {
     "format_breakdown": "report",
     "format_layout_comparison": "report",
     "format_layout_tracker": "report",
-    "format_plan_cache": "report",
     "format_series": "report",
     "format_table": "report",
     "format_table1": "report",
     "format_layout_check": "plan_bench",
-    "format_plan_cache_benchmark": "plan_bench",
     "run_layout_check": "plan_bench",
-    "run_plan_cache_benchmark": "plan_bench",
     "format_plan_cost_check": "plan_bench",
     "run_plan_cost_check": "plan_bench",
-    "format_micro_kernels": "microbench",
-    "run_micro_kernels": "microbench",
     "format_sweep_records": "report",
 }
 
-__all__ = ["flops", "FlopCounter", "PlanCounter", "add_flops", "count_flops",
-           "global_counter", "plan_counter", "reset_flops", "reset_plans",
-           "total_flops"] + sorted(_LAZY)
+__all__ = ["flops", "FlopCounter", "add_flops", "count_flops",
+           "global_counter", "reset_flops", "total_flops"] + sorted(_LAZY)
 
 
 def __getattr__(name: str):

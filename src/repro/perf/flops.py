@@ -60,77 +60,7 @@ class FlopCounter:
                     "total": self.gemm + self.svd + self.other}
 
 
-@dataclass
-class PlanCounter:
-    """Process-global contraction-plan statistics.
-
-    Mirrors :class:`FlopCounter` for the planner/executor subsystem
-    (:mod:`repro.symmetry.planner`): cache hits and misses, and the wall-time
-    split between symbolic planning and fused GEMM execution.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    plan_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record_lookup(self, hit: bool, plan_seconds: float = 0.0) -> None:
-        """Record one plan-cache lookup (and build time on a miss)."""
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-                self.plan_seconds += plan_seconds
-
-    def record_execute(self, seconds: float) -> None:
-        """Record wall time spent executing planned contractions."""
-        with self._lock:
-            self.execute_seconds += seconds
-
-    @property
-    def lookups(self) -> int:
-        """Total plan-cache lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from a cache."""
-        n = self.lookups
-        return self.hits / n if n else 0.0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.plan_seconds = 0.0
-            self.execute_seconds = 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Return a plain-dict copy of the current counts."""
-        with self._lock:
-            n = self.hits + self.misses
-            return {"hits": self.hits, "misses": self.misses,
-                    "lookups": n,
-                    "hit_rate": self.hits / n if n else 0.0,
-                    "plan_seconds": self.plan_seconds,
-                    "execute_seconds": self.execute_seconds}
-
-
 _GLOBAL = FlopCounter()
-_GLOBAL_PLANS = PlanCounter()
-
-
-def plan_counter() -> PlanCounter:
-    """Return the process-global contraction-plan counter."""
-    return _GLOBAL_PLANS
-
-
-def reset_plans() -> None:
-    """Reset the process-global contraction-plan counter."""
-    _GLOBAL_PLANS.reset()
 
 
 def global_counter() -> FlopCounter:

@@ -1,100 +1,18 @@
-"""Plan-cache benchmark: planned/batched contraction vs naive Algorithm 2.
+"""Invariant gates of the modelled cost path (``repro bench`` targets).
 
-Runs the same quickstart-scale Heisenberg DMRG twice — once with the naive
-per-pair ``tensordot`` loop and once through the contraction planner and
-fused/batched GEMM executor — and reports wall time, plan-cache hit rates and
-the energy agreement between the two paths.  This is the measured (not
-modelled) counterpart of the paper's claim that block-sparse contractions can
-run at near-dense GEMM throughput once block pairing is planned instead of
-re-derived (Section IV, Fig. 3).
-
-Used by ``benchmarks/bench_plan_cache.py`` and by the CLI smoke target
-(``python -m repro bench``).
+``plan-cost`` checks the plan-aware distributed cost model against the
+aggregate-nnz model (equal on a single dense block, never worse on
+block-sparse structure, block-aligned redistribution strictly cheaper);
+``layout`` checks the sweep-persistent layout tracker (first touch charges,
+unchanged layouts are free, tracked totals never exceed the untracked
+model).  Both are modelled, so they are exact and host-independent.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict
 
-import numpy as np
-
-from ..backends.base import DirectBackend
 from .report import format_table
-
-
-def run_plan_cache_benchmark(*, nsites: int = 12, maxdim: int = 48,
-                             nsweeps: int = 10, cutoff: float = 1e-10,
-                             seed: int = 7) -> Dict[str, float]:
-    """Run the naive-vs-planned DMRG comparison and return its metrics.
-
-    Both runs use a fixed bond-dimension schedule so the block structures of
-    the 2nd and later sweeps repeat and the plan cache can demonstrate its
-    hit rate.
-    """
-    from ..dmrg import DMRGConfig, Sweeps, dmrg
-    from ..models import heisenberg_chain_model
-    from ..mps import MPS, build_mpo
-
-    lattice, sites, opsum, config_state = heisenberg_chain_model(nsites)
-    mpo = build_mpo(opsum, sites, compress=True)
-    psi0 = MPS.product_state(sites, config_state)
-    config = DMRGConfig(sweeps=Sweeps.fixed(maxdim, nsweeps, cutoff=cutoff))
-
-    t0 = time.perf_counter()
-    res_naive, _ = dmrg(mpo, psi0, config,
-                        backend=DirectBackend(use_planner=False),
-                        rng=np.random.default_rng(seed))
-    naive_seconds = time.perf_counter() - t0
-
-    backend = DirectBackend()
-    t0 = time.perf_counter()
-    res_plan, _ = dmrg(mpo, psi0, config, backend=backend,
-                       rng=np.random.default_rng(seed))
-    planned_seconds = time.perf_counter() - t0
-
-    return {
-        "nsites": nsites, "maxdim": maxdim, "nsweeps": nsweeps,
-        "energy_naive": float(res_naive.energy),
-        "energy_planned": float(res_plan.energy),
-        "energy_delta": abs(float(res_naive.energy) -
-                            float(res_plan.energy)),
-        "naive_seconds": naive_seconds,
-        "planned_seconds": planned_seconds,
-        "speedup": naive_seconds / planned_seconds
-        if planned_seconds > 0 else float("inf"),
-        "plan_cache_hits": res_plan.metrics["plan_cache.hits"],
-        "plan_cache_misses": res_plan.metrics["plan_cache.misses"],
-        "hit_rate": res_plan.plan_cache_hit_rate,
-        "hit_rate_after_first_sweep":
-            res_plan.plan_cache_hit_rate_after_first_sweep,
-        "plan_seconds": res_plan.metrics["plan_cache.plan_seconds"],
-        "execute_seconds": res_plan.metrics["plan_cache.execute_seconds"],
-    }
-
-
-def format_plan_cache_benchmark(stats: Dict[str, float]) -> str:
-    """Render the benchmark metrics as a fixed-width table."""
-    rows = [
-        ("system", f"Heisenberg chain n={stats['nsites']}"),
-        ("schedule", f"m={stats['maxdim']}, {stats['nsweeps']} sweeps"),
-        ("naive seconds", stats["naive_seconds"]),
-        ("planned seconds", stats["planned_seconds"]),
-        ("speedup", f"{stats['speedup']:.2f}x"),
-        ("energy naive", f"{stats['energy_naive']:+.12f}"),
-        ("energy planned", f"{stats['energy_planned']:+.12f}"),
-        ("|energy delta|", stats["energy_delta"]),
-        ("plan-cache hits", stats["plan_cache_hits"]),
-        ("plan-cache misses", stats["plan_cache_misses"]),
-        ("hit rate (all sweeps)", f"{100.0 * stats['hit_rate']:.1f}%"),
-        ("hit rate (2nd+ sweeps)",
-         f"{100.0 * stats['hit_rate_after_first_sweep']:.1f}%"),
-        ("plan seconds", stats["plan_seconds"]),
-        ("execute seconds", stats["execute_seconds"]),
-    ]
-    return format_table(["metric", "value"], rows,
-                        title="Plan cache + fused GEMM engine vs naive "
-                              "Algorithm 2")
 
 
 def dense_block_scenario(m: int, d: int = 2):
@@ -312,13 +230,3 @@ def format_plan_cost_check(stats: Dict[str, float]) -> str:
     return format_table(["metric", "value"], rows,
                         title="Plan-aware vs aggregate-nnz distributed cost "
                               "model")
-
-
-def main(smoke: bool = False) -> Dict[str, float]:
-    """Run the benchmark (tiny sizes when ``smoke``) and print the table."""
-    if smoke:
-        stats = run_plan_cache_benchmark(nsites=8, maxdim=16, nsweeps=3)
-    else:
-        stats = run_plan_cache_benchmark()
-    print(format_plan_cache_benchmark(stats))
-    return stats

@@ -51,29 +51,6 @@ def format_breakdown(breakdown: Dict[str, float], title: str = "") -> str:
     return format_table(["category", "share"], rows, title=title)
 
 
-def format_plan_cache(snapshot: Dict[str, float],
-                      title: str = "Contraction-plan cache") -> str:
-    """Render plan-cache statistics (hits/misses and plan-vs-execute time).
-
-    Accepts the dict produced by
-    :meth:`repro.symmetry.planner.PlanCache.snapshot` or
-    :meth:`repro.perf.flops.PlanCounter.snapshot`.
-    """
-    hits = int(snapshot.get("hits", 0))
-    misses = int(snapshot.get("misses", 0))
-    lookups = hits + misses
-    hit_rate = snapshot.get("hit_rate", hits / lookups if lookups else 0.0)
-    rows = [
-        ("lookups", lookups),
-        ("hits", hits),
-        ("misses", misses),
-        ("hit rate", f"{100.0 * hit_rate:.1f}%"),
-        ("plan seconds", snapshot.get("plan_seconds", 0.0)),
-        ("execute seconds", snapshot.get("execute_seconds", 0.0)),
-    ]
-    return format_table(["metric", "value"], rows, title=title)
-
-
 def format_layout_tracker(snapshot: Dict[str, int],
                           title: str = "Sweep-persistent layouts") -> str:
     """Render layout-tracker counters (first touches / transitions / reuses).

@@ -24,10 +24,8 @@ from ..symmetry.planner import ContractionPlan, PlanCache
 from .flops import contraction_flops
 
 #: shared memo for shape-level contraction plans: the scaling experiments
-#: revisit the same (site-shape, axes) signatures thousands of times.
-#: record_global=False keeps these simulation-only lookups out of the
-#: process-global plan counter that reports on real execution
-_SHAPE_PLAN_CACHE = PlanCache(max_plans=512, record_global=False)
+#: revisit the same (site-shape, axes) signatures thousands of times
+_SHAPE_PLAN_CACHE = PlanCache(max_plans=512)
 
 
 @dataclass

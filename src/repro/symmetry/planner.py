@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace
-from ..perf import flops as _flops
 from .charges import Charge, add_charges
 from .index import Index
 
@@ -256,22 +255,18 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
 class PlanCache:
     """Memoizes :class:`ContractionPlan` objects by symbolic signature.
 
-    Every backend carries one of these; the DMRG engine reads its hit/miss
-    counters into :class:`~repro.dmrg.config.DMRGResult`, and the planner
-    reports the same statistics to the process-global counter in
-    :mod:`repro.perf.flops`.
+    Every backend carries one of these, and it is the only place plan
+    statistics live: the sweep engine's
+    :class:`~repro.dmrg.config.StatsRecorder` reads its hit/miss counters
+    and plan/execute seconds into the run's ``plan_cache.*`` metrics.
     """
 
     __slots__ = ("_plans", "max_plans", "hits", "misses", "plan_seconds",
-                 "execute_seconds", "record_global")
+                 "execute_seconds")
 
-    def __init__(self, max_plans: int = 8192, record_global: bool = True):
+    def __init__(self, max_plans: int = 8192):
         self._plans: Dict[Tuple, ContractionPlan] = {}
         self.max_plans = int(max_plans)
-        #: report lookups to the process-global perf counter; simulation-only
-        #: caches (e.g. shape-level modelling) disable this so the reported
-        #: plan-cache statistics stay tied to real execution
-        self.record_global = bool(record_global)
         self.hits = 0
         self.misses = 0
         self.plan_seconds = 0.0
@@ -285,47 +280,16 @@ class PlanCache:
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
-            if self.record_global:
-                _flops.plan_counter().record_lookup(True)
             return plan
         span = trace.timed_span("plan-build", "planner").start()
         plan = build_plan(a, b, (axes_a, axes_b))
-        dt = span.stop()
+        self.plan_seconds += span.stop()
         self.misses += 1
-        self.plan_seconds += dt
-        if self.record_global:
-            _flops.plan_counter().record_lookup(False, plan_seconds=dt)
         if len(self._plans) >= self.max_plans:
             # drop the oldest entry (dict preserves insertion order)
             self._plans.pop(next(iter(self._plans)))
         self._plans[key] = plan
         return plan
-
-    @property
-    def lookups(self) -> int:
-        """Total number of plan lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        n = self.lookups
-        return self.hits / n if n else 0.0
-
-    def snapshot(self) -> Dict[str, float]:
-        """Plain-dict copy of the cache statistics."""
-        return {"plans": len(self._plans), "hits": self.hits,
-                "misses": self.misses, "hit_rate": self.hit_rate,
-                "plan_seconds": self.plan_seconds,
-                "execute_seconds": self.execute_seconds}
-
-    def clear(self) -> None:
-        """Drop all cached plans and zero the statistics."""
-        self._plans.clear()
-        self.hits = 0
-        self.misses = 0
-        self.plan_seconds = 0.0
-        self.execute_seconds = 0.0
 
     def __len__(self) -> int:
         return len(self._plans)

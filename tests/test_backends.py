@@ -26,14 +26,12 @@ def contractable_pair(rng):
 def all_backends():
     world = lambda: SimWorld(nodes=4, procs_per_node=8, machine=BLUE_WATERS)  # noqa: E731
     return [DirectBackend(), ListBackend(world()), SparseDenseBackend(world()),
-            SparseSparseBackend(world()),
-            SparseSparseBackend(world(), execute_sparse=True)]
+            SparseSparseBackend(world())]
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", all_backends(),
-                             ids=lambda b: getattr(b, "name", "?") +
-                             ("+exec" if getattr(b, "execute_sparse", False) else ""))
+                             ids=lambda b: getattr(b, "name", "?"))
     def test_contract_matches_direct(self, backend, contractable_pair):
         a, b = contractable_pair
         ref = a.contract(b, axes=([2], [0]))
@@ -41,8 +39,7 @@ class TestBackendEquivalence:
         assert np.allclose(out.to_dense(), ref.to_dense(), atol=1e-10)
 
     @pytest.mark.parametrize("backend", all_backends(),
-                             ids=lambda b: getattr(b, "name", "?") +
-                             ("+exec" if getattr(b, "execute_sparse", False) else ""))
+                             ids=lambda b: getattr(b, "name", "?"))
     def test_svd_reconstruction(self, backend, contractable_pair):
         a, _ = contractable_pair
         u, s, vh, info = backend.svd(a, row_axes=[0, 1], absorb="right")
@@ -59,6 +56,17 @@ class TestBackendEquivalence:
             make_backend("unknown", world)
         with pytest.raises(ValueError):
             make_backend("list", None)
+
+    @pytest.mark.parametrize("name", ["direct", "list", "sparse-dense",
+                                      "sparse-sparse"])
+    def test_factory_rejects_stray_keywords(self, name):
+        """A keyword the factory does not take raises instead of being
+        dropped (``use_planner=False`` used to return a planned backend)."""
+        world = None if name == "direct" else SimWorld()
+        with pytest.raises(TypeError):
+            make_backend(name, world, use_planner=False)
+        with pytest.raises(TypeError):
+            make_backend(name, world, execute_sparse=True)
 
 
 class TestCostAccounting:

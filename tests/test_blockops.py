@@ -241,39 +241,6 @@ class TestMixedPrecisionDMRG:
         assert backend.block_ops is base_ops
 
 
-class TestCtfLinalgViaOps:
-    def test_distributed_factorizations_route_through_ops(self):
-        from repro.ctf import BLUE_WATERS, SimWorld
-        from repro.ctf.linalg import (distributed_eigh, distributed_qr,
-                                      distributed_svd)
-
-        rng = np.random.default_rng(0)
-        mat = rng.standard_normal((12, 8))
-        world_a = SimWorld(nodes=1, procs_per_node=4, machine=BLUE_WATERS)
-        world_b = SimWorld(nodes=1, procs_per_node=4, machine=BLUE_WATERS)
-        ops = CountingOps()
-        u0, s0, v0 = distributed_svd(mat, world_a)
-        u1, s1, v1 = distributed_svd(mat, world_b, ops=ops)
-        np.testing.assert_array_equal(u0, u1)
-        np.testing.assert_array_equal(s0, s1)
-        np.testing.assert_array_equal(v0, v1)
-        # modelled charge is independent of the ops implementation
-        assert (world_a.modelled_seconds() == world_b.modelled_seconds())
-
-        q0, r0 = distributed_qr(mat, world_a)
-        q1, r1 = distributed_qr(mat, world_b, ops=ops)
-        np.testing.assert_array_equal(q0, q1)
-        np.testing.assert_array_equal(r0, r1)
-
-        sym = mat[:8] + mat[:8].T
-        w0, v0 = distributed_eigh(sym, world_a)
-        w1, v1 = distributed_eigh(sym, world_b, ops=ops)
-        np.testing.assert_array_equal(w0, w1)
-        np.testing.assert_array_equal(v0, v1)
-        # each call ran on the instance it was given
-        assert ops.calls == {"svd": 1, "qr": 1, "eigh": 1}
-
-
 class TestRunSpecEngineFields:
     def test_defaults_keep_run_id(self):
         from repro.exp import RunSpec

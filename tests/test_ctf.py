@@ -1,164 +1,35 @@
-"""Tests for the simulated Cyclops framework: distributions, tensors, machine
-model, profiler (including hypothesis property tests on the distribution)."""
+"""Tests for the simulated Cyclops framework: processor grids, machine model,
+profiler (including a hypothesis property test on the grid factorization)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ctf import (BLUE_WATERS, LAPTOP, MACHINES, STAMPEDE2, CATEGORIES,
-                       CommCost, DistTensor, Distribution, Profiler,
-                       SimWorld, SparseDistTensor, blockwise_contraction_comm,
-                       dense_contraction_comm, distributed_qr, distributed_svd,
+                       CommCost, Profiler, SimWorld,
+                       blockwise_contraction_comm, dense_contraction_comm,
                        factor_processor_grid, load_imbalance_fraction,
                        parallel_gemm_efficiency, sparse_contraction_comm)
-from repro.ctf.linalg import distributed_eigh, matricize
 
 
 class TestDistribution:
     def test_grid_factorization_covers_procs(self):
         grid = factor_processor_grid(12, (100, 50, 10))
+        assert len(grid) == 3
         assert int(np.prod(grid)) == 12
-
-    def test_owner_in_range(self):
-        dist = Distribution.build((7, 5), 6)
-        for i in range(7):
-            for j in range(5):
-                assert 0 <= dist.owner((i, j)) < dist.nprocs
-
-    def test_every_element_owned_once(self):
-        dist = Distribution.build((6, 9), 4)
-        counts = np.zeros(dist.nprocs, dtype=int)
-        for i in range(6):
-            for j in range(9):
-                counts[dist.owner((i, j))] += 1
-        assert counts.sum() == dist.size
-        assert counts.max() == dist.max_local_size()
-
-    def test_local_shapes_sum_to_total(self):
-        dist = Distribution.build((8, 6, 5), 8)
-        total = sum(dist.local_size(r) for r in range(dist.nprocs))
-        assert total == dist.size
-
-    def test_imbalance_at_least_one(self):
-        dist = Distribution.build((7, 3), 4)
-        assert dist.imbalance() >= 1.0
-
-    def test_bad_rank_rejected(self):
-        dist = Distribution.build((4, 4), 4)
-        with pytest.raises(ValueError):
-            dist.grid_coords(100)
-
-    def test_out_of_bounds_index(self):
-        dist = Distribution.build((4, 4), 4)
-        with pytest.raises(ValueError):
-            dist.owner((5, 0))
+        # the prime factors land on the largest per-rank extents
+        assert grid == (6, 2, 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 64),
            st.lists(st.integers(1, 12), min_size=1, max_size=4))
     def test_property_grid_product_and_coverage(self, nprocs, shape):
-        """The processor grid always multiplies to nprocs and local sizes
-        partition the tensor."""
-        dist = Distribution.build(tuple(shape), nprocs)
-        assert dist.nprocs == nprocs
-        assert sum(dist.local_size(r) for r in range(nprocs)) == dist.size
-
-
-class TestDistTensor:
-    def test_contract_matches_numpy(self, rng):
-        w = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
-        a = DistTensor.random((6, 7, 8), w, rng)
-        b = DistTensor.random((8, 7, 3), w, rng)
-        c = a.contract(b, axes=([2, 1], [0, 1]))
-        ref = np.tensordot(a.to_numpy(), b.to_numpy(), axes=([2, 1], [0, 1]))
-        assert np.allclose(c.to_numpy(), ref)
-        assert w.profiler.flops > 0
-
-    def test_local_parts_cover_tensor(self, rng):
-        w = SimWorld(nodes=1, procs_per_node=6, machine=LAPTOP)
-        a = DistTensor.random((9, 4), w, rng)
-        total = sum(a.local_part(r).size for r in range(w.nprocs))
-        assert total == a.size
-
-    def test_arithmetic(self, rng):
-        w = SimWorld()
-        a = DistTensor.random((4, 4), w, rng)
-        b = DistTensor.random((4, 4), w, rng)
-        assert np.allclose((a + b).to_numpy(), a.to_numpy() + b.to_numpy())
-        assert np.allclose((a - b).to_numpy(), a.to_numpy() - b.to_numpy())
-        assert np.allclose((2.0 * a).to_numpy(), 2.0 * a.to_numpy())
-        assert a.norm() == pytest.approx(np.linalg.norm(a.to_numpy()))
-
-    def test_transpose_and_redistribute_charge_comm(self, rng):
-        w = SimWorld(nodes=2, procs_per_node=4, machine=BLUE_WATERS)
-        a = DistTensor.random((5, 6, 7), w, rng)
-        a.transpose([2, 0, 1])
-        a.redistribute()
-        assert w.profiler.comm_words > 0
-
-    def test_different_worlds_rejected(self, rng):
-        a = DistTensor.random((3, 3), SimWorld(), rng)
-        b = DistTensor.random((3, 3), SimWorld(), rng)
-        with pytest.raises(ValueError):
-            a.contract(b, axes=([1], [0]))
-
-
-class TestSparseDistTensor:
-    def test_roundtrip(self, rng):
-        w = SimWorld()
-        dense = np.where(rng.random((5, 6)) > 0.6, rng.standard_normal((5, 6)), 0.0)
-        s = SparseDistTensor.from_dense(dense, w)
-        assert np.allclose(s.to_dense(), dense)
-        assert s.nnz == np.count_nonzero(dense)
-        assert 0 <= s.fill_fraction <= 1
-
-    def test_contract_matches_dense(self, rng):
-        w = SimWorld(nodes=2, procs_per_node=2, machine=STAMPEDE2)
-        da = np.where(rng.random((6, 5, 4)) > 0.5, rng.standard_normal((6, 5, 4)), 0.0)
-        db = np.where(rng.random((4, 5, 3)) > 0.5, rng.standard_normal((4, 5, 3)), 0.0)
-        a = SparseDistTensor.from_dense(da, w)
-        b = SparseDistTensor.from_dense(db, w)
-        c = a.contract(b, axes=([2, 1], [0, 1]))
-        assert np.allclose(c.to_dense(), np.tensordot(da, db, axes=([2, 1], [0, 1])))
-        assert w.profiler.flops >= 0
-
-    def test_empty_sparse_contraction(self):
-        w = SimWorld()
-        a = SparseDistTensor((3, 4), np.zeros((0, 2)), np.zeros(0), w)
-        b = SparseDistTensor((4, 2), np.zeros((0, 2)), np.zeros(0), w)
-        c = a.contract(b, axes=([1], [0]))
-        assert c.nnz == 0
-
-    def test_owner_of_nonzeros(self, rng):
-        w = SimWorld(nodes=1, procs_per_node=4, machine=LAPTOP)
-        dense = rng.standard_normal((6, 6))
-        s = SparseDistTensor.from_dense(dense, w)
-        for k in range(min(10, s.nnz)):
-            assert 0 <= s.owner_of(k) < w.nprocs
-
-
-class TestDistributedLinalg:
-    def test_svd(self, rng):
-        w = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
-        mat = rng.standard_normal((20, 12))
-        u, s, vh = distributed_svd(mat, w)
-        assert np.allclose(u @ np.diag(s) @ vh, mat, atol=1e-10)
-        assert w.profiler.seconds["svd"] > 0
-
-    def test_qr_and_eigh(self, rng):
-        w = SimWorld()
-        mat = rng.standard_normal((10, 6))
-        q, r = distributed_qr(mat, w)
-        assert np.allclose(q @ r, mat, atol=1e-10)
-        sym = mat @ mat.T
-        evals, evecs = distributed_eigh(sym, w)
-        assert np.allclose(evecs @ np.diag(evals) @ evecs.T, sym, atol=1e-8)
-
-    def test_matricize(self, rng):
-        w = SimWorld()
-        t = DistTensor.random((3, 4, 5), w, rng)
-        m = matricize(t, [0, 1], [2])
-        assert m.shape == (12, 5)
+        """The processor grid has one positive extent per tensor mode and
+        always multiplies to nprocs."""
+        grid = factor_processor_grid(nprocs, tuple(shape))
+        assert len(grid) == len(shape)
+        assert all(g >= 1 for g in grid)
+        assert int(np.prod(grid)) == nprocs
 
 
 class TestMachineAndBSP:
@@ -225,12 +96,6 @@ class TestProfilerAndWorld:
         assert a.flops == 10.0
         a.reset()
         assert a.total_seconds() == 0.0
-
-    def test_section_context_manager(self):
-        p = Profiler()
-        with p.section("transposition"):
-            sum(range(1000))
-        assert p.seconds["transposition"] > 0
 
     def test_world_memory_check(self):
         w = SimWorld(nodes=2, procs_per_node=16, machine=BLUE_WATERS)

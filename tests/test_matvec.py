@@ -98,27 +98,6 @@ class TestMatvecChain:
         if name == "list":
             assert backend.mapping_counts == ref_backend.mapping_counts
 
-    def test_sparse_execution_mode_is_reached_through_apply(self, monkeypatch):
-        """``execute_sparse`` contractions bypass the planner, chain or not."""
-        left, w1, w2, right, x = _heff_operands()
-        calls = []
-        original = SparseSparseBackend._contract_via_sparse
-
-        def counted(self, a, b, axes):
-            calls.append(axes)
-            return original(self, a, b, axes)
-
-        monkeypatch.setattr(SparseSparseBackend, "_contract_via_sparse",
-                            counted)
-        world = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
-        backend = SparseSparseBackend(world, execute_sparse=True)
-        y = EffectiveHamiltonian(left, (w1, w2), right, backend).apply(x)
-        assert len(calls) == 4
-        assert backend.plan_cache.lookups == 0
-        y_ref = EffectiveHamiltonian(left, (w1, w2), right,
-                                     DirectBackend()).apply(x)
-        assert (y - y_ref).norm() <= 1e-12 * y_ref.norm()
-
 
 class TestCostAccountingParity:
     def test_sweep_records_carry_layout_counts(self):

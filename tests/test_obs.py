@@ -228,32 +228,6 @@ class TestRunReportMetrics:
 
 
 # --------------------------------------------------------------------------- #
-# profiler: nesting-safe sections
-# --------------------------------------------------------------------------- #
-class TestProfilerNesting:
-    def test_recursive_section_charges_once(self):
-        from repro.ctf.profiler import Profiler
-
-        prof = Profiler()
-        with prof.section("work"):
-            with prof.section("work"):
-                time.sleep(0.02)
-        charged = prof.seconds["work"]
-        assert 0.015 <= charged < 0.04  # once, not doubled
-        assert prof.counts["work"] == 2  # both entries still counted
-
-    def test_distinct_categories_unaffected(self):
-        from repro.ctf.profiler import Profiler
-
-        prof = Profiler()
-        with prof.section("outer"):
-            with prof.section("inner"):
-                time.sleep(0.01)
-        assert prof.seconds["outer"] >= prof.seconds["inner"] > 0.0
-        assert not prof._section_depth  # transient state fully unwound
-
-
-# --------------------------------------------------------------------------- #
 # scheduler / CLI surface
 # --------------------------------------------------------------------------- #
 class TestSchedulerTracing:
@@ -273,19 +247,22 @@ class TestSchedulerTracing:
 
 
 class TestCLI:
+    BENCH_TARGETS = ["all", "plan-cost", "layout", "obs"]
+
     def test_bench_list_targets(self, capsys):
         assert main(["bench", "--list-targets"]) == 0
         out = capsys.readouterr().out
-        assert "obs" in out and "plan-cache" in out
-        for gone in ("matvec", "blockops", "executor"):
-            assert gone not in out
+        assert [line.split()[0] for line in out.splitlines()] == \
+            self.BENCH_TARGETS
 
     def test_bench_unknown_target_rejected_with_list(self, capsys):
-        for gone in ("bogus", "blockops", "executor"):
+        for gone in ("bogus", "blockops", "executor", "plan-cache",
+                     "micro-kernels"):
             assert main(["bench", "--target", gone]) == 2
             err = capsys.readouterr().err
             assert f"unknown bench target {gone!r}" in err
-            assert "micro-kernels" in err
+            listed = [line.split()[0] for line in err.splitlines()[1:]]
+            assert listed == self.BENCH_TARGETS
 
     def test_analyze_list_and_unknown_target(self, capsys):
         assert main(["analyze", "--list-targets"]) == 0

@@ -555,18 +555,6 @@ class TestShapesimPlanAware:
         p2 = plan_shape_contraction(env, x, ([1], [0]))
         assert p1 is p2
 
-    def test_shape_plans_do_not_pollute_global_plan_counter(self):
-        from repro.perf import flops as _flops
-        bond = GeometricBlockModel.electrons().bond_index(40)
-        env = ShapeTensor((bond.with_flow(1), bond.dual()))
-        x = ShapeTensor((bond.with_flow(1), Index.trivial(2, 1),
-                         bond.dual()))
-        counter = _flops.plan_counter()
-        before = (counter.hits, counter.misses)
-        for _ in range(3):
-            plan_shape_contraction(env, x, ([1], [0]))
-        assert (counter.hits, counter.misses) == before
-
     def test_model_dmrg_step_plan_aware_not_worse(self):
         from repro.perf import get_system
         from repro.perf.scaling import plan_aware_comparison

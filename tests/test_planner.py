@@ -253,12 +253,3 @@ class TestBugfixRegressions:
         assert all(blk.dtype == np.dtype(dtype)
                    for blk in out.blocks.values())
         assert out.norm() > 0
-
-
-class TestCliBenchSmoke:
-    def test_bench_plan_cache_target(self, capsys):
-        from repro.cli import main
-        assert main(["bench", "--target", "plan-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate" in out
-        assert "speedup" in out

@@ -33,4 +33,4 @@ campaign-smoke:
 	$(PYTHON) tools/check_campaign.py
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ -q --benchmark-only
+	$(PYTHON) -m pytest benchmarks/bench_*.py -q --benchmark-only

@@ -1,9 +1,8 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every figure/table benchmark writes the series it regenerates to
-``benchmarks/results/<name>.txt`` (and prints it), so the paper-vs-measured
-comparison in EXPERIMENTS.md can be refreshed by re-running
-``pytest benchmarks/ --benchmark-only``.
+``benchmarks/results/<name>.txt`` (and prints it); ``make bench`` reruns all
+of them (``pytest benchmarks/bench_*.py --benchmark-only``).
 """
 
 from __future__ import annotations

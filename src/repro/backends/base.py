@@ -27,14 +27,29 @@ skip the per-pair bookkeeping entirely.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..symmetry import BlockSparseTensor
 from ..symmetry import linalg as blocklinalg
 from ..symmetry.blockops import BlockOps, resolve_block_ops
 from ..symmetry.engine import contract_planned
 from ..symmetry.planner import PlanCache
+
+
+def single_tensor_svd_shape(t: BlockSparseTensor,
+                            row_axes: Sequence[int]) -> Tuple[int, int]:
+    """The one matrix the single-tensor algorithms price their SVD at.
+
+    ``t``'s dense row x column matricization, each side capped at four times
+    the other.  The ``sparse-dense`` and ``sparse-sparse`` backends charge
+    one distributed SVD of this shape; the shape-level simulation instead
+    prices one per row-charge group (see ``docs/architecture.md`` §3).
+    """
+    rows = math.prod(t.indices[int(x) % t.ndim].dim for x in row_axes)
+    cols = max(t.dense_size // max(rows, 1), 1)
+    return min(rows, cols * 4), min(cols, rows * 4)
 
 
 class ContractionBackend(ABC):
@@ -49,7 +64,7 @@ class ContractionBackend(ABC):
         #: plans, flops and modelled charges are independent of this choice
         self.block_ops: BlockOps = resolve_block_ops(block_ops)
         #: memoized contraction plans, shared by every contraction this
-        #: backend performs; ``None`` disables planning (naive Algorithm 2)
+        #: backend performs; only the naive ``DirectBackend`` has none
         self.plan_cache: Optional[PlanCache] = PlanCache()
         # the most recent contraction plan this backend executed; the
         # single-tensor algorithms use it to bound the format-conversion
@@ -147,5 +162,7 @@ class DirectBackend(ContractionBackend):
                  operand_keys: tuple | None = None,
                  out_key: str | None = None) -> BlockSparseTensor:
         """Contract locally through the planner (no cost model attached)."""
+        if self.plan_cache is None:
+            return a.contract(b, axes, ops=self.block_ops)
         return contract_planned(a, b, axes, cache=self.plan_cache,
                                 ops=self.block_ops)

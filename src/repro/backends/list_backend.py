@@ -14,13 +14,12 @@ executes through the fused/batched GEMM engine.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
-from ..symmetry.engine import execute_cached, plan_for
+from ..symmetry.engine import execute_cached
+from ..symmetry.linalg import svd_group_shapes
 from .base import ContractionBackend
 
 
@@ -56,19 +55,14 @@ class ListBackend(ContractionBackend):
         processor grid, so there is no whole-tensor layout to persist between
         contractions (its remapping cost is part of the per-pair charge).
         """
-        plan = plan_for(a, b, axes, self.plan_cache)
+        plan = self.plan_cache.lookup(a, b, axes)
         self._last_plan = plan
         # one superstep per block pair (Table II: O(N_b) supersteps), sized
         # by the pair's precomputed flops and operand/output block sizes,
         # each priced under its own 2D-vs-3D mapping decision
-        decisions = self.world.pair_decisions(plan)
-        for pair, decision in zip(plan.pairs, decisions):
-            self.mapping_counts[decision.algorithm] += 1
-            self.world.charge_block_contraction(
-                pair.flops, pair.a_size, pair.b_size, pair.out_size,
-                num_blocks=plan.npairs,
-                largest_block_share=plan.largest_pair_share,
-                mapping=decision)
+        self.mapping_counts.update(d.algorithm
+                                   for d in self.world.pair_decisions(plan))
+        self.world.charge_planned_contraction(plan, algorithm="list")
         return execute_cached(plan, a, b, self.plan_cache,
                               ops=self.block_ops)
 
@@ -78,26 +72,7 @@ class ListBackend(ContractionBackend):
         result = super().svd(t, row_axes, col_axes, **kwargs)
         # charge one distributed SVD per row-charge group, sized like the
         # group's assembled matrix
-        row_axes = [int(x) % t.ndim for x in row_axes]
-        if col_axes is None:
-            col_axes = [x for x in range(t.ndim) if x not in row_axes]
-        groups: Dict[tuple, list] = {}
-        for key, blk in t.blocks.items():
-            qrow = tuple(0 for _ in range(t.nsym))
-            for ax in row_axes:
-                ix = t.indices[ax]
-                qrow = tuple(acc + ix.flow * c for acc, c in
-                             zip(qrow, ix.sector_charge(key[ax])))
-            groups.setdefault(qrow, []).append((key, blk))
-        for _, blks in groups.items():
-            rows = sum({tuple(k[ax] for ax in row_axes):
-                        int(np.prod([t.indices[ax].sector_dim(k[ax])
-                                     for ax in row_axes]))
-                        for k, _ in blks}.values())
-            cols = sum({tuple(k[ax] for ax in col_axes):
-                        int(np.prod([t.indices[ax].sector_dim(k[ax])
-                                     for ax in col_axes]))
-                        for k, _ in blks}.values())
+        for rows, cols in svd_group_shapes(t, row_axes, col_axes):
             if rows and cols:
                 self.world.charge_svd(rows, cols)
         return result

@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..ctf.world import SimWorld
+from ..perf.flops import dense_contraction_flops
 from ..symmetry import BlockSparseTensor
-from ..symmetry.engine import execute_cached, plan_for
-from .base import ContractionBackend
+from ..symmetry.engine import execute_cached
+from .base import ContractionBackend, single_tensor_svd_shape
 
 
 class SparseDenseBackend(ContractionBackend):
@@ -40,7 +41,7 @@ class SparseDenseBackend(ContractionBackend):
                  out_key: str | None = None) -> BlockSparseTensor:
         """Contract; dense pricing for Davidson intermediates, else planned."""
         # exact numerics through the planned block layer
-        plan = plan_for(a, b, axes, self.plan_cache)
+        plan = self.plan_cache.lookup(a, b, axes)
         result = execute_cached(plan, a, b, self.plan_cache,
                                 ops=self.block_ops)
         self._last_plan = plan
@@ -60,16 +61,9 @@ class SparseDenseBackend(ContractionBackend):
             size_b = b.dense_size if b_is_dense else b.nnz
             size_c = out_dense_size if out_is_dense else (
                 result.nnz if isinstance(result, BlockSparseTensor) else 1)
-            # a dense contraction performs the full (unblocked) flop count:
-            # with the blocks embedded at their offsets the dense kernel also
-            # multiplies the zero background
-            contracted_dim = 1
-            for ax in axes[0]:
-                contracted_dim *= a.indices[int(ax) % a.ndim].dim
-            free_a = a.dense_size // max(contracted_dim, 1)
-            free_b = b.dense_size // max(contracted_dim, 1)
-            modelled = 2.0 * free_a * contracted_dim * free_b
-            self.world.charge_dense_contraction(modelled, size_a, size_b, size_c)
+            self.world.charge_dense_contraction(
+                dense_contraction_flops(a, b, plan.axes_a),
+                size_a, size_b, size_c)
         else:
             # all-sparse operands: price the planned layout (block-aligned
             # volumes) rather than the aggregate nnz; the output's birth
@@ -90,10 +84,5 @@ class SparseDenseBackend(ContractionBackend):
         self.world.charge_redistribution(t.nnz,
                                          plan=self._conversion_plan(t),
                                          operand="out")
-        rows = 1
-        row_axes = [int(x) % t.ndim for x in row_axes]
-        for ax in row_axes:
-            rows *= t.indices[ax].dim
-        cols = max(t.dense_size // max(rows, 1), 1)
-        self.world.charge_svd(min(rows, cols * 4), min(cols, rows * 4))
+        self.world.charge_svd(*single_tensor_svd_shape(t, row_axes))
         return result

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
-from ..symmetry.engine import execute_cached, plan_for
-from .base import ContractionBackend
+from ..symmetry.engine import execute_cached
+from .base import ContractionBackend, single_tensor_svd_shape
 
 
 class SparseSparseBackend(ContractionBackend):
@@ -36,7 +36,7 @@ class SparseSparseBackend(ContractionBackend):
         # sparsity" the sparse-sparse algorithm hands to Cyclops, and its
         # block-pair structure is what the plan-aware cost model prices
         # (block-aligned communication volumes instead of aggregate nnz)
-        plan = plan_for(a, b, axes, self.plan_cache)
+        plan = self.plan_cache.lookup(a, b, axes)
         result = execute_cached(plan, a, b, self.plan_cache,
                                 ops=self.block_ops)
         self._last_plan = plan
@@ -61,12 +61,7 @@ class SparseSparseBackend(ContractionBackend):
         self.world.charge_format_conversion(t.nnz, phases=2,
                                             plan=self._conversion_plan(t),
                                             operand="out")
-        row_axes = [int(x) % t.ndim for x in row_axes]
-        rows = 1
-        for ax in row_axes:
-            rows *= t.indices[ax].dim
-        cols = max(t.dense_size // max(rows, 1), 1)
-        self.world.charge_svd(min(rows, cols * 4), min(cols, rows * 4))
+        self.world.charge_svd(*single_tensor_svd_shape(t, row_axes))
         return result
 
 

@@ -30,8 +30,8 @@ from .plan_cost import (GRAIN_EFFICIENCY_CROSSOVER, PairCost, PlanCost,
 from .layout import (LayoutTracker, TensorLayout, davidson_key,
                      heff_operand_keys, left_env_key, mpo_key, right_env_key,
                      site_key)
-from .memory import (Allocation, MemoryTracker, OutOfMemoryError,
-                     dmrg_step_footprint_bytes, minimum_nodes)
+from .memory import (OutOfMemoryError, dmrg_step_footprint_bytes,
+                     minimum_nodes)
 
 __all__ = [
     "BLUE_WATERS", "LAPTOP", "MACHINES", "STAMPEDE2", "MachineSpec",
@@ -51,6 +51,5 @@ __all__ = [
     "redistribution_words",
     "LayoutTracker", "TensorLayout", "davidson_key", "heff_operand_keys",
     "left_env_key", "mpo_key", "right_env_key", "site_key",
-    "Allocation", "MemoryTracker", "OutOfMemoryError",
-    "dmrg_step_footprint_bytes", "minimum_nodes",
+    "OutOfMemoryError", "dmrg_step_footprint_bytes", "minimum_nodes",
 ]

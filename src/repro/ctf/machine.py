@@ -14,7 +14,8 @@ effective dense GEMM rates are in the range the paper's single-node ITensor
 baseline achieves, and (b) the maximum aggregate rates are of the order the
 paper reports (3.1 TFlops/s on 256 Blue Waters nodes, ~200 GFlops/s on
 Stampede2 for the electron system).  Only ratios matter for the *shape* of the
-scaling figures; EXPERIMENTS.md records the calibration.
+scaling figures; ``make bench`` regenerates them under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -1,126 +1,25 @@
-"""Per-rank memory tracking for the simulated distributed runs.
+"""Memory sizing of the simulated distributed runs.
 
 Memory is the resource that motivates the whole paper: single-node DMRG "is
 limited in accuracy by the available RAM on a machine", bond dimensions
 "saturated around m ~ 10 000 and are quickly being limited by the RAM required
 to store the necessary tensors", and the electron benchmark needs a minimum of
 4 Stampede2 nodes (2 Blue Waters nodes) before the sparse format even fits
-(Section VI-B).  The :class:`MemoryTracker` reproduces that accounting: every
-allocation is charged to the ranks that own it (distributed or replicated),
-exceeding the per-node budget raises :class:`OutOfMemoryError`, and the peak
-footprint feeds the "minimum nodes" and weak-scaling-feasibility numbers the
-benchmarks report.
+(Section VI-B).  :func:`dmrg_step_footprint_bytes` is the Table II footprint
+of one step and :func:`minimum_nodes` the smallest node count it fits on,
+raising :class:`OutOfMemoryError` when no count does.  The scaling harness
+checks feasibility with :meth:`repro.ctf.world.SimWorld.fits_in_memory`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict
 
 from .machine import MachineSpec
 
 
 class OutOfMemoryError(RuntimeError):
-    """Raised when an allocation exceeds the modelled per-node memory."""
+    """Raised when a footprint exceeds the modelled per-node memory."""
 
 
-@dataclass
-class Allocation:
-    """One live allocation."""
-
-    name: str
-    total_bytes: float
-    distributed: bool = True
-
-    def bytes_per_node(self, nodes: int) -> float:
-        """Bytes this allocation occupies on each node."""
-        if self.distributed:
-            return self.total_bytes / max(nodes, 1)
-        return self.total_bytes
-
-
-@dataclass
-class MemoryTracker:
-    """Tracks modelled memory usage of a distributed run.
-
-    Parameters
-    ----------
-    machine:
-        Machine preset whose per-node memory is the budget.
-    nodes:
-        Number of nodes the data is spread over.
-    headroom:
-        Fraction of the node's memory usable for tensors (the rest is the OS,
-        MPI buffers, and the application's own bookkeeping).
-    """
-
-    machine: MachineSpec
-    nodes: int = 1
-    headroom: float = 0.9
-    allocations: Dict[str, Allocation] = field(default_factory=dict)
-    peak_bytes_per_node: float = 0.0
-
-    def budget_bytes_per_node(self) -> float:
-        """Usable bytes per node."""
-        return self.machine.memory_bytes_per_node() * self.headroom
-
-    def used_bytes_per_node(self) -> float:
-        """Bytes currently allocated per node."""
-        return sum(a.bytes_per_node(self.nodes)
-                   for a in self.allocations.values())
-
-    def available_bytes_per_node(self) -> float:
-        """Remaining bytes per node."""
-        return self.budget_bytes_per_node() - self.used_bytes_per_node()
-
-    # ------------------------------------------------------------------ #
-    # allocation API
-    # ------------------------------------------------------------------ #
-    def allocate(self, name: str, total_bytes: float, *,
-                 distributed: bool = True) -> Allocation:
-        """Register an allocation; raises :class:`OutOfMemoryError` if it
-        would exceed the per-node budget."""
-        if name in self.allocations:
-            raise ValueError(f"allocation {name!r} already exists")
-        if total_bytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        alloc = Allocation(name, float(total_bytes), distributed)
-        projected = self.used_bytes_per_node() + alloc.bytes_per_node(self.nodes)
-        if projected > self.budget_bytes_per_node():
-            raise OutOfMemoryError(
-                f"allocating {name!r} ({total_bytes / 1e9:.2f} GB total) needs "
-                f"{projected / 1e9:.2f} GB/node but only "
-                f"{self.budget_bytes_per_node() / 1e9:.2f} GB/node are available "
-                f"on {self.nodes} x {self.machine.name}")
-        self.allocations[name] = alloc
-        self.peak_bytes_per_node = max(self.peak_bytes_per_node, projected)
-        return alloc
-
-    def allocate_elements(self, name: str, elements: float, *,
-                          itemsize: int = 8,
-                          distributed: bool = True) -> Allocation:
-        """Convenience wrapper taking an element count instead of bytes."""
-        return self.allocate(name, elements * itemsize, distributed=distributed)
-
-    def free(self, name: str) -> None:
-        """Release an allocation."""
-        if name not in self.allocations:
-            raise KeyError(f"no allocation named {name!r}")
-        del self.allocations[name]
-
-    def free_all(self) -> None:
-        """Release every allocation (peak statistics are kept)."""
-        self.allocations.clear()
-
-    def would_fit(self, total_bytes: float, *, distributed: bool = True) -> bool:
-        """Whether an allocation of this size would succeed right now."""
-        per_node = total_bytes / max(self.nodes, 1) if distributed else total_bytes
-        return self.used_bytes_per_node() + per_node <= self.budget_bytes_per_node()
-
-
-# --------------------------------------------------------------------------- #
-# sizing helpers
-# --------------------------------------------------------------------------- #
 def minimum_nodes(total_bytes: float, machine: MachineSpec, *,
                   headroom: float = 0.9, replicated_bytes: float = 0.0,
                   max_nodes: int = 1 << 20) -> int:

@@ -17,7 +17,6 @@ _LAZY = {
     "scaling_exponent": "complexity",
     "table2": "complexity",
     "table2_entry": "complexity",
-    "PairStat": "shapesim",
     "ShapeTensor": "shapesim",
     "charge_contraction": "shapesim",
     "charge_svd": "shapesim",
@@ -36,7 +35,6 @@ _LAZY = {
     "itensor_reference": "scaling",
     "layout_tracker_comparison": "scaling",
     "model_dmrg_step": "scaling",
-    "model_sweep": "scaling",
     "plan_aware_comparison": "scaling",
     "site_shapes": "scaling",
     "pareto_front": "scaling",

@@ -10,9 +10,9 @@ reads performance rates out of it.
 
 from __future__ import annotations
 
-import threading
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -22,24 +22,24 @@ class FlopCounter:
     Categories mirror the breakdown used in Fig. 7 of the paper: ``gemm`` for
     local matrix-matrix multiplication work, ``svd`` for factorization work and
     ``other`` for everything else (axpy-like updates, Gram matrices, ...).
+    Counters are per process and unlocked: nothing in the package counts
+    flops from more than one thread.
     """
 
     gemm: float = 0.0
     svd: float = 0.0
     other: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add(self, n: float, category: str = "gemm") -> None:
         """Record ``n`` floating point operations under ``category``."""
         if n < 0:
             raise ValueError(f"flop count must be non-negative, got {n}")
-        with self._lock:
-            if category == "gemm":
-                self.gemm += n
-            elif category == "svd":
-                self.svd += n
-            else:
-                self.other += n
+        if category == "gemm":
+            self.gemm += n
+        elif category == "svd":
+            self.svd += n
+        else:
+            self.other += n
 
     @property
     def total(self) -> float:
@@ -48,16 +48,14 @@ class FlopCounter:
 
     def reset(self) -> None:
         """Zero all counters."""
-        with self._lock:
-            self.gemm = 0.0
-            self.svd = 0.0
-            self.other = 0.0
+        self.gemm = 0.0
+        self.svd = 0.0
+        self.other = 0.0
 
     def snapshot(self) -> dict[str, float]:
         """Return a plain-dict copy of the current counts."""
-        with self._lock:
-            return {"gemm": self.gemm, "svd": self.svd, "other": self.other,
-                    "total": self.gemm + self.svd + self.other}
+        return {"gemm": self.gemm, "svd": self.svd, "other": self.other,
+                "total": self.gemm + self.svd + self.other}
 
 
 _GLOBAL = FlopCounter()
@@ -126,6 +124,19 @@ def contraction_flops(shape_a, shape_b, axes_a, axes_b) -> float:
         if ax not in axes_b:
             cb *= d
     return 2.0 * ca * k * cb
+
+
+def dense_contraction_flops(a, b, axes_a) -> float:
+    """Flops of contracting the dense embeddings of two block tensors.
+
+    With the blocks embedded at their offsets a dense kernel also multiplies
+    the zero background, so it performs the full (unblocked) count.  ``a``
+    and ``b`` need only ``indices`` and ``dense_size``, and ``axes_a`` must be
+    non-negative; the sparse-dense backend and the shape-level simulation
+    both price their dense contractions with it.
+    """
+    k = math.prod(a.indices[ax].dim for ax in axes_a)
+    return 2.0 * (a.dense_size // max(k, 1)) * k * (b.dense_size // max(k, 1))
 
 
 def svd_flops(m: int, n: int) -> float:

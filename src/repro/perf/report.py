@@ -1,8 +1,8 @@
 """Plain-text reporting helpers for the benchmark harness.
 
 Each benchmark prints the same rows/series the corresponding paper table or
-figure reports, so EXPERIMENTS.md can be regenerated by re-running the
-benchmark suite.
+figure reports and saves them under ``benchmarks/results/``; ``make bench``
+regenerates all of them.
 """
 
 from __future__ import annotations

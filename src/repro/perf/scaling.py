@@ -12,14 +12,12 @@ divided by modelled time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..ctf.layout import (davidson_key, heff_operand_keys, left_env_key,
-                          site_key)
+from ..ctf.layout import heff_operand_keys, left_env_key, site_key
 from ..ctf.machine import MachineSpec
-from ..ctf.profiler import Profiler
 from ..ctf.world import SimWorld
-from ..symmetry import Index
+from ..symmetry.linalg import svd_group_shapes
 from .flops import svd_flops
 from .shapesim import ShapeTensor, charge_contraction, charge_svd
 from .systems import BenchmarkSystem
@@ -197,32 +195,27 @@ def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
 
     before = world.profiler.as_dict()
     useful = 0.0
+
+    def contract(a, b, axes, operand_keys, out_key):
+        nonlocal useful
+        out, f = charge_contraction(world, algorithm, a, b, axes,
+                                    plan_aware=plan_aware,
+                                    operand_keys=operand_keys,
+                                    out_key=out_key)
+        useful += f
+        return out
+
     # two-site tensor build (Fig. 1c): contract the two site tensors, as
     # two_site_tensor does in the real sweep — in tracked mode this is the
     # birth of the Davidson wavefunction's layout
     a2 = ShapeTensor((a1.indices[2].dual(), x.indices[2], x.indices[3]))
-    t, f = charge_contraction(world, algorithm, a1, a2, ([2], [0]),
-                              plan_aware=plan_aware,
-                              operand_keys=(a1k, a2k), out_key=xk)
-    useful += f
+    contract(a1, a2, ([2], [0]), (a1k, a2k), xk)
     # Davidson: matrix-vector products through the environments (Fig. 1d)
     for _ in range(max(davidson_matvecs, 1)):
-        t, f = charge_contraction(world, algorithm, lenv, x, ([2], [0]),
-                               plan_aware=plan_aware,
-                               operand_keys=(lk, xk), out_key=hk[0])
-        useful += f
-        t, f = charge_contraction(world, algorithm, t, w1, ([1, 2], [0, 2]),
-                               plan_aware=plan_aware,
-                               operand_keys=(hk[0], w1k), out_key=hk[1])
-        useful += f
-        t, f = charge_contraction(world, algorithm, t, w2, ([4, 1], [0, 2]),
-                               plan_aware=plan_aware,
-                               operand_keys=(hk[1], w2k), out_key=hk[2])
-        useful += f
-        t, f = charge_contraction(world, algorithm, t, renv, ([1, 4], [2, 1]),
-                               plan_aware=plan_aware,
-                               operand_keys=(hk[2], rk), out_key=hk[3])
-        useful += f
+        t = contract(lenv, x, ([2], [0]), (lk, xk), hk[0])
+        t = contract(t, w1, ([1, 2], [0, 2]), (hk[0], w1k), hk[1])
+        t = contract(t, w2, ([4, 1], [0, 2]), (hk[1], w2k), hk[2])
+        contract(t, renv, ([1, 4], [2, 1]), (hk[2], rk), hk[3])
     # Davidson-internal vector algebra: orthogonalization, Ritz/residual
     # assembly and subspace inner products are pure memory traffic (plus one
     # allreduce per inner product) — the paper's measured small-m overhead
@@ -234,22 +227,12 @@ def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
     if track_layout:
         world.layout_tracker.invalidate(xk, a1k, site_key(site + 1))
     # environment extension to the next center
-    t, f = charge_contraction(world, algorithm, lenv, a1, ([2], [0]),
-                               plan_aware=plan_aware,
-                               operand_keys=(lk, a1k), out_key=ek[0])
-    useful += f
-    t, f = charge_contraction(world, algorithm, t, w1, ([1, 2], [0, 2]),
-                               plan_aware=plan_aware,
-                               operand_keys=(ek[0], w1k), out_key=ek[1])
-    useful += f
+    t = contract(lenv, a1, ([2], [0]), (lk, a1k), ek[0])
+    t = contract(t, w1, ([1, 2], [0, 2]), (ek[0], w1k), ek[1])
     # closing contraction with the conjugated site tensor
     conj_a1 = ShapeTensor(tuple(ix.dual() for ix in a1.indices))
-    t, f = charge_contraction(world, algorithm, conj_a1, t, ([0, 1], [0, 2]),
-                               plan_aware=plan_aware,
-                               operand_keys=(None, ek[1]),
-                               out_key=(left_env_key(site + 1)
-                                        if track_layout else None))
-    useful += f
+    contract(conj_a1, t, ([0, 1], [0, 2]), (None, ek[1]),
+             left_env_key(site + 1) if track_layout else None)
     after = world.profiler.as_dict()
     tracker1 = world.layout_tracker.snapshot()
 
@@ -257,8 +240,6 @@ def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
                  for k in ("gemm", "communication", "transposition", "svd",
                            "imbalance", "davidson")}
     seconds = sum(breakdown.values())
-    k = system.mpo_bond_dimension
-    d = system.d
     if algorithm == "sparse-dense":
         davidson_memory = float(x.dense_size + lenv.dense_size + renv.dense_size)
     else:
@@ -290,7 +271,7 @@ def itensor_reference(system: BenchmarkSystem, m: int, machine: MachineSpec,
     if site is None:
         site = system.middle_site()
     _, _, _, _, x, _ = _site_shapes(system, m, site)
-    for rows, cols in x.svd_group_shapes([0, 1]):
+    for rows, cols in svd_group_shapes(x, [0, 1]):
         svd_secs += machine.svd_seconds(svd_flops(rows, cols), 1, 1.0)
     seconds = gemm + svd_secs
     return StepCost(system.name, "itensor", m, 1, 1, machine.name,
@@ -299,24 +280,6 @@ def itensor_reference(system: BenchmarkSystem, m: int, machine: MachineSpec,
                      "svd": svd_secs, "imbalance": 0.0, "davidson": 0.0},
                     0.0, 0.0,
                     step.davidson_memory, step.environment_memory)
-
-
-def model_sweep(system: BenchmarkSystem, m: int, world: SimWorld,
-                algorithm: str, *, sites: Iterable[int] | None = None,
-                plan_aware: bool = False,
-                track_layout: bool = False) -> List[StepCost]:
-    """Model a (half-)sweep over the given sites (default: all of them).
-
-    With ``track_layout=True`` the steps share the ``world``'s layout
-    tracker, so environments and MPO tensors carried from one step to the
-    next keep their distributed layouts — the sweep-persistent behaviour the
-    paper's Fig. 7 transposition share reflects.
-    """
-    if sites is None:
-        sites = range(system.nsites - 1)
-    return [model_dmrg_step(system, m, world, algorithm, site=s,
-                            plan_aware=plan_aware, track_layout=track_layout)
-            for s in sites]
 
 
 def plan_aware_comparison(system: BenchmarkSystem, m: int,
@@ -348,16 +311,14 @@ def plan_aware_comparison(system: BenchmarkSystem, m: int,
 def peak_performance(system: BenchmarkSystem, machine: MachineSpec,
                      algorithm: str, ms: Sequence[int],
                      nodes_for_m: Dict[int, int],
-                     procs_per_node: int = 16,
-                     plan_aware: bool = False) -> ScalingSeries:
+                     procs_per_node: int = 16) -> ScalingSeries:
     """Fig. 5: peak GFlop/s versus bond dimension (one node count per m)."""
     series = ScalingSeries(label=f"{system.name}/{algorithm}/{machine.name}")
     for m in ms:
         nodes = nodes_for_m[m]
         world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                          machine=machine)
-        step = model_dmrg_step(system, m, world, algorithm,
-                               plan_aware=plan_aware)
+        step = model_dmrg_step(system, m, world, algorithm)
         series.add(m, step.gflops_rate, note=f"{nodes} nodes")
     return series
 
@@ -372,28 +333,25 @@ def column_times(system: BenchmarkSystem, m: int, machine: MachineSpec,
     for col in range(ncols):
         world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                          machine=machine)
-        col_sites = [min(col * per_col + i, system.nsites - 2)
-                     for i in range(per_col)]
-        steps = model_sweep(system, m, world, algorithm, sites=col_sites)
-        series.add(col + 1, sum(s.seconds for s in steps), note=f"column {col + 1}")
+        seconds = sum(model_dmrg_step(system, m, world, algorithm,
+                                      site=min(col * per_col + i,
+                                               system.nsites - 2)).seconds
+                      for i in range(per_col))
+        series.add(col + 1, seconds, note=f"column {col + 1}")
     return series
 
 
 def time_breakdown(system: BenchmarkSystem, m: int, machine: MachineSpec,
                    nodes: int, algorithm: str,
-                   procs_per_node: int = 16,
-                   plan_aware: bool = False,
-                   track_layout: bool = False) -> Dict[str, float]:
+                   procs_per_node: int = 16) -> Dict[str, float]:
     """Fig. 7: percentage of modelled time per category.
 
-    ``track_layout=True`` (plan-aware mode only) prices redistribution with
-    the sweep-persistent layout tracker, shrinking the "CTF transposition"
-    share toward the paper's proportions.
+    :func:`layout_tracker_comparison` is the plan-aware, layout-tracked
+    counterpart behind the shrinking "CTF transposition" share.
     """
     world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                      machine=machine)
-    model_dmrg_step(system, m, world, algorithm, plan_aware=plan_aware,
-                    track_layout=track_layout)
+    model_dmrg_step(system, m, world, algorithm)
     return world.profiler.breakdown()
 
 
@@ -459,8 +417,7 @@ def layout_tracker_comparison(system: BenchmarkSystem, m: int,
 def weak_scaling(system: BenchmarkSystem, machine: MachineSpec, algorithm: str,
                  pairs: Sequence[Tuple[int, int]], reference_m: int,
                  procs_per_node: int = 16,
-                 reference_machine: MachineSpec | None = None,
-                 plan_aware: bool = False) -> ScalingSeries:
+                 reference_machine: MachineSpec | None = None) -> ScalingSeries:
     """Figs. 8a/11a: relative efficiency at fixed m per node.
 
     ``pairs`` lists ``(nodes, m)`` combinations; relative efficiency is the
@@ -473,8 +430,7 @@ def weak_scaling(system: BenchmarkSystem, machine: MachineSpec, algorithm: str,
     for nodes, m in pairs:
         world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                          machine=machine)
-        step = model_dmrg_step(system, m, world, algorithm,
-                               plan_aware=plan_aware)
+        step = model_dmrg_step(system, m, world, algorithm)
         eff = step.gflops_rate_per_node / ref.gflops_rate
         series.add(nodes, eff, note=f"m={m}")
     return series
@@ -504,16 +460,14 @@ def peak_relative_efficiency(system: BenchmarkSystem, machine: MachineSpec,
 
 def strong_scaling(system: BenchmarkSystem, machine: MachineSpec,
                    algorithm: str, m: int, nodes_list: Sequence[int],
-                   procs_per_node: int = 16, plan_aware: bool = False
+                   procs_per_node: int = 16
                    ) -> Tuple[ScalingSeries, ScalingSeries]:
     """Figs. 9/12: speedup and efficiency versus nodes at fixed ``m``."""
     times = []
     for nodes in nodes_list:
         world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                          machine=machine)
-        step = model_dmrg_step(system, m, world, algorithm,
-                               plan_aware=plan_aware)
-        times.append(step.seconds)
+        times.append(model_dmrg_step(system, m, world, algorithm).seconds)
     base_nodes, base_time = nodes_list[0], times[0]
     speedup = ScalingSeries(label=f"speedup/{system.name}/{algorithm}/m={m}")
     efficiency = ScalingSeries(label=f"efficiency/{system.name}/{algorithm}/m={m}")
@@ -528,8 +482,7 @@ def cost_time_points(system: BenchmarkSystem, machine: MachineSpec,
                      algorithms: Sequence[str], ms: Sequence[int],
                      nodes_options: Sequence[int],
                      procs_per_node_options: Sequence[int] = (16, 32),
-                     reference_m: int | None = None,
-                     plan_aware: bool = False) -> List[Dict]:
+                     reference_m: int | None = None) -> List[Dict]:
     """Figs. 10/13: relative time and node-hour cost versus single-node ITensor.
 
     The reference time for each ``m`` is extrapolated from ITensor's maximum
@@ -546,8 +499,7 @@ def cost_time_points(system: BenchmarkSystem, machine: MachineSpec,
                 for ppn in procs_per_node_options:
                     world = SimWorld(nodes=nodes, procs_per_node=ppn,
                                      machine=machine)
-                    step = model_dmrg_step(system, m, world, algorithm,
-                                           plan_aware=plan_aware)
+                    step = model_dmrg_step(system, m, world, algorithm)
                     itensor_time = step.useful_flops / ref_rate
                     if not world.fits_in_memory(
                             step.davidson_memory + step.environment_memory):

@@ -28,6 +28,27 @@ from .index import Index
 BlockKey = Tuple[int, ...]
 
 
+def _key_charge(indices: Sequence[Index], key: BlockKey) -> Charge:
+    """Total charge ``sum_i flow_i * charge_i(sector_i)`` of a block key."""
+    total = zero_charge(indices[0].nsym)
+    for ix, s in zip(indices, key):
+        total = tuple(a + ix.flow * b
+                      for a, b in zip(total, ix.sector_charge(s)))
+    return total
+
+
+def allowed_keys(indices: Sequence[Index], flux: Charge) -> Iterable[BlockKey]:
+    """Every sector combination of ``indices`` whose charge equals ``flux``.
+
+    Shared by :class:`BlockSparseTensor` and the data-free
+    :class:`~repro.perf.shapesim.ShapeTensor`, so both enumerate the same
+    blocks in the same order.
+    """
+    for key in itertools.product(*[range(ix.nsectors) for ix in indices]):
+        if _key_charge(indices, key) == flux:
+            yield key
+
+
 class BlockSparseTensor:
     """A tensor stored as a collection of symmetry-allowed dense blocks.
 
@@ -66,17 +87,9 @@ class BlockSparseTensor:
     # ------------------------------------------------------------------ #
     # validation and structure
     # ------------------------------------------------------------------ #
-    def _key_charge(self, key: BlockKey) -> Charge:
-        nsym = self.nsym
-        total = zero_charge(nsym)
-        for ix, s in zip(self.indices, key):
-            q = ix.sector_charge(s)
-            total = tuple(a + ix.flow * b for a, b in zip(total, q))
-        return total
-
     def key_allowed(self, key: BlockKey) -> bool:
         """True when the block key satisfies charge conservation."""
-        return self._key_charge(key) == self.flux
+        return _key_charge(self.indices, key) == self.flux
 
     def block_shape(self, key: BlockKey) -> Tuple[int, ...]:
         """Dense shape of the block addressed by ``key``."""
@@ -93,13 +106,12 @@ class BlockSparseTensor:
             if not self.key_allowed(key):
                 raise ValueError(
                     f"block {key} violates charge conservation "
-                    f"(charge {self._key_charge(key)} != flux {self.flux})")
+                    f"(charge {_key_charge(self.indices, key)} != flux "
+                    f"{self.flux})")
 
     def allowed_keys(self) -> Iterable[BlockKey]:
         """Iterate over every sector combination allowed by conservation."""
-        for key in itertools.product(*[range(ix.nsectors) for ix in self.indices]):
-            if self.key_allowed(key):
-                yield key
+        return allowed_keys(self.indices, self.flux)
 
     # ------------------------------------------------------------------ #
     # basic properties

@@ -25,7 +25,7 @@ from ..obs import trace
 from ..perf import flops as _flops
 from .block_tensor import BlockSparseTensor
 from .blockops import BlockOps, resolve_block_ops
-from .planner import ContractionPlan, MatSlot, PlanCache, build_plan
+from .planner import ContractionPlan, MatSlot, PlanCache
 
 
 def _matricize(t: BlockSparseTensor, slots: Sequence[MatSlot],
@@ -90,43 +90,24 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
 
 
 def execute_cached(plan: ContractionPlan, a: BlockSparseTensor,
-                   b: BlockSparseTensor, cache: PlanCache | None,
+                   b: BlockSparseTensor, cache: PlanCache,
                    count_flops: bool = True,
                    ops: Optional[BlockOps] = None):
     """Execute a plan while attributing execution time to ``cache``."""
-    if cache is None:
-        return execute_plan(plan, a, b, count_flops=count_flops, ops=ops)
     span = trace.timed_span("contract", "planner").start()
     out = execute_plan(plan, a, b, count_flops=count_flops, ops=ops)
     cache.execute_seconds += span.stop()
     return out
 
 
-def plan_for(a: BlockSparseTensor, b: BlockSparseTensor,
-             axes: Tuple[Sequence[int], Sequence[int]],
-             cache: PlanCache | None) -> ContractionPlan:
-    """Fetch a plan through ``cache``, or build a one-shot plan without one.
-
-    Backends that need the plan itself (for cost accounting) use this so a
-    ``plan_cache`` set to ``None`` still works, just without memoization.
-    """
-    if cache is None:
-        return build_plan(a, b, axes)
-    return cache.lookup(a, b, axes)
-
-
 def contract_planned(a: BlockSparseTensor, b: BlockSparseTensor,
                      axes: Tuple[Sequence[int], Sequence[int]],
-                     cache: PlanCache | None = None,
-                     count_flops: bool = True,
+                     cache: PlanCache, count_flops: bool = True,
                      ops: Optional[BlockOps] = None):
     """Contract two block tensors through the plan cache.
 
-    With ``cache=None`` this falls back to the naive per-pair Algorithm-2
-    loop (:meth:`BlockSparseTensor.contract`), which is also the reference
-    the property tests compare the planned path against.
+    The naive per-pair Algorithm-2 loop (:meth:`BlockSparseTensor.contract`)
+    is the reference the property tests compare this against.
     """
-    if cache is None:
-        return a.contract(b, axes, count_flops=count_flops, ops=ops)
     plan = cache.lookup(a, b, axes)
     return execute_cached(plan, a, b, cache, count_flops=count_flops, ops=ops)

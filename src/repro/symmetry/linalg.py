@@ -79,6 +79,29 @@ def _row_charge(t: BlockSparseTensor, key: BlockKey, row_axes: Sequence[int]) ->
     return q
 
 
+def svd_group_shapes(t, row_axes: Sequence[int],
+                     col_axes: Sequence[int] | None = None
+                     ) -> List[Tuple[int, int]]:
+    """``(rows, cols)`` of each row-charge group's assembled matrix.
+
+    Groups come in order of first appearance among ``t.blocks``.  Only the
+    structure of ``t`` is read, so this prices the block-wise SVD of a
+    :class:`BlockSparseTensor` and of a data-free
+    :class:`~repro.perf.shapesim.ShapeTensor` alike.
+    """
+    row_axes = [int(x) % t.ndim for x in row_axes]
+    if col_axes is None:
+        col_axes = [x for x in range(t.ndim) if x not in row_axes]
+    groups: Dict[Charge, Tuple[dict, dict]] = {}
+    for key in t.blocks:
+        rows, cols = groups.setdefault(_row_charge(t, key, row_axes), ({}, {}))
+        for dims, axes in ((rows, row_axes), (cols, col_axes)):
+            dims[tuple(key[ax] for ax in axes)] = int(np.prod(
+                [t.indices[ax].sector_dim(key[ax]) for ax in axes]))
+    return [(sum(rows.values()), sum(cols.values()))
+            for rows, cols in groups.values()]
+
+
 def _assemble_groups(t: BlockSparseTensor, row_axes: Sequence[int],
                      col_axes: Sequence[int]):
     """Group blocks by row charge and assemble one dense matrix per group.

@@ -1,11 +1,11 @@
-"""Tests for contraction mapping decisions and the memory tracker."""
+"""Tests for contraction mapping decisions and memory sizing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctf import (BLUE_WATERS, STAMPEDE2, CollectiveModel, GemmShape,
-                       MemoryTracker, OutOfMemoryError, candidate_mappings,
+                       OutOfMemoryError, candidate_mappings,
                        choose_mapping, dmrg_step_footprint_bytes,
                        gemm_shape_of_contraction, minimum_nodes,
                        redistribution_plan, summa_25d, summa_2d, summa_3d,
@@ -140,48 +140,6 @@ class TestRedistribution:
         for g in grid:
             prod *= g
         assert prod == 256
-
-
-class TestMemoryTracker:
-    def test_allocate_and_free(self):
-        tracker = MemoryTracker(BLUE_WATERS, nodes=4)
-        tracker.allocate("mps", 100e9, distributed=True)
-        assert tracker.used_bytes_per_node() == pytest.approx(25e9)
-        tracker.free("mps")
-        assert tracker.used_bytes_per_node() == 0.0
-        assert tracker.peak_bytes_per_node == pytest.approx(25e9)
-
-    def test_replicated_allocation_charges_full_size(self):
-        tracker = MemoryTracker(BLUE_WATERS, nodes=8)
-        tracker.allocate("mpo", 1e9, distributed=False)
-        assert tracker.used_bytes_per_node() == pytest.approx(1e9)
-
-    def test_out_of_memory_raises(self):
-        tracker = MemoryTracker(BLUE_WATERS, nodes=1)   # 64 GB node
-        with pytest.raises(OutOfMemoryError):
-            tracker.allocate("big", 100e9, distributed=True)
-
-    def test_distribution_over_more_nodes_fits(self):
-        tracker = MemoryTracker(BLUE_WATERS, nodes=4)
-        tracker.allocate("big", 100e9, distributed=True)   # 25 GB/node
-        assert tracker.would_fit(50e9)
-
-    def test_duplicate_and_missing_names(self):
-        tracker = MemoryTracker(BLUE_WATERS, nodes=1)
-        tracker.allocate("x", 1e9)
-        with pytest.raises(ValueError):
-            tracker.allocate("x", 1e9)
-        with pytest.raises(KeyError):
-            tracker.free("y")
-
-    def test_free_all_keeps_peak(self):
-        tracker = MemoryTracker(STAMPEDE2, nodes=2)
-        tracker.allocate("a", 10e9)
-        tracker.allocate("b", 20e9)
-        peak = tracker.peak_bytes_per_node
-        tracker.free_all()
-        assert tracker.used_bytes_per_node() == 0.0
-        assert tracker.peak_bytes_per_node == peak
 
 
 class TestMinimumNodes:

@@ -7,10 +7,11 @@ import pytest
 from repro.ctf import BLUE_WATERS, STAMPEDE2, SimWorld
 from repro.perf import (GeometricBlockModel, MeasuredBlockStructure,
                         ShapeTensor, charge_contraction, charge_svd,
-                        count_flops, flops, scaling_exponent, table2,
-                        table2_entry)
+                        count_flops, flops, plan_shape_contraction,
+                        scaling_exponent, table2, table2_entry)
 from repro.perf.flops import contraction_flops, qr_flops, svd_flops
 from repro.symmetry import BlockSparseTensor, Index
+from repro.symmetry.linalg import svd_group_shapes
 
 
 class TestFlopCounting:
@@ -137,20 +138,23 @@ class TestShapeSimulation:
         return a, b
 
     def test_shape_contract_matches_block_tensor(self, rng):
-        """Shape-level contraction reproduces the real block structure."""
+        """The plan-derived output shape reproduces the real block structure."""
         i1 = Index([(0,), (1,)], [2, 3], flow=1)
         i2 = Index([(0,), (1,), (2,)], [2, 2, 1], flow=1)
         i3 = Index([(0,), (1,), (2,)], [1, 2, 2], flow=-1)
         a = BlockSparseTensor.random([i1, i2, i3], flux=(0,), rng=rng)
         b = BlockSparseTensor.random([i3.dual(), i2.dual()], flux=(0,), rng=rng)
-        real = a.contract(b, axes=([2], [0]))
+        with count_flops() as counted:
+            real = a.contract(b, axes=([2], [0]))
         sa, sb = ShapeTensor.from_block_tensor(a), ShapeTensor.from_block_tensor(b)
-        out, stats = sa.contract(sb, axes=([2], [0]))
+        out, nflops = charge_contraction(SimWorld(), "sparse-sparse", sa, sb,
+                                         ([2], [0]))
         assert out.nnz == real.nnz
         assert set(out.blocks) == set(real.blocks)
-        with count_flops() as counted:
-            a.contract(b, axes=([2], [0]))
-        assert sum(s.flops for s in stats) == pytest.approx(counted.total)
+        assert all(out.blocks[k] == real.blocks[k].shape for k in out.blocks)
+        assert nflops == counted.total
+        assert plan_shape_contraction(sa, sb, ([2], [0])).total_flops == \
+            counted.total
 
     def test_charge_contraction_all_algorithms(self):
         a, b = self._pair()
@@ -167,7 +171,7 @@ class TestShapeSimulation:
 
     def test_svd_group_shapes(self):
         a, _ = self._pair()
-        shapes = a.svd_group_shapes([0, 1])
+        shapes = svd_group_shapes(a, [0, 1])
         assert all(r > 0 and c > 0 for r, c in shapes)
         world = SimWorld(nodes=2, procs_per_node=8, machine=BLUE_WATERS)
         assert charge_svd(world, "list", a, [0, 1]) > 0
@@ -176,4 +180,4 @@ class TestShapeSimulation:
     def test_incompatible_contraction_rejected(self):
         a, b = self._pair()
         with pytest.raises(ValueError):
-            a.contract(b, axes=([0], [1]))
+            charge_contraction(SimWorld(), "list", a, b, ([0], [1]))

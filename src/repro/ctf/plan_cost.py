@@ -2,14 +2,12 @@
 
 The contraction planner (:mod:`repro.symmetry.planner`) knows, before any
 arithmetic happens, every block pair a contraction will execute, the
-matricized GEMM shape of each pair, and the exact output sparsity.  The
-simulated machine (:class:`repro.ctf.world.SimWorld`), by contrast, was
-historically priced from *aggregate* element counts — total nnz of each
-operand — which over-charges communication and redistribution whenever the
-block structure means only part of a tensor participates, and cannot let the
-mapping chooser react to the actual GEMM shapes being executed.
+matricized GEMM shape of each pair, and the exact output sparsity.  Pricing
+the simulated machine (:class:`repro.ctf.world.SimWorld`) from *aggregate*
+element counts instead over-charges communication whenever only part of a
+tensor participates, and hides the GEMM shapes from the mapping chooser.
 
-This module closes that gap.  :func:`lower_plan` turns a
+:func:`lower_plan` reads the pair columns of a
 :class:`~repro.symmetry.planner.ContractionPlan` into a :class:`PlanCost`:
 one :class:`PairCost` per block pair (its :class:`~repro.ctf.mapping.GemmShape`
 and operand/output words) plus plan-level aggregates (touched operand words,
@@ -35,6 +33,7 @@ skeletons the scaling benchmarks use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Tuple
 
 from .bsp import parallel_gemm_efficiency
@@ -103,9 +102,9 @@ class PlanCost:
 def lower_plan(plan) -> PlanCost:
     """Lower a :class:`~repro.symmetry.planner.ContractionPlan` to costs.
 
-    The result is memoized on the plan object, so repeatedly charging a cached
-    plan (the common case: one plan per signature, thousands of executions)
-    lowers it only once.
+    The result is memoized in the plan's ``cost`` field, so repeatedly
+    charging a cached plan (the common case: one plan per signature,
+    thousands of executions) lowers it only once.
 
     Parameters
     ----------
@@ -117,31 +116,21 @@ def lower_plan(plan) -> PlanCost:
     PlanCost
         Per-pair GEMM shapes/words plus plan-level aggregates.
     """
-    cached = getattr(plan, "_lowered_cost", None)
-    if cached is not None:
-        return cached
-    pairs = []
-    for p in plan.pairs:
-        a_slot = plan.a_slots[p.a_slot]
-        b_slot = plan.b_slots[p.b_slot]
-        # rows/cols of the matricized views: A is (m, k), B is (k, n)
-        shape = GemmShape(a_slot.rows, b_slot.cols, a_slot.cols)
-        pairs.append(PairCost(shape=shape, flops=p.flops,
-                              words_a=float(p.a_size),
-                              words_b=float(p.b_size),
-                              words_c=float(p.out_size)))
-    cost = PlanCost(
-        pairs=tuple(pairs),
-        operand_a_words=float(sum(s.rows * s.cols for s in plan.a_slots)),
-        operand_b_words=float(sum(s.rows * s.cols for s in plan.b_slots)),
-        output_words=float(plan.out_nnz),
-        total_flops=float(plan.total_flops),
-        largest_pair_share=float(plan.largest_pair_share))
-    try:
-        plan._lowered_cost = cost
-    except AttributeError:  # pragma: no cover - slotted/frozen plan variants
-        pass
-    return cost
+    if plan.cost is None:
+        plan.cost = PlanCost(
+            pairs=tuple(
+                PairCost(shape=GemmShape(m, n, k), flops=flops,
+                         words_a=float(m * k), words_b=float(k * n),
+                         words_c=float(m * n))
+                for m, k, n, flops in zip(
+                    plan.pair_m.tolist(), plan.pair_k.tolist(),
+                    plan.pair_n.tolist(), plan.pair_flops.tolist())),
+            operand_a_words=float(sum(map(mul, plan.a_rows, plan.a_cols))),
+            operand_b_words=float(sum(map(mul, plan.b_rows, plan.b_cols))),
+            output_words=float(plan.out_nnz),
+            total_flops=float(plan.total_flops),
+            largest_pair_share=float(plan.largest_pair_share))
+    return plan.cost
 
 
 def as_plan_cost(plan_or_cost) -> PlanCost:

@@ -94,7 +94,7 @@ def _plan_output(plan: ContractionPlan, nsym: int) -> ShapeTensor:
     if plan.scalar_output:
         return ShapeTensor([Index.trivial(1, nsym)], zero_charge(nsym))
     return ShapeTensor(plan.out_indices, plan.out_flux,
-                       {spec.key: spec.shape for spec in plan.out_specs})
+                       dict(zip(plan.out_keys, plan.out_shapes)))
 
 
 def charge_contraction(world: SimWorld, algorithm: str, a: ShapeTensor,
@@ -128,7 +128,7 @@ def charge_contraction(world: SimWorld, algorithm: str, a: ShapeTensor,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     plan = plan_shape_contraction(a, b, axes)
     out = _plan_output(plan, a.nsym)
-    if not plan.pairs:
+    if not plan.npairs:
         return out, 0.0
     if algorithm == "sparse-dense":
         modelled = dense_contraction_flops(a, b, plan.axes_a)
@@ -143,10 +143,12 @@ def charge_contraction(world: SimWorld, algorithm: str, a: ShapeTensor,
                                          out_key=out_key)
     elif algorithm == "list":
         # Table II's all-3D pricing: no per-pair mapping decisions
-        for pair in plan.pairs:
+        m, k, n = plan.pair_m, plan.pair_k, plan.pair_n
+        for flops, words_a, words_b, words_c in zip(
+                plan.pair_flops.tolist(), (m * k).tolist(), (k * n).tolist(),
+                (m * n).tolist()):
             world.charge_block_contraction(
-                pair.flops, pair.a_size, pair.b_size, pair.out_size,
-                num_blocks=plan.npairs,
+                flops, words_a, words_b, words_c, num_blocks=plan.npairs,
                 largest_block_share=plan.largest_pair_share)
     else:
         # operand remapping onto the contraction grid (aggregate volume)

@@ -341,10 +341,6 @@ class BlockSparseTensor:
         return BlockSparseTensor(indices, blocks, flux=self.flux,
                                  dtype=self.dtype, check=False)
 
-    def relabel_flux_to_index(self) -> "BlockSparseTensor":
-        """Return a copy (fluxes are kept as-is; placeholder for extensions)."""
-        return self.copy()
-
     # ------------------------------------------------------------------ #
     # contraction (Algorithm 2 of the paper)
     # ------------------------------------------------------------------ #

@@ -25,19 +25,21 @@ from ..obs import trace
 from ..perf import flops as _flops
 from .block_tensor import BlockSparseTensor
 from .blockops import BlockOps, resolve_block_ops
-from .planner import ContractionPlan, MatSlot, PlanCache
+from .planner import BlockKey, ContractionPlan, PlanCache
 
 
-def _matricize(t: BlockSparseTensor, slots: Sequence[MatSlot],
-               ops: BlockOps) -> List[np.ndarray]:
+def _matricize(t: BlockSparseTensor, keys: Sequence[BlockKey],
+               rows: Sequence[int], cols: Sequence[int],
+               perm: Optional[Tuple[int, ...]], ops: BlockOps
+               ) -> List[np.ndarray]:
     """Reshape every planned operand block into its 2-D view, once."""
     blocks = t.blocks
     mats: List[np.ndarray] = []
-    for slot in slots:
-        blk = blocks[slot.key]
-        if slot.perm is not None:
-            blk = np.transpose(blk, slot.perm)
-        mats.append(ops.prepare(blk.reshape(slot.rows, slot.cols)))
+    for key, r, c in zip(keys, rows, cols):
+        blk = blocks[key]
+        if perm is not None:
+            blk = np.transpose(blk, perm)
+        mats.append(ops.prepare(blk.reshape(r, c)))
     return mats
 
 
@@ -51,28 +53,26 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
     """
     ops = resolve_block_ops(ops)
     out_dtype = ops.result_type(a.dtype, b.dtype)
-    amats = _matricize(a, plan.a_slots, ops)
-    bmats = _matricize(b, plan.b_slots, ops)
-    results: List[Optional[np.ndarray]] = [None] * len(plan.out_specs)
+    amats = _matricize(a, plan.a_keys, plan.a_rows, plan.a_cols, plan.perm_a,
+                       ops)
+    bmats = _matricize(b, plan.b_keys, plan.b_rows, plan.b_cols, plan.perm_b,
+                       ops)
+    results: List[Optional[np.ndarray]] = [None] * len(plan.out_keys)
 
-    for grp in plan.fused_groups:
-        if len(grp.a_slots) == 1:
-            lhs, rhs = amats[grp.a_slots[0]], bmats[grp.b_slots[0]]
-        else:
-            lhs = ops.concat([amats[i] for i in grp.a_slots], axis=1)
-            rhs = ops.concat([bmats[i] for i in grp.b_slots], axis=0)
-        results[grp.out_slot] = ops.matmul(lhs, rhs)
+    for so, a_slots, b_slots in plan.fused:
+        lhs = ops.concat([amats[i] for i in a_slots], axis=1)
+        rhs = ops.concat([bmats[i] for i in b_slots], axis=0)
+        results[so] = ops.matmul(lhs, rhs)
 
-    for batch in plan.batch_groups:
-        entries = batch.entries
-        if len(entries) == 1:
-            so, sa, sb = entries[0]
-            results[so] = ops.matmul(amats[sa], bmats[sb])
+    for out_slots, a_slots, b_slots in plan.batched:
+        if len(out_slots) == 1:
+            results[out_slots[0]] = ops.matmul(amats[a_slots[0]],
+                                               bmats[b_slots[0]])
         else:
-            lhs = ops.stack([amats[sa] for _, sa, _ in entries])
-            rhs = ops.stack([bmats[sb] for _, _, sb in entries])
+            lhs = ops.stack([amats[i] for i in a_slots])
+            rhs = ops.stack([bmats[i] for i in b_slots])
             prod = ops.matmul(lhs, rhs)
-            for i, (so, _, _) in enumerate(entries):
+            for i, so in enumerate(out_slots):
                 results[so] = prod[i]
 
     if count_flops and plan.total_flops:
@@ -83,8 +83,9 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
         for res in results:
             total = total + res[0, 0]
         return total
-    blocks = {spec.key: res.reshape(spec.shape)
-              for spec, res in zip(plan.out_specs, results)}
+    blocks = {key: res.reshape(shape)
+              for key, shape, res in zip(plan.out_keys, plan.out_shapes,
+                                         results)}
     return BlockSparseTensor(plan.out_indices, blocks, flux=plan.out_flux,
                              dtype=out_dtype, check=False)
 

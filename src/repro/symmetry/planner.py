@@ -3,19 +3,18 @@
 The effective-Hamiltonian contractions of a Davidson solve repeat the same
 symbolic work on every matrix-vector product: pairing blocks whose charges
 match along the contracted modes (Algorithm 2 of the paper), computing output
-keys, and choosing a matricization.  All of that is derivable from the
-*structure* of the operands alone — index sectors, dims and flows, the set of
-stored block keys, the fluxes and the contraction axes — and none of it
-depends on the numerical content of the blocks.
+keys, and choosing a matricization.  All of it depends only on operand
+*structure* — index sectors, dims and flows, stored block keys, fluxes, axes.
 
-This module separates that symbolic phase from the arithmetic (executed by
-:mod:`repro.symmetry.engine`): :func:`build_plan` compiles the block pairing
-into a :class:`ContractionPlan` listing fused and batched GEMM groups over
-reshaped 2-D views, and :class:`PlanCache` memoizes plans by symbolic
-signature so repeated Davidson matvecs and later DMRG sweeps skip the pairing
-work entirely.  The plan/execute split mirrors the abstract-backend design of
-TeNPy and is what lets block-sparse contraction approach dense GEMM
-throughput (Section IV, Fig. 3 of the paper).
+:func:`build_plan` does that work on index arrays, the way Cyclops precomputes
+output sparsity (Section IV-A): sorted block keys become ``int64`` matrices,
+Algorithm-2 pairing is a sort/merge join on an integer code of the contracted
+sector columns, and slot numbering, output keys, GEMM shapes and the
+fused/batched grouping are vector arithmetic on the pair columns of the
+struct-of-arrays :class:`ContractionPlan`.  :mod:`repro.symmetry.engine` runs
+plans and :class:`PlanCache` memoizes them by symbolic signature: the
+plan/execute split of TeNPy's abstract backend, which lets block-sparse
+contraction approach dense GEMM throughput (Section IV, Fig. 3).
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs import trace
 from .charges import Charge, add_charges
@@ -47,76 +48,21 @@ def tensor_signature(t) -> Tuple:
             frozenset(t.blocks))
 
 
-@dataclass
-class MatSlot:
-    """One operand block viewed as a 2-D matrix.
-
-    ``perm`` is the transposition bringing free/contracted modes together
-    (``None`` when the block is already laid out that way), after which the
-    block reshapes to ``(rows, cols)``.
-    """
-
-    key: BlockKey
-    perm: Optional[Tuple[int, ...]]
-    rows: int
-    cols: int
-
-
-@dataclass
-class OutSpec:
-    """One output block: its key, dense shape and matrix dimensions."""
-
-    key: BlockKey
-    shape: Tuple[int, ...]
-    rows: int
-    cols: int
-
-
-@dataclass
-class PairSpec:
-    """One Algorithm-2 block pair, with its cost-model bookkeeping."""
-
-    a_slot: int
-    b_slot: int
-    out_slot: int
-    flops: float
-    a_size: int
-    b_size: int
-    out_size: int
-
-
-@dataclass
-class FusedGroup:
-    """Several pairs accumulating into one output block.
-
-    Executed as a single GEMM by concatenating the A views along the
-    contracted (column) axis and the B views along the contracted (row) axis —
-    the accumulation of Algorithm 2 becomes part of the inner product.
-    """
-
-    out_slot: int
-    a_slots: Tuple[int, ...]
-    b_slots: Tuple[int, ...]
-
-
-@dataclass
-class BatchGroup:
-    """Single-pair outputs sharing one (m, k, n) shape.
-
-    Executed as one batched ``np.matmul`` over stacked operand views.
-    ``entries`` holds ``(out_slot, a_slot, b_slot)`` triples.
-    """
-
-    entries: Tuple[Tuple[int, int, int], ...]
-
-
-@dataclass
+@dataclass(eq=False)
 class ContractionPlan:
-    """A fully precomputed block-sparse contraction.
+    """A fully precomputed block-sparse contraction, as a struct of arrays.
 
-    Holds everything Algorithm 2 derives symbolically — the block-pair list,
-    output keys/shapes, and the matricization layout — grouped into fused and
-    batched GEMM work lists for :func:`repro.symmetry.engine.execute_plan`.
+    A slot ``i`` is the block ``a_keys[i]`` (sorted key order), transposed by
+    ``perm_a`` (``None`` if already laid out) and reshaped to ``(a_rows[i],
+    a_cols[i])``; B slots likewise, numbered by first appearance in pair
+    order, as are the output blocks ``out_keys`` of shapes ``out_shapes``.
+    Pair ``p`` (A-key, then B-key order) multiplies A slot ``pair_a[p]``
+    (``pair_m x pair_k``) by B slot ``pair_b[p]`` into output ``pair_out[p]``.
+    ``fused`` holds ``(out_slot, a_slots, b_slots)`` of multi-pair outputs,
+    one GEMM over views concatenated along the contracted axis; ``batched``
+    holds ``(out_slots, a_slots, b_slots)`` of single-pair outputs sharing an
+    ``(m, k, n)``, one batched matmul.  ``cost`` memoizes
+    :func:`repro.ctf.plan_cost.lower_plan`.
     """
 
     axes_a: Tuple[int, ...]
@@ -125,20 +71,38 @@ class ContractionPlan:
     keep_b: Tuple[int, ...]
     out_indices: Tuple[Index, ...]
     out_flux: Charge
-    a_slots: List[MatSlot]
-    b_slots: List[MatSlot]
-    out_specs: List[OutSpec]
-    pairs: List[PairSpec]
-    fused_groups: List[FusedGroup]
-    batch_groups: List[BatchGroup]
+    perm_a: Optional[Tuple[int, ...]]
+    perm_b: Optional[Tuple[int, ...]]
+    a_keys: List[BlockKey]
+    a_rows: List[int]
+    a_cols: List[int]
+    b_keys: List[BlockKey]
+    b_rows: List[int]
+    b_cols: List[int]
+    out_keys: List[BlockKey]
+    out_shapes: List[Tuple[int, ...]]
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    pair_out: np.ndarray
+    pair_m: np.ndarray
+    pair_k: np.ndarray
+    pair_n: np.ndarray
+    fused: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]
+    batched: List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]]
     total_flops: float
     largest_pair_share: float
     out_nnz: int
+    cost: Optional[object] = None
 
     @property
     def npairs(self) -> int:
         """Number of Algorithm-2 block pairs the plan covers."""
-        return len(self.pairs)
+        return len(self.pair_a)
+
+    @property
+    def pair_flops(self) -> np.ndarray:
+        """Floating-point operations of each pair (``2 m k n``)."""
+        return 2.0 * self.pair_m * self.pair_k * self.pair_n
 
     @property
     def scalar_output(self) -> bool:
@@ -154,6 +118,65 @@ def normalize_axes(a, b, axes: Tuple[Sequence[int], Sequence[int]]
     if len(axes_a) != len(axes_b):
         raise ValueError("axes lists must have equal length")
     return axes_a, axes_b
+
+
+def _key_matrix(t) -> Tuple[List[BlockKey], np.ndarray, np.ndarray]:
+    """Sorted block keys of ``t``, as tuples and as sector/dim matrices."""
+    keys = sorted(t.blocks)
+    sectors = np.array(keys, dtype=np.int64).reshape(len(keys), t.ndim)
+    dims = np.empty_like(sectors)
+    for j, ix in enumerate(t.indices):
+        dims[:, j] = np.asarray(ix.dims, dtype=np.int64)[sectors[:, j]]
+    return keys, sectors, dims
+
+
+def _sector_code(sectors: np.ndarray, cols: Sequence[int],
+                 indices: Sequence[Index]) -> np.ndarray:
+    """Mixed-radix ``int64`` code of the sector columns ``cols``: exact, or
+    ``ValueError`` when the radix product passes ``2**63``."""
+    radices = [indices[c].nsectors for c in cols]
+    if math.prod(radices) > 2 ** 63:
+        raise ValueError(f"sector code of {len(cols)} modes with "
+                         f"{radices} sectors overflows int64")
+    code = np.zeros(len(sectors), dtype=np.int64)
+    for c, r in zip(cols, radices):
+        code = code * r + sectors[:, c]
+    return code
+
+
+def _first_appearance(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows by first appearance: (numbers, first rows)."""
+    # a stable sort brings equal rows together, earliest first
+    order = (np.lexsort(rows.T[::-1]) if rows.shape[1]
+             else np.arange(len(rows)))
+    ordered = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[new]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    number = np.empty_like(order)
+    number[order] = rank[np.cumsum(new) - 1]
+    return number, first[by_first]
+
+
+def _rows(matrix: np.ndarray) -> List[Tuple[int, ...]]:
+    """The rows of an integer matrix as tuples of Python ints."""
+    return (list(zip(*matrix.T.tolist())) if matrix.shape[1]
+            else [()] * len(matrix))
+
+
+def _runs(key: np.ndarray, lengths: np.ndarray, *columns: np.ndarray
+          ) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Stable-sort ``columns`` by ``key`` and cut them into runs of
+    ``lengths``, one tuple per column (tuples of ints leave the garbage
+    collector's tracking, so cached plans do not slow its collections)."""
+    order = np.argsort(key, kind="stable")
+    stops = np.cumsum(lengths).tolist()
+    starts = [0] + stops[:-1]
+    return list(zip(*([col[i:j] for i, j in zip(starts, stops)]
+                      for col in (tuple(c[order].tolist()) for c in columns))))
 
 
 def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
@@ -173,83 +196,68 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
     keep_b = tuple(i for i in range(b.ndim) if i not in axes_b)
     out_indices = tuple(a.indices[i] for i in keep_a) + \
         tuple(b.indices[i] for i in keep_b)
-    out_flux = add_charges(a.flux, b.flux)
-    perm_a = keep_a + axes_a
-    perm_b = axes_b + keep_b
-    slot_perm_a = perm_a if perm_a != tuple(range(a.ndim)) else None
-    slot_perm_b = perm_b if perm_b != tuple(range(b.ndim)) else None
+    perm_a, perm_b = keep_a + axes_a, axes_b + keep_b
 
-    b_by_contr: Dict[BlockKey, List[BlockKey]] = {}
-    for key_b in sorted(b.blocks):
-        b_by_contr.setdefault(tuple(key_b[ax] for ax in axes_b),
-                              []).append(key_b)
+    keys_a, sec_a, dims_a = _key_matrix(a)
+    keys_b, sec_b, dims_b = _key_matrix(b)
+    m_a, k_a = dims_a[:, keep_a].prod(axis=1), dims_a[:, axes_a].prod(axis=1)
+    k_b, n_b = dims_b[:, axes_b].prod(axis=1), dims_b[:, keep_b].prod(axis=1)
 
-    a_slots: List[MatSlot] = []
-    b_slots: List[MatSlot] = []
-    b_slot_of: Dict[BlockKey, int] = {}
-    out_specs: List[OutSpec] = []
-    out_slot_of: Dict[BlockKey, int] = {}
-    contributions: List[List[Tuple[int, int]]] = []
-    pairs: List[PairSpec] = []
-    total_flops = 0.0
-    largest = 0.0
+    # Algorithm 2 as a sort/merge join: every A block meets the run of B
+    # blocks (in sorted key order) whose contracted sectors equal its own
+    code_b = _sector_code(sec_b, axes_b, b.indices)
+    by_code = np.argsort(code_b, kind="stable")
+    code_a = _sector_code(sec_a, axes_a, a.indices)
+    lo = np.searchsorted(code_b[by_code], code_a, "left")
+    run = np.searchsorted(code_b[by_code], code_a, "right") - lo
+    row_a = np.repeat(np.arange(len(keys_a)), run)
+    row_b = by_code[np.arange(len(row_a))
+                    + np.repeat(lo - np.cumsum(run) + run, run)]
 
-    for key_a in sorted(a.blocks):
-        kc = tuple(key_a[ax] for ax in axes_a)
-        partners = b_by_contr.get(kc)
-        if not partners:
-            continue
-        keep_dims_a = tuple(a.indices[ax].sector_dim(key_a[ax])
-                            for ax in keep_a)
-        m = math.prod(keep_dims_a)
-        k = math.prod(a.indices[ax].sector_dim(key_a[ax]) for ax in axes_a)
-        sa = len(a_slots)
-        a_slots.append(MatSlot(key_a, slot_perm_a, m, k))
-        key_a_keep = tuple(key_a[i] for i in keep_a)
-        for key_b in partners:
-            sb = b_slot_of.get(key_b)
-            keep_dims_b = tuple(b.indices[ax].sector_dim(key_b[ax])
-                                for ax in keep_b)
-            n = math.prod(keep_dims_b)
-            if sb is None:
-                sb = b_slot_of[key_b] = len(b_slots)
-                b_slots.append(MatSlot(key_b, slot_perm_b, k, n))
-            key_c = key_a_keep + tuple(key_b[i] for i in keep_b)
-            so = out_slot_of.get(key_c)
-            if so is None:
-                so = out_slot_of[key_c] = len(out_specs)
-                out_specs.append(OutSpec(key_c, keep_dims_a + keep_dims_b,
-                                         m, n))
-                contributions.append([])
-            work = 2.0 * m * k * n
-            pairs.append(PairSpec(sa, sb, so, work, m * k, k * n, m * n))
-            contributions[so].append((sa, sb))
-            total_flops += work
-            if work > largest:
-                largest = work
+    slots_a = np.flatnonzero(run)
+    pair_a = (np.cumsum(run > 0) - 1)[row_a]
+    pair_b, first_b = _first_appearance(row_b[:, None])
+    slots_b = row_b[first_b]
+    out_sec = np.concatenate((sec_a[row_a][:, keep_a],
+                              sec_b[row_b][:, keep_b]), axis=1)
+    pair_out, first_out = _first_appearance(out_sec)
+    out_dims = np.concatenate((dims_a[row_a[first_out]][:, keep_a],
+                               dims_b[row_b[first_out]][:, keep_b]), axis=1)
 
-    fused_groups: List[FusedGroup] = []
-    batchable: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
-    for so, contribs in enumerate(contributions):
-        if len(contribs) > 1:
-            fused_groups.append(FusedGroup(so,
-                                           tuple(sa for sa, _ in contribs),
-                                           tuple(sb for _, sb in contribs)))
-        else:
-            sa, sb = contribs[0]
-            shape = (a_slots[sa].rows, a_slots[sa].cols, b_slots[sb].cols)
-            batchable.setdefault(shape, []).append((so, sa, sb))
-    batch_groups = [BatchGroup(tuple(entries))
-                    for entries in batchable.values()]
+    pair_m, pair_k, pair_n = m_a[row_a], k_a[row_a], n_b[row_b]
+    flops = 2.0 * pair_m * pair_k * pair_n
+    # summed sequentially in pair order
+    total_flops = float(flops.cumsum()[-1]) if len(flops) else 0.0
+    largest = float(flops.max()) if len(flops) else 0.0
+
+    contributions = np.bincount(pair_out, minlength=len(first_out))
+    multi = np.flatnonzero(contributions > 1)
+    fusing = contributions[pair_out] > 1
+    fused = [(so, sa, sb) for so, (sa, sb) in zip(
+        multi.tolist(), _runs(pair_out[fusing], contributions[multi],
+                              pair_a[fusing], pair_b[fusing]))]
+    single = np.flatnonzero(contributions == 1)
+    p = first_out[single]
+    shape_group, first_shape = _first_appearance(
+        np.stack((pair_m[p], pair_k[p], pair_n[p]), axis=1))
+    batched = _runs(shape_group, np.bincount(shape_group), single, pair_a[p],
+                    pair_b[p])
 
     return ContractionPlan(
         axes_a=axes_a, axes_b=axes_b, keep_a=keep_a, keep_b=keep_b,
-        out_indices=out_indices, out_flux=out_flux,
-        a_slots=a_slots, b_slots=b_slots, out_specs=out_specs, pairs=pairs,
-        fused_groups=fused_groups, batch_groups=batch_groups,
-        total_flops=total_flops,
+        out_indices=out_indices, out_flux=add_charges(a.flux, b.flux),
+        perm_a=perm_a if perm_a != tuple(range(a.ndim)) else None,
+        perm_b=perm_b if perm_b != tuple(range(b.ndim)) else None,
+        a_keys=[keys_a[i] for i in slots_a.tolist()],
+        a_rows=m_a[slots_a].tolist(), a_cols=k_a[slots_a].tolist(),
+        b_keys=[keys_b[i] for i in slots_b.tolist()],
+        b_rows=k_b[slots_b].tolist(), b_cols=n_b[slots_b].tolist(),
+        out_keys=_rows(out_sec[first_out]), out_shapes=_rows(out_dims),
+        pair_a=pair_a, pair_b=pair_b, pair_out=pair_out,
+        pair_m=pair_m, pair_k=pair_k, pair_n=pair_n,
+        fused=fused, batched=batched, total_flops=total_flops,
         largest_pair_share=(largest / total_flops) if total_flops > 0 else 1.0,
-        out_nnz=int(sum(spec.rows * spec.cols for spec in out_specs)))
+        out_nnz=int(out_dims.prod(axis=1).sum()))
 
 
 class PlanCache:

@@ -2,9 +2,12 @@
 
 Covers the plan cache (hit/miss accounting, DMRG integration), the
 equivalence of the planned/batched GEMM path with the naive Algorithm-2
-block-pair loop across random index structures, and regression tests for the
-dtype/truncation fixes that rode along with the planner PR.
+block-pair loop across random index structures, the array-built plan against
+the per-pair loop it replaced (kept here as the oracle), and regression tests
+for the dtype/truncation fixes that rode along with the planner PR.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,40 +17,218 @@ from repro.dmrg import DMRGConfig, Sweeps, dmrg
 from repro.dmrg.davidson import _randomize_like
 from repro.models import heisenberg_chain_model
 from repro.mps import MPS, build_mpo
+from repro.perf.shapesim import ShapeTensor
 from repro.symmetry import (BlockSparseTensor, Index, PlanCache, build_plan,
                             contract_planned, execute_plan, svd,
                             tensor_signature)
+from repro.symmetry.planner import normalize_axes
 
 
 # --------------------------------------------------------------------------- #
 # random contraction instances
 # --------------------------------------------------------------------------- #
 def _random_index(rng: np.random.Generator, max_sectors: int = 3,
-                  max_dim: int = 3) -> Index:
+                  max_dim: int = 3, nsym: int = 1, max_charge: int = 2
+                  ) -> Index:
     ns = int(rng.integers(1, max_sectors + 1))
-    sectors = [(int(q),) for q in rng.integers(-2, 3, size=ns)]
+    charges = rng.integers(-max_charge, max_charge + 1, size=(ns, nsym))
+    sectors = [tuple(int(q) for q in row) for row in charges]
     dims = [int(d) for d in rng.integers(1, max_dim + 1, size=ns)]
     flow = 1 if rng.random() < 0.5 else -1
     return Index(sectors, dims, flow=flow)
 
 
-def _random_case(rng: np.random.Generator):
-    """A random contractable (a, b, axes) triple with shuffled mode order."""
-    n_contr = int(rng.integers(1, 3))
-    contr = [_random_index(rng) for _ in range(n_contr)]
-    a_free = [_random_index(rng) for _ in range(int(rng.integers(1, 3)))]
-    b_free = [_random_index(rng) for _ in range(int(rng.integers(1, 3)))]
+def _random_case(rng: np.random.Generator, n_contr: tuple = (1, 3),
+                 n_free: tuple = (1, 3), drop: float = 0.0, **index_kw):
+    """A random contractable (a, b, axes) triple with shuffled mode order.
+
+    ``n_contr``/``n_free`` are half-open ranges of the number of contracted
+    and free modes per operand; each stored block is then dropped with
+    probability ``drop``, so some blocks lose their partners.  ``index_kw``
+    goes to :func:`_random_index`.
+    """
+    n_c = int(rng.integers(*n_contr))
+    contr = [_random_index(rng, **index_kw) for _ in range(n_c)]
+    a_free = [_random_index(rng, **index_kw)
+              for _ in range(int(rng.integers(*n_free)))]
+    b_free = [_random_index(rng, **index_kw)
+              for _ in range(int(rng.integers(*n_free)))]
     a_modes = a_free + contr
     b_modes = [ix.dual() for ix in contr] + b_free
     perm_a = list(rng.permutation(len(a_modes)))
     perm_b = list(rng.permutation(len(b_modes)))
-    a = BlockSparseTensor.random([a_modes[p] for p in perm_a], flux=(0,),
+    flux = (0,) * index_kw.get("nsym", 1)
+    a = BlockSparseTensor.random([a_modes[p] for p in perm_a], flux=flux,
                                  rng=rng)
-    b = BlockSparseTensor.random([b_modes[p] for p in perm_b], flux=(0,),
+    b = BlockSparseTensor.random([b_modes[p] for p in perm_b], flux=flux,
                                  rng=rng)
-    axes_a = [perm_a.index(len(a_free) + i) for i in range(n_contr)]
-    axes_b = [perm_b.index(i) for i in range(n_contr)]
+    if drop:
+        for t in (a, b):
+            t.blocks = {k: v for k, v in t.blocks.items()
+                        if rng.random() >= drop}
+    axes_a = [perm_a.index(len(a_free) + i) for i in range(n_c)]
+    axes_b = [perm_b.index(i) for i in range(n_c)]
     return a, b, (axes_a, axes_b)
+
+
+# --------------------------------------------------------------------------- #
+# the per-pair loop build_plan replaced, kept as its oracle
+# --------------------------------------------------------------------------- #
+def _loop_plan(a, b, axes) -> dict:
+    """Build a plan the way the original Python pair loop did.
+
+    Returns the plan's slots, pair columns, groups and aggregates in the
+    layout :func:`_plan_columns` reads from a :class:`ContractionPlan`.
+    """
+    axes_a, axes_b = normalize_axes(a, b, axes)
+    keep_a = tuple(i for i in range(a.ndim) if i not in axes_a)
+    keep_b = tuple(i for i in range(b.ndim) if i not in axes_b)
+    perm_a, perm_b = keep_a + axes_a, axes_b + keep_b
+    b_by_contr = {}
+    for key_b in sorted(b.blocks):
+        b_by_contr.setdefault(tuple(key_b[ax] for ax in axes_b),
+                              []).append(key_b)
+    a_keys, a_rows, a_cols = [], [], []
+    b_keys, b_rows, b_cols = [], [], []
+    b_slot_of, out_slot_of = {}, {}
+    out_keys, out_shapes, contributions = [], [], []
+    pairs, flops = [], []
+    total_flops = largest = 0.0
+    for key_a in sorted(a.blocks):
+        partners = b_by_contr.get(tuple(key_a[ax] for ax in axes_a))
+        if not partners:
+            continue
+        keep_dims_a = tuple(a.indices[ax].sector_dim(key_a[ax])
+                            for ax in keep_a)
+        m = math.prod(keep_dims_a)
+        k = math.prod(a.indices[ax].sector_dim(key_a[ax]) for ax in axes_a)
+        sa = len(a_keys)
+        a_keys.append(key_a)
+        a_rows.append(m)
+        a_cols.append(k)
+        for key_b in partners:
+            keep_dims_b = tuple(b.indices[ax].sector_dim(key_b[ax])
+                                for ax in keep_b)
+            n = math.prod(keep_dims_b)
+            sb = b_slot_of.get(key_b)
+            if sb is None:
+                sb = b_slot_of[key_b] = len(b_keys)
+                b_keys.append(key_b)
+                b_rows.append(k)
+                b_cols.append(n)
+            key_c = tuple(key_a[i] for i in keep_a) + \
+                tuple(key_b[i] for i in keep_b)
+            so = out_slot_of.get(key_c)
+            if so is None:
+                so = out_slot_of[key_c] = len(out_keys)
+                out_keys.append(key_c)
+                out_shapes.append(keep_dims_a + keep_dims_b)
+                contributions.append([])
+            work = 2.0 * m * k * n
+            pairs.append((sa, sb, so, m, k, n))
+            flops.append(work)
+            contributions[so].append((sa, sb))
+            total_flops += work
+            largest = max(largest, work)
+    fused, batchable = [], {}
+    for so, contribs in enumerate(contributions):
+        if len(contribs) > 1:
+            fused.append((so, tuple(sa for sa, _ in contribs),
+                          tuple(sb for _, sb in contribs)))
+        else:
+            sa, sb = contribs[0]
+            group = batchable.setdefault((a_rows[sa], a_cols[sa], b_cols[sb]),
+                                         ([], [], []))
+            for column, slot in zip(group, (so, sa, sb)):
+                column.append(slot)
+    return dict(
+        perm_a=perm_a if perm_a != tuple(range(a.ndim)) else None,
+        perm_b=perm_b if perm_b != tuple(range(b.ndim)) else None,
+        a_keys=a_keys, a_rows=a_rows, a_cols=a_cols,
+        b_keys=b_keys, b_rows=b_rows, b_cols=b_cols,
+        out_keys=out_keys, out_shapes=out_shapes, pairs=pairs, flops=flops,
+        fused=fused,
+        batched=[tuple(map(tuple, group)) for group in batchable.values()],
+        total_flops=total_flops,
+        largest_pair_share=largest / total_flops if total_flops > 0 else 1.0,
+        out_nnz=sum(math.prod(shape) for shape in out_shapes))
+
+
+def _plan_columns(plan) -> dict:
+    """The fields of a :class:`ContractionPlan` that :func:`_loop_plan` builds."""
+    columns = (plan.pair_a, plan.pair_b, plan.pair_out, plan.pair_m,
+               plan.pair_k, plan.pair_n)
+    return dict(
+        perm_a=plan.perm_a, perm_b=plan.perm_b,
+        a_keys=plan.a_keys, a_rows=plan.a_rows, a_cols=plan.a_cols,
+        b_keys=plan.b_keys, b_rows=plan.b_rows, b_cols=plan.b_cols,
+        out_keys=plan.out_keys, out_shapes=plan.out_shapes,
+        pairs=list(zip(*(c.tolist() for c in columns))),
+        flops=plan.pair_flops.tolist(), fused=plan.fused,
+        batched=plan.batched, total_flops=plan.total_flops,
+        largest_pair_share=plan.largest_pair_share, out_nnz=plan.out_nnz)
+
+
+def _dense(x):
+    return x.to_dense() if isinstance(x, BlockSparseTensor) else np.asarray(x)
+
+
+#: two charges, like the electrons' (N, Sz); many small sectors keep
+#: charge-conserving blocks common
+TWO_CHARGES = dict(nsym=2, max_sectors=8, max_charge=1)
+ORACLE_CASES = {
+    "one-charge": dict(max_sectors=5, max_charge=1),
+    "two-charges": TWO_CHARGES,
+    "outer-product": dict(n_contr=(0, 1), **TWO_CHARGES),
+    "full-contraction": dict(n_free=(0, 1), **TWO_CHARGES),
+    "dropped-blocks": dict(drop=0.5, **TWO_CHARGES),
+}
+
+
+class TestPlanOracle:
+    @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+    def test_plan_equals_loop_oracle(self, kind):
+        """Slots, pair columns, groups and aggregates equal the loop's."""
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            a, b, axes = _random_case(rng, **ORACLE_CASES[kind])
+            plan = build_plan(a, b, axes)
+            assert _plan_columns(plan) == _loop_plan(a, b, axes)
+            out = execute_plan(plan, a, b, count_flops=False)
+            ref = a.contract(b, axes, count_flops=False)
+            assert np.allclose(_dense(out), _dense(ref), atol=1e-12)
+
+    @pytest.mark.parametrize("empty", ["a", "b"])
+    def test_empty_operand(self, empty):
+        a, b, axes = _random_case(np.random.default_rng(4), **TWO_CHARGES)
+        if empty == "a":
+            a = BlockSparseTensor(a.indices, {}, flux=a.flux)
+        else:
+            b = BlockSparseTensor(b.indices, {}, flux=b.flux)
+        plan = build_plan(a, b, axes)
+        assert _plan_columns(plan) == _loop_plan(a, b, axes)
+        assert plan.npairs == 0 and plan.total_flops == 0.0
+        assert execute_plan(plan, a, b).blocks == {}
+
+    def test_sector_code_is_exact_or_raises(self):
+        """63 two-sector modes fill the int64 code exactly; 64 raise."""
+        two = Index([(0,), (1,)], [1, 1], flow=1)
+        for n in (63, 64):
+            ones = (1,) * n
+            # A's second key differs from B's only in the leading sector, so
+            # a wrapped code would pair it
+            a = ShapeTensor([two] * n, (0,),
+                            {ones: (1,) * n, (0,) + ones[1:]: (1,) * n})
+            b = ShapeTensor([two.dual()] * n, (0,),
+                            {ones: (1,) * n, ones[:-1] + (0,): (1,) * n})
+            axes = (list(range(n)), list(range(n)))
+            if n == 63:
+                plan = build_plan(a, b, axes)
+                assert _plan_columns(plan) == _loop_plan(a, b, axes)
+                assert plan.npairs == 1
+            else:
+                with pytest.raises(ValueError, match="overflows int64"):
+                    build_plan(a, b, axes)
 
 
 class TestPlannedContraction:
@@ -119,13 +300,22 @@ class TestPlannedContraction:
             build_plan(a, a, axes=([1], [1]))  # equal flows cannot contract
 
     def test_plan_groups_cover_all_pairs(self):
+        """Every fused group has >= 2 pairs; each pair is in one group."""
         rng = np.random.default_rng(11)
-        a, b, axes = _random_case(rng)
-        plan = build_plan(a, b, axes)
-        in_fused = sum(len(g.a_slots) for g in plan.fused_groups)
-        in_batched = sum(len(g.entries) for g in plan.batch_groups)
-        assert in_fused + in_batched == plan.npairs
-        assert plan.out_nnz == sum(s.rows * s.cols for s in plan.out_specs)
+        for _ in range(20):
+            a, b, axes = _random_case(rng, drop=0.3, **TWO_CHARGES)
+            plan = build_plan(a, b, axes)
+            grouped = []
+            for so, a_slots, b_slots in plan.fused:
+                assert len(a_slots) == len(b_slots) >= 2
+                grouped += [(so, sa, sb) for sa, sb in zip(a_slots, b_slots)]
+            for out_slots, a_slots, b_slots in plan.batched:
+                grouped += list(zip(out_slots, a_slots, b_slots))
+            pairs = zip(plan.pair_out.tolist(), plan.pair_a.tolist(),
+                        plan.pair_b.tolist())
+            assert sorted(grouped) == sorted(pairs)
+            assert len(set(grouped)) == plan.npairs
+            assert plan.out_nnz == sum(math.prod(s) for s in plan.out_shapes)
 
 
 class TestPlanCacheInDMRG:

@@ -10,7 +10,6 @@ and Stampede2.
 
 from .machine import BLUE_WATERS, LAPTOP, MACHINES, STAMPEDE2, MachineSpec
 from .profiler import CATEGORIES, Profiler
-from .distribution import factor_processor_grid
 from .bsp import (CommCost, blockwise_contraction_comm, dense_contraction_comm,
                   load_imbalance_fraction, parallel_gemm_efficiency,
                   redistribution_comm, scalapack_svd_comm,
@@ -21,11 +20,9 @@ from .topology import (FatTree, SingleNode, Topology, Torus3D,
 from .collectives import CollectiveCost, CollectiveModel
 from .mapping import (GemmShape, MappingDecision, RedistributionPlan,
                       candidate_mappings, choose_mapping,
-                      gemm_shape_of_contraction, plan_candidate_mappings,
-                      redistribution_plan, summa_25d, summa_2d, summa_3d,
-                      tensor_grid_for_shape)
-from .plan_cost import (GRAIN_EFFICIENCY_CROSSOVER, PairCost, PlanCost,
-                        as_plan_cost, choose_plan_mapping, lower_plan,
+                      plan_candidate_mappings, redistribution_plan,
+                      summa_25d, summa_2d, summa_3d)
+from .plan_cost import (GRAIN_EFFICIENCY_CROSSOVER, choose_plan_mapping,
                         pair_mapping_decisions, redistribution_words)
 from .layout import (LayoutTracker, TensorLayout, davidson_key,
                      heff_operand_keys, left_env_key, mpo_key, right_env_key,
@@ -35,7 +32,7 @@ from .memory import (OutOfMemoryError, dmrg_step_footprint_bytes,
 
 __all__ = [
     "BLUE_WATERS", "LAPTOP", "MACHINES", "STAMPEDE2", "MachineSpec",
-    "CATEGORIES", "Profiler", "factor_processor_grid",
+    "CATEGORIES", "Profiler",
     "CommCost", "blockwise_contraction_comm", "dense_contraction_comm",
     "load_imbalance_fraction", "parallel_gemm_efficiency",
     "redistribution_comm", "scalapack_svd_comm", "sparse_contraction_comm",
@@ -43,12 +40,10 @@ __all__ = [
     "FatTree", "SingleNode", "Topology", "Torus3D", "topology_for_machine",
     "CollectiveCost", "CollectiveModel",
     "GemmShape", "MappingDecision", "RedistributionPlan",
-    "candidate_mappings", "choose_mapping", "gemm_shape_of_contraction",
-    "plan_candidate_mappings", "redistribution_plan", "summa_25d", "summa_2d",
-    "summa_3d", "tensor_grid_for_shape",
-    "GRAIN_EFFICIENCY_CROSSOVER", "PairCost", "PlanCost", "as_plan_cost",
-    "choose_plan_mapping", "lower_plan", "pair_mapping_decisions",
-    "redistribution_words",
+    "candidate_mappings", "choose_mapping", "plan_candidate_mappings",
+    "redistribution_plan", "summa_25d", "summa_2d", "summa_3d",
+    "GRAIN_EFFICIENCY_CROSSOVER", "choose_plan_mapping",
+    "pair_mapping_decisions", "redistribution_words",
     "LayoutTracker", "TensorLayout", "davidson_key", "heff_operand_keys",
     "left_env_key", "mpo_key", "right_env_key", "site_key",
     "OutOfMemoryError", "dmrg_step_footprint_bytes", "minimum_nodes",

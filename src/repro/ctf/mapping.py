@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .collectives import CollectiveModel
-from .distribution import factor_processor_grid
 
 
 # --------------------------------------------------------------------------- #
@@ -70,24 +69,6 @@ class GemmShape:
     def total_words(self) -> float:
         """Combined operand + output words of the GEMM."""
         return self.words_a + self.words_b + self.words_c
-
-
-def gemm_shape_of_contraction(shape_a: Sequence[int], shape_b: Sequence[int],
-                              axes_a: Sequence[int], axes_b: Sequence[int]
-                              ) -> GemmShape:
-    """The GEMM dimensions of a tensor contraction (tensordot convention)."""
-    axes_a = [int(a) % len(shape_a) for a in axes_a]
-    axes_b = [int(b) % len(shape_b) for b in axes_b]
-    k = 1
-    for ax_a, ax_b in zip(axes_a, axes_b):
-        if shape_a[ax_a] != shape_b[ax_b]:
-            raise ValueError("contracted extents differ")
-        k *= int(shape_a[ax_a])
-    m = int(np.prod([shape_a[i] for i in range(len(shape_a))
-                     if i not in axes_a], dtype=np.int64)) if shape_a else 1
-    n = int(np.prod([shape_b[i] for i in range(len(shape_b))
-                     if i not in axes_b], dtype=np.int64)) if shape_b else 1
-    return GemmShape(max(m, 1), max(n, 1), max(k, 1))
 
 
 # --------------------------------------------------------------------------- #
@@ -228,7 +209,7 @@ def _combine_pair_decisions(family: MappingDecision, owned_words_per_rank,
         resident_words_per_rank + transient, total(family.seconds))
 
 
-def plan_candidate_mappings(pair_shapes: Sequence[GemmShape], nprocs: int,
+def plan_candidate_mappings(pairs: GemmShape, nprocs: int,
                             model: CollectiveModel,
                             resident_words_per_rank: float = 0.0
                             ) -> List[MappingDecision]:
@@ -236,28 +217,21 @@ def plan_candidate_mappings(pair_shapes: Sequence[GemmShape], nprocs: int,
 
     Each candidate family (2D, 2.5D at each replication factor, 3D) is priced
     as the sum of its per-pair costs — the quantity a contraction plan
-    actually executes — rather than from one aggregate shape.  All pairs are
-    scored in one :func:`candidate_mappings` call on a :class:`GemmShape`
-    whose ``m``, ``n``, ``k`` are the per-pair arrays.
-    ``resident_words_per_rank`` (words) is the per-rank share of the plan's
-    distinct blocks, which no mapping choice can avoid holding; each
+    actually executes — rather than from one aggregate shape.  ``pairs`` is
+    one :class:`GemmShape` whose ``m``, ``n``, ``k`` are the per-pair
+    (float) arrays, so all pairs are scored in one :func:`candidate_mappings`
+    call.  ``resident_words_per_rank`` (words) is the per-rank share of the
+    plan's distinct blocks, which no mapping choice can avoid holding; each
     candidate's memory requirement is that floor plus its largest transient
     per-pair working set.
     """
-    if not pair_shapes:
-        raise ValueError("need at least one pair shape")
-    pairs = GemmShape(*np.array([(s.m, s.n, s.k) for s in pair_shapes],
-                                dtype=float).T)
     owned = pairs.total_words / max(nprocs, 1)
     return [_combine_pair_decisions(family, owned, resident_words_per_rank)
             for family in candidate_mappings(pairs, nprocs, model)]
 
 
-def choose_mapping(shape: GemmShape | None, nprocs: int,
-                   model: CollectiveModel, *,
-                   memory_words_per_rank: float | None = None,
-                   pair_shapes: Sequence[GemmShape] | None = None,
-                   resident_words_per_rank: float = 0.0
+def choose_mapping(shape: GemmShape, nprocs: int, model: CollectiveModel, *,
+                   memory_words_per_rank: float | None = None
                    ) -> MappingDecision:
     """The cheapest mapping that fits in the per-rank memory budget.
 
@@ -266,13 +240,13 @@ def choose_mapping(shape: GemmShape | None, nprocs: int,
     (in words per rank, i.e. 8-byte elements), the replication factor is
     limited exactly the way Cyclops limits it, which is how the sparse
     single-tensor algorithms end up on the ``O(M_D / p^{1/2})``-word 2D
-    mappings of Table II.
+    mappings of Table II.  A planned contraction is scored per block pair by
+    :func:`repro.ctf.plan_cost.choose_plan_mapping` under the same rule.
 
     Parameters
     ----------
     shape:
-        Aggregate GEMM dimensions of the contraction.  May be ``None`` when
-        ``pair_shapes`` is given.
+        GEMM dimensions of the contraction.
     nprocs:
         Total number of MPI ranks.
     model:
@@ -281,17 +255,6 @@ def choose_mapping(shape: GemmShape | None, nprocs: int,
         Optional per-rank memory budget in words; candidates exceeding it are
         discarded (falling back to the smallest-footprint candidate when
         nothing fits).
-    pair_shapes:
-        When given (the plan-driven scorer), candidates are priced as the sum
-        of their per-block-pair costs over these GEMM shapes instead of from
-        the single aggregate ``shape`` — this is how a
-        :class:`~repro.symmetry.planner.ContractionPlan` makes the mapping
-        decision sensitive to block structure.  Deterministic for a fixed
-        pair list.
-    resident_words_per_rank:
-        Only with ``pair_shapes``: per-rank words of owned block storage
-        every candidate must hold regardless of mapping (added to each
-        candidate's memory requirement before the budget filter).
 
     Returns
     -------
@@ -299,13 +262,18 @@ def choose_mapping(shape: GemmShape | None, nprocs: int,
         The chosen algorithm with its modelled words/rank, supersteps,
         memory (words/rank) and seconds.
     """
-    if pair_shapes is not None:
-        cands = plan_candidate_mappings(pair_shapes, nprocs, model,
-                                        resident_words_per_rank)
-    elif shape is not None:
-        cands = candidate_mappings(shape, nprocs, model)
-    else:
-        raise ValueError("choose_mapping needs a shape or pair_shapes")
+    return cheapest_fitting(candidate_mappings(shape, nprocs, model),
+                            memory_words_per_rank)
+
+
+def cheapest_fitting(cands: List[MappingDecision],
+                     memory_words_per_rank: float | None = None
+                     ) -> MappingDecision:
+    """The fastest candidate within the per-rank memory budget (words).
+
+    Ties on seconds go to fewer words per rank.  When no candidate fits,
+    the smallest-footprint one is returned.
+    """
     if memory_words_per_rank is not None:
         fitting = [c for c in cands
                    if c.memory_words_per_rank <= memory_words_per_rank]
@@ -349,8 +317,3 @@ def redistribution_plan(total_elements: float, nprocs: int,
     per_rank = total_elements / max(nprocs, 1)
     cost = model.alltoall(per_rank, max(nprocs, 1))
     return RedistributionPlan(total_elements, per_rank, cost.seconds)
-
-
-def tensor_grid_for_shape(shape: Sequence[int], nprocs: int) -> Tuple[int, ...]:
-    """Processor grid Cyclops' mapper would assign to a dense tensor."""
-    return factor_processor_grid(nprocs, shape)

@@ -1,4 +1,4 @@
-"""Lowering contraction plans into the distributed cost model.
+"""Pricing contraction plans in the distributed cost model.
 
 The contraction planner (:mod:`repro.symmetry.planner`) knows, before any
 arithmetic happens, every block pair a contraction will execute, the
@@ -7,155 +7,51 @@ the simulated machine (:class:`repro.ctf.world.SimWorld`) from *aggregate*
 element counts instead over-charges communication whenever only part of a
 tensor participates, and hides the GEMM shapes from the mapping chooser.
 
-:func:`lower_plan` reads the pair columns of a
-:class:`~repro.symmetry.planner.ContractionPlan` into a :class:`PlanCost`:
-one :class:`PairCost` per block pair (its :class:`~repro.ctf.mapping.GemmShape`
-and operand/output words) plus plan-level aggregates (touched operand words,
-output words, flops, load-balance statistics).  The lowered description feeds
+The functions here read a :class:`~repro.symmetry.planner.ContractionPlan`
+directly: its pair columns (``pair_m``, ``pair_k``, ``pair_n``,
+``pair_flops``) and the words of its distinct blocks (``a_words``,
+``b_words``, ``out_nnz``).  They feed
 
-* :meth:`repro.ctf.world.SimWorld.charge_planned_contraction` — plan-aware
-  contraction pricing,
-* the plan-aware mode of
-  :meth:`repro.ctf.world.SimWorld.charge_redistribution` — block-aligned
-  redistribution volumes via :func:`redistribution_words`,
-* :func:`choose_plan_mapping` — the per-pair candidate scorer of
-  :func:`repro.ctf.mapping.choose_mapping`.
+* :meth:`repro.ctf.world.SimWorld.charge_planned_contraction` and the
+  plan-aware mode of :meth:`repro.ctf.world.SimWorld.charge_redistribution`
+  — block-aligned volumes via :func:`redistribution_words`,
+* :func:`choose_plan_mapping` — one SUMMA decision per plan, every
+  candidate scored against the per-pair GEMM shapes,
+* :func:`pair_mapping_decisions` — one decision per pair for the ``list``
+  algorithm.
 
 Units: "words" are always 8-byte tensor elements, "flops" are floating-point
 operations, times are seconds.
 
-The lowering only reads plan structure, so it works identically for plans
-built from concrete :class:`~repro.symmetry.block_tensor.BlockSparseTensor`
+Plans only describe structure, so pricing works identically for plans built
+from concrete :class:`~repro.symmetry.block_tensor.BlockSparseTensor`
 operands and for the data-free :class:`~repro.perf.shapesim.ShapeTensor`
 skeletons the scaling benchmarks use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import mul
 from typing import Tuple
 
 from .bsp import parallel_gemm_efficiency
 from .collectives import CollectiveModel
-from .mapping import GemmShape, MappingDecision, choose_mapping, summa_2d
+from .mapping import (GemmShape, MappingDecision, cheapest_fitting,
+                      choose_mapping, plan_candidate_mappings, summa_2d)
 
 
-@dataclass(frozen=True)
-class PairCost:
-    """Cost description of one planned block-pair GEMM.
+def redistribution_words(plan, operand: str = "all") -> float:
+    """Block-aligned redistribution volume (words) of a planned layout.
 
-    Attributes
-    ----------
-    shape:
-        The matricized ``C[m, n] += A[m, k] B[k, n]`` dimensions of the pair.
-    flops:
-        Floating-point operations of the pair (``2 m n k``).
-    words_a, words_b, words_c:
-        Words (8-byte elements) of the A, B and output blocks involved.
-    """
-
-    shape: GemmShape
-    flops: float
-    words_a: float
-    words_b: float
-    words_c: float
-
-
-@dataclass(frozen=True)
-class PlanCost:
-    """A contraction plan lowered to distributed-cost-model quantities.
-
-    All word counts are 8-byte elements; ``total_flops`` is in floating-point
-    operations.  ``operand_a_words``/``operand_b_words`` count each *distinct*
-    operand block once even when it participates in several pairs — this is
-    the volume a block-aligned redistribution of the planned layout actually
-    has to move, and it is never larger than the operand's aggregate nnz
-    (blocks no pair touches do not move).  ``decisions`` memoizes the
-    plan's mapping decisions per machine (:meth:`SimWorld.preferred_mapping`).
-    """
-
-    pairs: Tuple[PairCost, ...]
-    operand_a_words: float
-    operand_b_words: float
-    output_words: float
-    total_flops: float
-    largest_pair_share: float
-    decisions: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def npairs(self) -> int:
-        """Number of planned block pairs."""
-        return len(self.pairs)
-
-    @property
-    def touched_words(self) -> float:
-        """Total words of all distinct blocks the plan touches (A + B + out)."""
-        return self.operand_a_words + self.operand_b_words + self.output_words
-
-    @property
-    def pair_shapes(self) -> Tuple[GemmShape, ...]:
-        """The per-pair GEMM shapes, in plan order (deterministic)."""
-        return tuple(p.shape for p in self.pairs)
-
-
-def lower_plan(plan) -> PlanCost:
-    """Lower a :class:`~repro.symmetry.planner.ContractionPlan` to costs.
-
-    The result is memoized in the plan's ``cost`` field, so repeatedly
-    charging a cached plan (the common case: one plan per signature,
-    thousands of executions) lowers it only once.
+    A layout change of a tensor whose planned contraction only touches a
+    subset of its blocks moves exactly those blocks' words — the remainder
+    never has to land on the contraction's processor grid.  Each distinct
+    block counts once even when it joins several pairs, so the volume is
+    never larger than the operand's aggregate nnz.
 
     Parameters
     ----------
     plan:
         A ``ContractionPlan`` built by :func:`repro.symmetry.planner.build_plan`.
-
-    Returns
-    -------
-    PlanCost
-        Per-pair GEMM shapes/words plus plan-level aggregates.
-    """
-    if plan.cost is None:
-        plan.cost = PlanCost(
-            pairs=tuple(
-                PairCost(shape=GemmShape(m, n, k), flops=flops,
-                         words_a=float(m * k), words_b=float(k * n),
-                         words_c=float(m * n))
-                for m, k, n, flops in zip(
-                    plan.pair_m.tolist(), plan.pair_k.tolist(),
-                    plan.pair_n.tolist(), plan.pair_flops.tolist())),
-            operand_a_words=float(sum(map(mul, plan.a_rows, plan.a_cols))),
-            operand_b_words=float(sum(map(mul, plan.b_rows, plan.b_cols))),
-            output_words=float(plan.out_nnz),
-            total_flops=float(plan.total_flops),
-            largest_pair_share=float(plan.largest_pair_share))
-    return plan.cost
-
-
-def as_plan_cost(plan_or_cost) -> PlanCost:
-    """Coerce a ``ContractionPlan`` or an already-lowered :class:`PlanCost`.
-
-    Every plan-consuming entry point (``charge_planned_contraction``,
-    ``charge_redistribution(plan=...)``, :func:`redistribution_words`,
-    :func:`choose_plan_mapping`) accepts both forms through this helper.
-    """
-    if isinstance(plan_or_cost, PlanCost):
-        return plan_or_cost
-    return lower_plan(plan_or_cost)
-
-
-def redistribution_words(plan_or_cost, operand: str = "all") -> float:
-    """Block-aligned redistribution volume (words) of a planned layout.
-
-    A layout change of a tensor whose planned contraction only touches a
-    subset of its blocks moves exactly those blocks' words — the remainder
-    never has to land on the contraction's processor grid.
-
-    Parameters
-    ----------
-    plan_or_cost:
-        A ``ContractionPlan`` or its lowered :class:`PlanCost`.
     operand:
         ``"a"``, ``"b"`` or ``"out"`` for one tensor of the contraction, or
         ``"all"`` for the sum over all three.
@@ -165,35 +61,35 @@ def redistribution_words(plan_or_cost, operand: str = "all") -> float:
     float
         Words (8-byte elements) that the redistribution moves in aggregate.
     """
-    cost = as_plan_cost(plan_or_cost)
     if operand == "a":
-        return cost.operand_a_words
+        return float(plan.a_words)
     if operand == "b":
-        return cost.operand_b_words
+        return float(plan.b_words)
     if operand == "out":
-        return cost.output_words
+        return float(plan.out_nnz)
     if operand == "all":
-        return cost.touched_words
+        return float(plan.a_words) + float(plan.b_words) + float(plan.out_nnz)
     raise ValueError(f"operand must be 'a', 'b', 'out' or 'all', "
                      f"got {operand!r}")
 
 
-def choose_plan_mapping(plan_or_cost, nprocs: int, model: CollectiveModel, *,
+def choose_plan_mapping(plan, nprocs: int, model: CollectiveModel, *,
                         memory_words_per_rank: float | None = None
                         ) -> MappingDecision:
     """Pick the distributed-GEMM mapping for a *planned* contraction.
 
     Scores every SUMMA candidate against the plan's actual per-block-pair
-    GEMM shapes (via the ``pair_shapes`` scorer of
-    :func:`repro.ctf.mapping.choose_mapping`) instead of one aggregate shape,
-    so the decision can differ between two contractions of equal total size
-    but different block structure.  Deterministic for a fixed plan: the pair
-    list is ordered and every candidate cost is a pure function of it.
+    GEMM shapes (:func:`repro.ctf.mapping.plan_candidate_mappings` on one
+    :class:`~repro.ctf.mapping.GemmShape` whose ``m``, ``n``, ``k`` are the
+    pair columns) instead of one aggregate shape, so the decision can differ
+    between two contractions of equal total size but different block
+    structure.  Deterministic for a fixed plan: the pairs are ordered and
+    every candidate cost is a pure function of them.
 
     Parameters
     ----------
-    plan_or_cost:
-        A ``ContractionPlan`` or its lowered :class:`PlanCost`.
+    plan:
+        A ``ContractionPlan`` with at least one block pair.
     nprocs:
         Total MPI ranks executing the contraction.
     model:
@@ -208,16 +104,16 @@ def choose_plan_mapping(plan_or_cost, nprocs: int, model: CollectiveModel, *,
         The cheapest fitting candidate, with ``seconds``/``words_per_rank``
         summed over all planned pairs.
     """
-    cost = as_plan_cost(plan_or_cost)
-    if not cost.pairs:
+    if not plan.npairs:
         raise ValueError("cannot choose a mapping for an empty plan")
+    pairs = GemmShape(plan.pair_m.astype(float), plan.pair_n.astype(float),
+                      plan.pair_k.astype(float))
     # every rank owns its share of all distinct touched blocks no matter
     # which mapping runs; only the transient per-pair working set varies
-    resident = cost.touched_words / max(nprocs, 1)
-    return choose_mapping(None, nprocs, model,
-                          memory_words_per_rank=memory_words_per_rank,
-                          pair_shapes=cost.pair_shapes,
-                          resident_words_per_rank=resident)
+    resident = redistribution_words(plan) / max(nprocs, 1)
+    return cheapest_fitting(
+        plan_candidate_mappings(pairs, nprocs, model, resident),
+        memory_words_per_rank)
 
 
 #: a block pair whose distributed GEMM runs below this parallel efficiency is
@@ -226,7 +122,7 @@ def choose_plan_mapping(plan_or_cost, nprocs: int, model: CollectiveModel, *,
 GRAIN_EFFICIENCY_CROSSOVER = 0.5
 
 
-def pair_mapping_decisions(plan_or_cost, nprocs: int, model: CollectiveModel,
+def pair_mapping_decisions(plan, nprocs: int, model: CollectiveModel,
                            *, grain_efficiency: float =
                            GRAIN_EFFICIENCY_CROSSOVER
                            ) -> Tuple[MappingDecision, ...]:
@@ -245,8 +141,8 @@ def pair_mapping_decisions(plan_or_cost, nprocs: int, model: CollectiveModel,
 
     Parameters
     ----------
-    plan_or_cost:
-        A ``ContractionPlan`` or its lowered :class:`PlanCost`.
+    plan:
+        A ``ContractionPlan`` built by :func:`repro.symmetry.planner.build_plan`.
     nprocs:
         Total MPI ranks executing each pair's contraction.
     model:
@@ -259,11 +155,12 @@ def pair_mapping_decisions(plan_or_cost, nprocs: int, model: CollectiveModel,
     tuple of MappingDecision
         One decision per plan pair, in plan order (deterministic).
     """
-    cost = as_plan_cost(plan_or_cost)
     decisions = []
-    for pair in cost.pairs:
-        if parallel_gemm_efficiency(pair.flops, nprocs) < grain_efficiency:
-            decisions.append(summa_2d(pair.shape, nprocs, model))
+    for m, n, k, flops in zip(plan.pair_m.tolist(), plan.pair_n.tolist(),
+                              plan.pair_k.tolist(), plan.pair_flops.tolist()):
+        shape = GemmShape(m, n, k)
+        if parallel_gemm_efficiency(flops, nprocs) < grain_efficiency:
+            decisions.append(summa_2d(shape, nprocs, model))
         else:
-            decisions.append(choose_mapping(pair.shape, nprocs, model))
+            decisions.append(choose_mapping(shape, nprocs, model))
     return tuple(decisions)

@@ -21,8 +21,8 @@ from .collectives import CollectiveModel
 from .layout import LayoutTracker, TensorLayout
 from .machine import LAPTOP, MachineSpec
 from .mapping import MappingDecision
-from .plan_cost import (as_plan_cost, choose_plan_mapping,
-                        pair_mapping_decisions, redistribution_words)
+from .plan_cost import (choose_plan_mapping, pair_mapping_decisions,
+                        redistribution_words)
 from .profiler import Profiler
 
 
@@ -43,13 +43,12 @@ class SimWorld:
         self._collective_model: CollectiveModel | None = None
 
     def _plan_decision(self, plan, decide):
-        """``decide(cost, nprocs, model)`` on this machine, memoized in
-        :attr:`~repro.ctf.plan_cost.PlanCost.decisions` of the lowered plan."""
-        cost = as_plan_cost(plan)
+        """``decide(plan, nprocs, model)`` on this machine, memoized in
+        :attr:`~repro.symmetry.planner.ContractionPlan.decisions`."""
         key = (decide, self.nprocs, self.collective_model())
-        decision = cost.decisions.get(key)
+        decision = plan.decisions.get(key)
         if decision is None:
-            decision = cost.decisions[key] = decide(cost, *key[1:])
+            decision = plan.decisions[key] = decide(plan, *key[1:])
         return decision
 
     @property
@@ -209,10 +208,9 @@ class SimWorld:
                                    out_key: str | None = None) -> float:
         """Charge a contraction priced from its compiled plan.
 
-        The plan (a :class:`~repro.symmetry.planner.ContractionPlan`) is
-        lowered with :func:`repro.ctf.plan_cost.lower_plan` into per-pair
-        GEMM shapes and block-aligned word counts, and the cost model prices
-        exactly the planned layout:
+        The cost model reads the per-pair GEMM shapes and block-aligned word
+        counts of the plan (a :class:`~repro.symmetry.planner.ContractionPlan`)
+        and prices exactly the planned layout:
 
         * ``algorithm="sparse-sparse"`` — the single-sparse-tensor pricing of
           :meth:`charge_sparse_contraction`, but with communication and
@@ -263,44 +261,48 @@ class SimWorld:
         float
             Modelled seconds charged to the profiler.
         """
-        cost = as_plan_cost(plan)
-        if not cost.pairs:
+        # validate before anything is charged or recorded
+        if algorithm not in ("sparse-sparse", "sparse-dense", "list"):
+            raise ValueError(f"unknown algorithm {algorithm!r}; expected "
+                             "'sparse-sparse', 'sparse-dense' or 'list'")
+        if not plan.npairs:
             return 0.0
         seconds = 0.0
         if operand_nnz is not None:
             nnz_a, nnz_b = operand_nnz
             key_a, key_b = operand_keys or (None, None)
-            seconds += self.charge_layout_transition(key_a, plan=cost,
+            seconds += self.charge_layout_transition(key_a, plan=plan,
                                                      operand="a",
                                                      elements=nnz_a)
-            seconds += self.charge_layout_transition(key_b, plan=cost,
+            seconds += self.charge_layout_transition(key_b, plan=plan,
                                                      operand="b",
                                                      elements=nnz_b)
         if out_key is not None:
-            self.record_layout(out_key, plan=cost)
-        if algorithm in ("sparse-sparse", "sparse-dense"):
-            eff = parallel_gemm_efficiency(cost.total_flops, self.nprocs,
-                                           grain_flops=5.0e5)
-            kernel = self.machine.sparse_seconds(cost.total_flops, self.nodes,
-                                                 eff)
-            self.profiler.add("gemm", kernel)
-            self.profiler.add_flops(cost.total_flops)
-            comm = self._charge_comm(
-                sparse_contraction_comm(cost.operand_a_words,
-                                        cost.operand_b_words,
-                                        cost.output_words, self.nprocs))
-            trans = self._charge_transpose(cost.touched_words)
-            return seconds + kernel + comm + trans
+            self.record_layout(out_key, plan=plan)
         if algorithm == "list":
-            for pair, decision in zip(cost.pairs, self.pair_decisions(cost)):
+            m, k, n = plan.pair_m, plan.pair_k, plan.pair_n
+            for flops, words_a, words_b, words_c, decision in zip(
+                    plan.pair_flops.tolist(), (m * k).tolist(),
+                    (k * n).tolist(), (m * n).tolist(),
+                    self.pair_decisions(plan)):
                 seconds += self.charge_block_contraction(
-                    pair.flops, pair.words_a, pair.words_b, pair.words_c,
-                    num_blocks=cost.npairs,
-                    largest_block_share=cost.largest_pair_share,
+                    flops, words_a, words_b, words_c,
+                    num_blocks=plan.npairs,
+                    largest_block_share=plan.largest_pair_share,
                     mapping=decision)
             return seconds
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected "
-                         "'sparse-sparse', 'sparse-dense' or 'list'")
+        eff = parallel_gemm_efficiency(plan.total_flops, self.nprocs,
+                                       grain_flops=5.0e5)
+        kernel = self.machine.sparse_seconds(plan.total_flops, self.nodes, eff)
+        self.profiler.add("gemm", kernel)
+        self.profiler.add_flops(plan.total_flops)
+        comm = self._charge_comm(
+            sparse_contraction_comm(redistribution_words(plan, "a"),
+                                    redistribution_words(plan, "b"),
+                                    redistribution_words(plan, "out"),
+                                    self.nprocs))
+        trans = self._charge_transpose(redistribution_words(plan))
+        return seconds + kernel + comm + trans
 
     def charge_davidson_algebra(self, nnz: float, *, naxpy: int = 0,
                                 ndot: int = 0) -> float:
@@ -389,9 +391,8 @@ class SimWorld:
             Aggregate element count (words of 8 bytes) to move — the
             aggregate-nnz model.  May be omitted when ``plan`` is given.
         plan:
-            Optional :class:`~repro.symmetry.planner.ContractionPlan` (or
-            lowered :class:`~repro.ctf.plan_cost.PlanCost`).  When given, the
-            volume priced is the block-aligned
+            Optional :class:`~repro.symmetry.planner.ContractionPlan`.  When
+            given, the volume priced is the block-aligned
             :func:`~repro.ctf.plan_cost.redistribution_words` of the planned
             layout — only the blocks the plan touches move.  If ``elements``
             is also given, the charged volume is capped at it (the planned
@@ -439,8 +440,8 @@ class SimWorld:
             All-to-all rounds of the conversion (2 for extract + rebuild,
             1 for extract only).
         plan:
-            Optional plan (or lowered cost) of the contraction that produced
-            the tensor; caps the moved volume at the block-aligned
+            Optional plan of the contraction that produced the tensor; caps
+            the moved volume at the block-aligned
             :func:`~repro.ctf.plan_cost.redistribution_words` of ``operand``,
             so the conversion can never charge more than the planned layout
             actually stores.
@@ -474,9 +475,9 @@ class SimWorld:
     def preferred_mapping(self, plan) -> MappingDecision:
         """The mapping :func:`choose_plan_mapping` picks for ``plan`` here.
 
-        Memoized on the lowered :class:`~repro.ctf.plan_cost.PlanCost`
-        (plans are cached and re-charged thousands of times), so the
-        candidate scoring runs once per plan and machine.
+        Memoized in the plan's ``decisions`` (plans are cached and
+        re-charged thousands of times), so the candidate scoring runs once
+        per plan and machine.
         """
         return self._plan_decision(plan, choose_plan_mapping)
 
@@ -484,7 +485,7 @@ class SimWorld:
         """Per-block-pair mapping decisions of ``plan`` on this machine.
 
         The :func:`~repro.ctf.plan_cost.pair_mapping_decisions` 2D-vs-3D
-        grain-efficiency crossover, memoized on the lowered plan.  Shared
+        grain-efficiency crossover, memoized on the plan.  Shared
         by the ``list`` backend and the modelled
         :meth:`charge_planned_contraction` list path, so real execution and
         shape-level simulation price the same pairs identically.
@@ -522,7 +523,7 @@ class SimWorld:
             Layout-tracker name of the operand (see
             :mod:`repro.ctf.layout`), or ``None`` for untracked.
         plan:
-            Plan (or lowered cost) of the upcoming contraction; provides both
+            Plan of the upcoming contraction; provides both
             the preferred mapping and the block-aligned redistribution volume.
         operand:
             Which tensor of ``plan`` this operand is (``"a"``, ``"b"``,
@@ -545,10 +546,9 @@ class SimWorld:
             if plan is None:
                 raise ValueError("charge_layout_transition needs a plan or "
                                  "an explicit mapping for tracked operands")
-            cost = as_plan_cost(plan)
-            if not cost.pairs:
+            if not plan.npairs:
                 return 0.0
-            mapping = self.preferred_mapping(cost)
+            mapping = self.preferred_mapping(plan)
         layout = TensorLayout.from_decision(mapping)
         if self.layout_tracker.observe(operand_key, layout):
             return self.charge_redistribution(elements, plan=plan,
@@ -568,10 +568,9 @@ class SimWorld:
         if mapping is None:
             if plan is None:
                 raise ValueError("record_layout needs a plan or a mapping")
-            cost = as_plan_cost(plan)
-            if not cost.pairs:
+            if not plan.npairs:
                 return
-            mapping = self.preferred_mapping(cost)
+            mapping = self.preferred_mapping(plan)
         self.layout_tracker.record(out_key,
                                    TensorLayout.from_decision(mapping))
 

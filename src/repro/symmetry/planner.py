@@ -20,7 +20,7 @@ contraction approach dense GEMM throughput (Section IV, Fig. 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +48,7 @@ def tensor_signature(t) -> Tuple:
             frozenset(t.blocks))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ContractionPlan:
     """A fully precomputed block-sparse contraction, as a struct of arrays.
 
@@ -61,8 +61,11 @@ class ContractionPlan:
     ``fused`` holds ``(out_slot, a_slots, b_slots)`` of multi-pair outputs,
     one GEMM over views concatenated along the contracted axis; ``batched``
     holds ``(out_slots, a_slots, b_slots)`` of single-pair outputs sharing an
-    ``(m, k, n)``, one batched matmul.  ``cost`` memoizes
-    :func:`repro.ctf.plan_cost.lower_plan`.
+    ``(m, k, n)``, one batched matmul.  ``a_words``/``b_words``/``out_nnz``
+    count the elements of the distinct A, B and output blocks.  The cost
+    model (:mod:`repro.ctf.plan_cost`) prices these columns directly, and
+    ``decisions`` memoizes its mapping decisions per machine
+    (:meth:`repro.ctf.world.SimWorld.preferred_mapping`).
     """
 
     axes_a: Tuple[int, ...]
@@ -91,8 +94,10 @@ class ContractionPlan:
     batched: List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]]
     total_flops: float
     largest_pair_share: float
+    a_words: int
+    b_words: int
     out_nnz: int
-    cost: Optional[object] = None
+    decisions: dict = field(default_factory=dict, repr=False)
 
     @property
     def npairs(self) -> int:
@@ -257,6 +262,8 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
         pair_m=pair_m, pair_k=pair_k, pair_n=pair_n,
         fused=fused, batched=batched, total_flops=total_flops,
         largest_pair_share=(largest / total_flops) if total_flops > 0 else 1.0,
+        a_words=int((m_a[slots_a] * k_a[slots_a]).sum()),
+        b_words=int((k_b[slots_b] * n_b[slots_b]).sum()),
         out_nnz=int(out_dims.prod(axis=1).sum()))
 
 

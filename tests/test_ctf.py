@@ -1,5 +1,5 @@
-"""Tests for the simulated Cyclops framework: processor grids, machine model,
-profiler (including a hypothesis property test on the grid factorization)."""
+"""Tests for the simulated Cyclops framework: machine model, BSP costs and
+profiler."""
 
 import numpy as np
 import pytest
@@ -8,28 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.ctf import (BLUE_WATERS, LAPTOP, MACHINES, STAMPEDE2, CATEGORIES,
                        CommCost, Profiler, SimWorld,
                        blockwise_contraction_comm, dense_contraction_comm,
-                       factor_processor_grid, load_imbalance_fraction,
-                       parallel_gemm_efficiency, sparse_contraction_comm)
-
-
-class TestDistribution:
-    def test_grid_factorization_covers_procs(self):
-        grid = factor_processor_grid(12, (100, 50, 10))
-        assert len(grid) == 3
-        assert int(np.prod(grid)) == 12
-        # the prime factors land on the largest per-rank extents
-        assert grid == (6, 2, 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 64),
-           st.lists(st.integers(1, 12), min_size=1, max_size=4))
-    def test_property_grid_product_and_coverage(self, nprocs, shape):
-        """The processor grid has one positive extent per tensor mode and
-        always multiplies to nprocs."""
-        grid = factor_processor_grid(nprocs, tuple(shape))
-        assert len(grid) == len(shape)
-        assert all(g >= 1 for g in grid)
-        assert int(np.prod(grid)) == nprocs
+                       load_imbalance_fraction, parallel_gemm_efficiency,
+                       sparse_contraction_comm)
 
 
 class TestMachineAndBSP:

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from repro.ctf import (BLUE_WATERS, STAMPEDE2, CollectiveModel, GemmShape,
                        OutOfMemoryError, candidate_mappings,
                        choose_mapping, dmrg_step_footprint_bytes,
-                       gemm_shape_of_contraction, minimum_nodes,
-                       redistribution_plan, summa_25d, summa_2d, summa_3d,
-                       tensor_grid_for_shape)
+                       minimum_nodes, redistribution_plan, summa_25d,
+                       summa_2d, summa_3d)
 
 
 @pytest.fixture
@@ -23,21 +22,6 @@ class TestGemmShape:
         s = GemmShape(100, 200, 50)
         assert s.flops == 2.0 * 100 * 200 * 50
         assert s.total_words == 100 * 50 + 50 * 200 + 100 * 200
-
-    def test_from_tensor_contraction(self):
-        # (a, b, c) x (c, b, d) over axes (1,2)x(1,0): m=a, n=d, k=b*c
-        s = gemm_shape_of_contraction((4, 5, 6), (6, 5, 7),
-                                      axes_a=(1, 2), axes_b=(1, 0))
-        assert (s.m, s.n, s.k) == (4, 7, 30)
-
-    def test_mismatched_extents_rejected(self):
-        with pytest.raises(ValueError):
-            gemm_shape_of_contraction((4, 5), (6, 7), axes_a=(1,), axes_b=(0,))
-
-    def test_full_contraction_to_scalar(self):
-        s = gemm_shape_of_contraction((4, 5), (4, 5), axes_a=(0, 1),
-                                      axes_b=(0, 1))
-        assert (s.m, s.n, s.k) == (1, 1, 20)
 
 
 class TestMappingDecisions:
@@ -133,13 +117,6 @@ class TestRedistribution:
         large = redistribution_plan(1e8, 64, model64)
         assert large.seconds > small.seconds
         assert large.words_per_rank == pytest.approx(1e8 / 64)
-
-    def test_tensor_grid_covers_all_ranks(self):
-        grid = tensor_grid_for_shape((4096, 30, 4096), 256)
-        prod = 1
-        for g in grid:
-            prod *= g
-        assert prod == 256
 
 
 class TestMinimumNodes:

@@ -1,16 +1,18 @@
 """Tests for the plan-aware distributed cost model.
 
-Covers the lowering of contraction plans into per-block-pair cost
-descriptions (``repro.ctf.plan_cost``), the plan-aware charging methods of
-:class:`SimWorld`, the plan-driven candidate scorer of ``choose_mapping``,
+Covers the block-aligned word counts a contraction plan carries
+(``repro.ctf.plan_cost``), the plan-aware charging methods of
+:class:`SimWorld`, the plan-driven candidate scorer ``choose_plan_mapping``,
 and the plan-aware mode of the shape-level scaling simulation.  The three
 acceptance properties:
 
 (a) plan-aware totals equal the aggregate model for a single dense block,
 (b) block-sparse plans price strictly less redistribution than the
     dense-aggregate bound,
-(c) ``choose_mapping`` decisions are deterministic for a fixed plan.
+(c) ``choose_plan_mapping`` decisions are deterministic for a fixed plan.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +21,12 @@ from hypothesis import strategies as st
 
 from repro.backends import make_backend
 from repro.ctf import (BLUE_WATERS, STAMPEDE2, CollectiveModel, GemmShape,
-                       MappingDecision, PairCost, PlanCost, SimWorld,
-                       candidate_mappings, choose_mapping,
-                       choose_plan_mapping, gemm_shape_of_contraction,
-                       lower_plan, pair_mapping_decisions,
-                       plan_candidate_mappings, redistribution_words)
+                       MappingDecision, SimWorld, candidate_mappings,
+                       choose_mapping, choose_plan_mapping,
+                       pair_mapping_decisions, plan_candidate_mappings,
+                       redistribution_words)
 from repro.ctf import mapping as mapping_module
+from repro.ctf.mapping import cheapest_fitting
 from repro.perf.block_model import GeometricBlockModel
 from repro.perf.shapesim import (ShapeTensor, charge_contraction,
                                  plan_shape_contraction)
@@ -70,14 +72,22 @@ def oracle_choose(cands, budget=None):
     return min(cands, key=lambda c: (c.seconds, c.words_per_rank))
 
 
-def synthetic_plan_cost(shapes) -> PlanCost:
-    """A lowered plan whose pairs have the given GEMM shapes."""
-    pairs = tuple(PairCost(s, s.flops, s.words_a, s.words_b, s.words_c)
-                  for s in shapes)
-    return PlanCost(pairs, sum(s.words_a for s in shapes),
-                    sum(s.words_b for s in shapes),
-                    sum(s.words_c for s in shapes),
-                    sum(s.flops for s in shapes), 1.0 / len(shapes))
+def pair_columns(shapes) -> GemmShape:
+    """One array-valued ``GemmShape`` holding the given per-pair shapes."""
+    return GemmShape(*np.array([(s.m, s.n, s.k) for s in shapes],
+                               dtype=float).reshape(-1, 3).T)
+
+
+def synthetic_plan(shapes):
+    """A stand-in plan carrying only the pair columns and block words that
+    the cost model reads: each pair owns its own A, B and output block."""
+    m, n, k = np.array([(s.m, s.n, s.k) for s in shapes],
+                       dtype=np.int64).reshape(-1, 3).T
+    return SimpleNamespace(npairs=len(shapes), pair_m=m, pair_n=n, pair_k=k,
+                           pair_flops=2.0 * m * k * n,
+                           a_words=int((m * k).sum()),
+                           b_words=int((k * n).sum()),
+                           out_nnz=int((m * n).sum()), decisions={})
 
 
 @pytest.fixture
@@ -110,46 +120,37 @@ def block_sparse_pair(m: int = 96):
 
 
 # --------------------------------------------------------------------------- #
-# lowering
+# the plan's block-aligned word counts
 # --------------------------------------------------------------------------- #
 class TestLowerPlan:
     def test_dense_block_matches_aggregate_quantities(self):
         a, b, axes = dense_pair()
         plan = build_plan(a, b, axes)
-        cost = lower_plan(plan)
-        assert cost.npairs == 1
-        assert cost.operand_a_words == a.nnz == a.dense_size
-        assert cost.operand_b_words == b.nnz == b.dense_size
-        assert cost.output_words == plan.out_nnz
-        assert cost.total_flops == plan.total_flops
-        agg = gemm_shape_of_contraction((24, 16), (16, 12), axes[0], axes[1])
-        assert cost.pairs[0].shape == agg
+        assert plan.npairs == 1
+        assert plan.a_words == a.nnz == a.dense_size
+        assert plan.b_words == b.nnz == b.dense_size
+        assert GemmShape(plan.pair_m[0], plan.pair_n[0], plan.pair_k[0]) == \
+            GemmShape(24, 12, 16)
 
     def test_block_sparse_touched_words_bounded_by_nnz(self):
         a, b, axes = block_sparse_pair()
-        cost = lower_plan(build_plan(a, b, axes))
-        assert cost.npairs > 1
-        assert cost.operand_a_words <= a.nnz
-        assert cost.operand_b_words <= b.nnz
-        assert cost.touched_words == (cost.operand_a_words +
-                                      cost.operand_b_words +
-                                      cost.output_words)
-        assert sum(p.flops for p in cost.pairs) == pytest.approx(
-            cost.total_flops)
-
-    def test_lowering_is_memoized_on_the_plan(self):
-        a, b, axes = block_sparse_pair()
         plan = build_plan(a, b, axes)
-        assert lower_plan(plan) is lower_plan(plan)
+        assert plan.npairs > 1
+        assert plan.a_words <= a.nnz
+        assert plan.b_words <= b.nnz
+        assert redistribution_words(plan) == (plan.a_words + plan.b_words +
+                                              plan.out_nnz)
+        assert plan.pair_flops.sum() == pytest.approx(plan.total_flops)
 
     def test_redistribution_words_operands(self):
         a, b, axes = block_sparse_pair()
         plan = build_plan(a, b, axes)
-        cost = lower_plan(plan)
-        assert redistribution_words(plan, "a") == cost.operand_a_words
-        assert redistribution_words(plan, "b") == cost.operand_b_words
-        assert redistribution_words(plan, "out") == cost.output_words
-        assert redistribution_words(cost, "all") == cost.touched_words
+        words = {op: redistribution_words(plan, op)
+                 for op in ("a", "b", "out", "all")}
+        assert words == {"a": plan.a_words, "b": plan.b_words,
+                         "out": plan.out_nnz,
+                         "all": plan.a_words + plan.b_words + plan.out_nnz}
+        assert all(type(w) is float for w in words.values())
         with pytest.raises(ValueError):
             redistribution_words(plan, "c")
 
@@ -184,18 +185,19 @@ class TestChargePlannedContraction:
     def test_list_algorithm_matches_per_pair_charges(self):
         a, b, axes = block_sparse_pair()
         plan = build_plan(a, b, axes)
-        cost = lower_plan(plan)
         w_plan, w_manual = make_world(), make_world()
         s_plan = w_plan.charge_planned_contraction(plan, algorithm="list")
         # same per-pair recipe the list backend uses: each pair priced under
         # its own 2D-vs-3D mapping decision
         s_manual = sum(
             w_manual.charge_block_contraction(
-                p.flops, p.words_a, p.words_b, p.words_c,
-                num_blocks=cost.npairs,
-                largest_block_share=cost.largest_pair_share,
+                2.0 * m * k * n, m * k, k * n, m * n,
+                num_blocks=plan.npairs,
+                largest_block_share=plan.largest_pair_share,
                 mapping=decision)
-            for p, decision in zip(cost.pairs, w_manual.pair_decisions(cost)))
+            for m, k, n, decision in zip(
+                plan.pair_m.tolist(), plan.pair_k.tolist(),
+                plan.pair_n.tolist(), w_manual.pair_decisions(plan)))
         assert s_plan == pytest.approx(s_manual, rel=1e-12)
         assert w_plan.profiler.total_seconds() == pytest.approx(
             w_manual.profiler.total_seconds(), rel=1e-12)
@@ -223,22 +225,25 @@ class TestChargePlannedContraction:
         assert world.charge_planned_contraction(plan) == 0.0
         assert world.modelled_seconds() == 0.0
 
-    def test_accepts_pre_lowered_plan_cost(self):
-        a, b, axes = block_sparse_pair()
-        plan = build_plan(a, b, axes)
-        cost = lower_plan(plan)
-        w_plan, w_cost = make_world(), make_world()
-        s_plan = w_plan.charge_planned_contraction(
-            plan, operand_nnz=(a.nnz, b.nnz))
-        s_cost = w_cost.charge_planned_contraction(
-            cost, operand_nnz=(a.nnz, b.nnz))
-        assert s_cost == pytest.approx(s_plan, rel=1e-12)
-
     def test_unknown_algorithm_rejected(self):
         a, b, axes = dense_pair()
         plan = build_plan(a, b, axes)
         with pytest.raises(ValueError):
             make_world().charge_planned_contraction(plan, algorithm="summa")
+
+    def test_unknown_algorithm_charges_and_records_nothing(self):
+        """The algorithm is validated before any operand remap is charged
+        or any output layout is recorded."""
+        a, b, axes = block_sparse_pair()
+        plan = build_plan(a, b, axes)
+        world = make_world()
+        layouts = world.layout_tracker.snapshot()
+        with pytest.raises(ValueError):
+            world.charge_planned_contraction(
+                plan, algorithm="summa", operand_nnz=(a.nnz, b.nnz),
+                operand_keys=("a", "b"), out_key="c")
+        assert world.profiler.total_seconds() == 0.0
+        assert world.layout_tracker.snapshot() == layouts
 
 
 # --------------------------------------------------------------------------- #
@@ -293,22 +298,25 @@ class TestPlanDrivenMapping:
         # aggregate-shape scorer
         a, b, axes = dense_pair()
         plan = build_plan(a, b, axes)
-        cost = lower_plan(plan)
         by_plan = choose_plan_mapping(plan, 64, model)
-        by_shape = choose_mapping(cost.pairs[0].shape, 64, model)
+        by_shape = choose_mapping(GemmShape(24, 12, 16), 64, model)
         assert by_plan == by_shape
 
     def test_plan_candidates_aggregate_pair_costs(self, model):
         shapes = (GemmShape(64, 64, 64), GemmShape(8, 8, 8))
         resident = sum(s.total_words for s in shapes) / 64
-        cands = plan_candidate_mappings(shapes, 64, model,
+        cands = plan_candidate_mappings(pair_columns(shapes), 64, model,
                                         resident_words_per_rank=resident)
         # bit for bit: the array scorer adds in the per-pair loop's order
-        assert cands == oracle_plan_candidates(shapes, 64, model, resident)
+        expected = oracle_plan_candidates(shapes, 64, model, resident)
+        assert cands == expected
         assert all(type(v) is float
                    for c in cands for v in (c.seconds, c.words_per_rank,
                                             c.supersteps,
                                             c.memory_words_per_rank))
+        # the plan scorer reads the same pair columns and resident share
+        assert choose_plan_mapping(synthetic_plan(shapes), 64, model) == \
+            oracle_choose(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(dims=st.lists(st.tuples(st.integers(1, 4096), st.integers(1, 4096),
@@ -323,18 +331,16 @@ class TestPlanDrivenMapping:
         the per-pair scalar oracle exactly (1 and 1000 ranks: no replicated
         candidate, and a cube root that is not a power of two)."""
         shapes = [GemmShape(*d) for d in dims]
-        cands = plan_candidate_mappings(shapes, nprocs, MODEL, resident)
+        cands = plan_candidate_mappings(pair_columns(shapes), nprocs, MODEL,
+                                        resident)
         expected = oracle_plan_candidates(shapes, nprocs, MODEL, resident)
         assert cands == expected
         budget = None
         if budgeted:
             budget = float(np.median([c.memory_words_per_rank
                                       for c in expected]))
-        chosen = choose_mapping(None, nprocs, MODEL,
-                                memory_words_per_rank=budget,
-                                pair_shapes=shapes,
-                                resident_words_per_rank=resident)
-        assert chosen == oracle_choose(expected, budget)
+        assert cheapest_fitting(cands, budget) == oracle_choose(expected,
+                                                                budget)
 
     def test_plan_scoring_is_not_per_pair(self, monkeypatch):
         """Scoring a plan prices each candidate family once, not per pair."""
@@ -350,7 +356,7 @@ class TestPlanDrivenMapping:
         for npairs in (60, 240):
             calls.clear()
             shapes = [GemmShape(8 + i, 16, 4 + i % 7) for i in range(npairs)]
-            choose_plan_mapping(synthetic_plan_cost(shapes), 64, MODEL)
+            choose_plan_mapping(synthetic_plan(shapes), 64, MODEL)
             counts.append(len(calls))
         # 64 ranks: the 2.5D (c=2) and 3D (c=4) families, whatever the size
         assert counts == [2, 2]
@@ -366,15 +372,18 @@ class TestPlanDrivenMapping:
         """
         a, b, axes = block_sparse_pair(192)
         plan = build_plan(a, b, axes)
-        cost = lower_plan(plan)
         nprocs = 64
-        budget = 0.5 * cost.touched_words / nprocs
+        touched = redistribution_words(plan)
+        budget = 0.5 * touched / nprocs
         decision = choose_plan_mapping(plan, nprocs, model,
                                        memory_words_per_rank=budget)
         assert decision.algorithm == "summa-2d"
         assert decision.replication == 1
-        cands = plan_candidate_mappings(cost.pair_shapes, nprocs, model,
-                                        cost.touched_words / nprocs)
+        pairs = GemmShape(plan.pair_m.astype(float),
+                          plan.pair_n.astype(float),
+                          plan.pair_k.astype(float))
+        cands = plan_candidate_mappings(pairs, nprocs, model,
+                                        touched / nprocs)
         assert all(decision.memory_words_per_rank <=
                    c.memory_words_per_rank for c in cands)
 
@@ -388,15 +397,12 @@ class TestPlanDrivenMapping:
             unconstrained.memory_words_per_rank
 
     def test_choose_mapping_requires_shape_or_pairs(self, model):
-        with pytest.raises(ValueError):
-            choose_mapping(None, 64, model)
-        with pytest.raises(ValueError):
-            choose_plan_mapping(PlanCost((), 0.0, 0.0, 0.0, 0.0, 1.0),
-                                64, model)
+        with pytest.raises(ValueError, match="empty plan"):
+            choose_plan_mapping(synthetic_plan([]), 64, model)
 
 
 # --------------------------------------------------------------------------- #
-# mapping decisions memoized on the lowered plan
+# mapping decisions memoized on the plan
 # --------------------------------------------------------------------------- #
 class TestMappingMemo:
     @pytest.fixture
@@ -422,8 +428,7 @@ class TestMappingMemo:
         assert len(scorings) == 1
         # scoring many other plans evicts nothing: the memo lives on the plan
         for i in range(600):
-            world.preferred_mapping(synthetic_plan_cost([GemmShape(i + 1, 3,
-                                                                   5)]))
+            world.preferred_mapping(synthetic_plan([GemmShape(i + 1, 3, 5)]))
         assert len(scorings) == 601
         world.charge_planned_contraction(
             plan, operand_nnz=(a.nnz, b.nnz), operand_keys=("a", "b"))
@@ -431,27 +436,27 @@ class TestMappingMemo:
 
     def test_each_world_gets_its_own_decision(self):
         a, b, axes = block_sparse_pair(192)
-        cost = lower_plan(build_plan(a, b, axes))
+        plan = build_plan(a, b, axes)
         worlds = [make_world(),
                   SimWorld(nodes=4, procs_per_node=16, machine=STAMPEDE2),
                   SimWorld(nodes=2, procs_per_node=4, machine=BLUE_WATERS)]
         for _ in range(2):
             for w in worlds:
                 model = w.collective_model()
-                assert w.preferred_mapping(cost) == choose_plan_mapping(
-                    cost, w.nprocs, model)
-                assert w.pair_decisions(cost) == pair_mapping_decisions(
-                    cost, w.nprocs, model)
-        grids = {w.preferred_mapping(cost).grid for w in worlds}
+                assert w.preferred_mapping(plan) == choose_plan_mapping(
+                    plan, w.nprocs, model)
+                assert w.pair_decisions(plan) == pair_mapping_decisions(
+                    plan, w.nprocs, model)
+        grids = {w.preferred_mapping(plan).grid for w in worlds}
         assert len(grids) >= 2
-        assert len(cost.decisions) == 2 * len(worlds)
+        assert len(plan.decisions) == 2 * len(worlds)
 
     def test_equal_machines_share_decisions(self):
         a, b, axes = block_sparse_pair()
-        cost = lower_plan(build_plan(a, b, axes))
+        plan = build_plan(a, b, axes)
         first, second = make_world(), make_world()
-        assert first.preferred_mapping(cost) is second.preferred_mapping(cost)
-        assert len(cost.decisions) == 1
+        assert first.preferred_mapping(plan) is second.preferred_mapping(plan)
+        assert len(plan.decisions) == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -151,6 +151,8 @@ def _loop_plan(a, b, axes) -> dict:
         batched=[tuple(map(tuple, group)) for group in batchable.values()],
         total_flops=total_flops,
         largest_pair_share=largest / total_flops if total_flops > 0 else 1.0,
+        a_words=sum(map(math.prod, zip(a_rows, a_cols))),
+        b_words=sum(map(math.prod, zip(b_rows, b_cols))),
         out_nnz=sum(math.prod(shape) for shape in out_shapes))
 
 
@@ -166,7 +168,8 @@ def _plan_columns(plan) -> dict:
         pairs=list(zip(*(c.tolist() for c in columns))),
         flops=plan.pair_flops.tolist(), fused=plan.fused,
         batched=plan.batched, total_flops=plan.total_flops,
-        largest_pair_share=plan.largest_pair_share, out_nnz=plan.out_nnz)
+        largest_pair_share=plan.largest_pair_share, a_words=plan.a_words,
+        b_words=plan.b_words, out_nnz=plan.out_nnz)
 
 
 def _dense(x):
@@ -194,6 +197,8 @@ class TestPlanOracle:
             a, b, axes = _random_case(rng, **ORACLE_CASES[kind])
             plan = build_plan(a, b, axes)
             assert _plan_columns(plan) == _loop_plan(a, b, axes)
+            # distinct touched blocks only: never more than the stored nnz
+            assert plan.a_words <= a.nnz and plan.b_words <= b.nnz
             out = execute_plan(plan, a, b, count_flops=False)
             ref = a.contract(b, axes, count_flops=False)
             assert np.allclose(_dense(out), _dense(ref), atol=1e-12)

@@ -8,9 +8,9 @@ element counts instead over-charges communication whenever only part of a
 tensor participates, and hides the GEMM shapes from the mapping chooser.
 
 The functions here read a :class:`~repro.symmetry.planner.ContractionPlan`
-directly: its pair columns (``pair_m``, ``pair_k``, ``pair_n``,
-``pair_flops``) and the words of its distinct blocks (``a_words``,
-``b_words``, ``out_nnz``).  They feed
+directly: its per-pair GEMM dims (``pair_m``, ``pair_k``, ``pair_n``, read
+off the slot dims) and ``pair_flops``, and the words of its distinct blocks
+(``a_words``, ``b_words``, ``out_nnz``).  They feed
 
 * :meth:`repro.ctf.world.SimWorld.charge_planned_contraction` and the
   plan-aware mode of :meth:`repro.ctf.world.SimWorld.charge_redistribution`

@@ -12,9 +12,10 @@ reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,13 @@ class Lattice:
         return list(range(x * self.ny_sites, (x + 1) * self.ny_sites))
 
     def to_networkx(self) -> nx.Graph:
-        """Export the lattice as a NetworkX graph (bond kind as edge data)."""
+        """Export the lattice as a NetworkX graph (bond kind as edge data).
+
+        ``networkx`` is imported here, not at module scope: it costs every
+        process that imports :mod:`repro` ~0.15 s and ~18 MiB otherwise.
+        """
+        import networkx as nx
+
         g = nx.Graph()
         for s, (x, y) in enumerate(self.coords):
             g.add_node(s, x=x, y=y)

@@ -90,11 +90,13 @@ def plan_shape_contraction(a: ShapeTensor, b: ShapeTensor,
 
 
 def _plan_output(plan: ContractionPlan, nsym: int) -> ShapeTensor:
-    """The output ShapeTensor a plan describes (its precomputed sparsity)."""
+    """The output ShapeTensor a plan describes (its precomputed sparsity):
+    the plan's output keys, each with its row of ``out_dims`` as a shape."""
     if plan.scalar_output:
         return ShapeTensor([Index.trivial(1, nsym)], zero_charge(nsym))
     return ShapeTensor(plan.out_indices, plan.out_flux,
-                       dict(zip(plan.out_keys, plan.out_shapes)))
+                       dict(zip(plan.out_keys,
+                                map(tuple, plan.out_dims.tolist()))))
 
 
 def charge_contraction(world: SimWorld, algorithm: str, a: ShapeTensor,

@@ -5,10 +5,13 @@ The numerical half of the planner/executor split (see
 operand block is matricized exactly once, pairs accumulating into the same
 output block are fused into a single GEMM (operand views concatenated along
 the contracted dimension), and the remaining single-pair outputs that share a
-``(m, k, n)`` shape run as one batched ``np.matmul``.  This replaces the
-per-pair ``tensordot`` loop of Algorithm 2 with a handful of large matrix
-multiplies — the paper's route to near-dense GEMM throughput for block-sparse
-DMRG contractions (Section IV, Fig. 3).
+``(m, k, n)`` shape run as one batched ``np.matmul``.  Both group kinds are
+CSR arrays on the plan: each column is turned into a list once per call, the
+matricized operands are gathered in group order once, and every GEMM takes a
+slice of that list.  This replaces the per-pair ``tensordot`` loop of
+Algorithm 2 with a handful of large matrix multiplies — the paper's route to
+near-dense GEMM throughput for block-sparse DMRG contractions (Section IV,
+Fig. 3).
 
 All arithmetic is issued through a :class:`~repro.symmetry.blockops.BlockOps`
 instance; plans and flop accounting are independent of which implementation
@@ -49,31 +52,36 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
     """Run a precompiled contraction plan on a matching tensor pair.
 
     Returns a :class:`BlockSparseTensor`, or a scalar of the proper result
-    dtype when the contraction has no free modes.
+    dtype when the contraction has no free modes.  The output's indices are
+    taken from ``a`` and ``b`` themselves, so a plan cached for operands of
+    equal structure still labels the result with this call's index tags.
     """
     ops = resolve_block_ops(ops)
     out_dtype = ops.result_type(a.dtype, b.dtype)
-    amats = _matricize(a, plan.a_keys, plan.a_rows, plan.a_cols, plan.perm_a,
-                       ops)
-    bmats = _matricize(b, plan.b_keys, plan.b_rows, plan.b_cols, plan.perm_b,
-                       ops)
+    amats = _matricize(a, plan.a_keys, plan.a_rows.tolist(),
+                       plan.a_cols.tolist(), plan.perm_a, ops)
+    bmats = _matricize(b, plan.b_keys, plan.b_rows.tolist(),
+                       plan.b_cols.tolist(), plan.perm_b, ops)
     results: List[Optional[np.ndarray]] = [None] * len(plan.out_keys)
 
-    for so, a_slots, b_slots in plan.fused:
-        lhs = ops.concat([amats[i] for i in a_slots], axis=1)
-        rhs = ops.concat([bmats[i] for i in b_slots], axis=0)
-        results[so] = ops.matmul(lhs, rhs)
+    ptr = plan.fused_ptr.tolist()
+    lhs = [amats[i] for i in plan.fused_a.tolist()]
+    rhs = [bmats[i] for i in plan.fused_b.tolist()]
+    for so, i, j in zip(plan.fused_out.tolist(), ptr, ptr[1:]):
+        results[so] = ops.matmul(ops.concat(lhs[i:j], axis=1),
+                                 ops.concat(rhs[i:j], axis=0))
 
-    for out_slots, a_slots, b_slots in plan.batched:
-        if len(out_slots) == 1:
-            results[out_slots[0]] = ops.matmul(amats[a_slots[0]],
-                                               bmats[b_slots[0]])
+    ptr = plan.batch_ptr.tolist()
+    out_slots = plan.batch_out.tolist()
+    lhs = [amats[i] for i in plan.batch_a.tolist()]
+    rhs = [bmats[i] for i in plan.batch_b.tolist()]
+    for i, j in zip(ptr, ptr[1:]):
+        if j - i == 1:
+            results[out_slots[i]] = ops.matmul(lhs[i], rhs[i])
         else:
-            lhs = ops.stack([amats[i] for i in a_slots])
-            rhs = ops.stack([bmats[i] for i in b_slots])
-            prod = ops.matmul(lhs, rhs)
-            for i, so in enumerate(out_slots):
-                results[so] = prod[i]
+            prod = ops.matmul(ops.stack(lhs[i:j]), ops.stack(rhs[i:j]))
+            for res, so in zip(prod, out_slots[i:j]):
+                results[so] = res
 
     if count_flops and plan.total_flops:
         _flops.add_flops(plan.total_flops, "gemm")
@@ -84,9 +92,11 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
             total = total + res[0, 0]
         return total
     blocks = {key: res.reshape(shape)
-              for key, shape, res in zip(plan.out_keys, plan.out_shapes,
+              for key, shape, res in zip(plan.out_keys, plan.out_dims.tolist(),
                                          results)}
-    return BlockSparseTensor(plan.out_indices, blocks, flux=plan.out_flux,
+    out_indices = tuple(a.indices[i] for i in plan.keep_a) + \
+        tuple(b.indices[i] for i in plan.keep_b)
+    return BlockSparseTensor(out_indices, blocks, flux=plan.out_flux,
                              dtype=out_dtype, check=False)
 
 

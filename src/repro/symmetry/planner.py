@@ -11,10 +11,16 @@ output sparsity (Section IV-A): sorted block keys become ``int64`` matrices,
 Algorithm-2 pairing is a sort/merge join on an integer code of the contracted
 sector columns, and slot numbering, output keys, GEMM shapes and the
 fused/batched grouping are vector arithmetic on the pair columns of the
-struct-of-arrays :class:`ContractionPlan`.  :mod:`repro.symmetry.engine` runs
-plans and :class:`PlanCache` memoizes them by symbolic signature: the
-plan/execute split of TeNPy's abstract backend, which lets block-sparse
-contraction approach dense GEMM throughput (Section IV, Fig. 3).
+struct-of-arrays :class:`ContractionPlan`.  The plan keeps what it computed as
+contiguous arrays too: ``int32`` slot columns, the GEMM groups in CSR form and
+the output dims as one matrix; pair GEMM dims are read off the slot dims on
+demand.  Only block keys stay tuples, since blocks are stored under them, so
+the plan cache, the largest resident object of a run, costs a few array
+headers per plan rather than Python objects per pair.
+:mod:`repro.symmetry.engine` runs plans and :class:`PlanCache` memoizes them
+by symbolic signature: the plan/execute split of TeNPy's abstract backend,
+which lets block-sparse contraction approach dense GEMM throughput
+(Section IV, Fig. 3).
 """
 
 from __future__ import annotations
@@ -55,17 +61,25 @@ class ContractionPlan:
     A slot ``i`` is the block ``a_keys[i]`` (sorted key order), transposed by
     ``perm_a`` (``None`` if already laid out) and reshaped to ``(a_rows[i],
     a_cols[i])``; B slots likewise, numbered by first appearance in pair
-    order, as are the output blocks ``out_keys`` of shapes ``out_shapes``.
-    Pair ``p`` (A-key, then B-key order) multiplies A slot ``pair_a[p]``
-    (``pair_m x pair_k``) by B slot ``pair_b[p]`` into output ``pair_out[p]``.
-    ``fused`` holds ``(out_slot, a_slots, b_slots)`` of multi-pair outputs,
-    one GEMM over views concatenated along the contracted axis; ``batched``
-    holds ``(out_slots, a_slots, b_slots)`` of single-pair outputs sharing an
-    ``(m, k, n)``, one batched matmul.  ``a_words``/``b_words``/``out_nnz``
-    count the elements of the distinct A, B and output blocks.  The cost
-    model (:mod:`repro.ctf.plan_cost`) prices these columns directly, and
-    ``decisions`` memoizes its mapping decisions per machine
-    (:meth:`repro.ctf.world.SimWorld.preferred_mapping`).
+    order, as are the output blocks ``out_keys`` whose shapes are the rows of
+    ``out_dims``.  Pair ``p`` (A-key, then B-key order) multiplies A slot
+    ``pair_a[p]`` by B slot ``pair_b[p]`` into output ``pair_out[p]``; its
+    GEMM dims ``pair_m|pair_k|pair_n`` are read off the slot dims.
+
+    The GEMM groups are CSR arrays.  Fused group ``g`` is one GEMM into
+    output ``fused_out[g]`` over the A/B slots ``fused_a|fused_b[
+    fused_ptr[g]:fused_ptr[g + 1]]``, concatenated along the contracted axis
+    (outputs with several pairs); batched group ``g`` is one batched matmul
+    of the single-pair outputs ``batch_out[batch_ptr[g]:batch_ptr[g + 1]]``
+    sharing an ``(m, k, n)``, over the same range of ``batch_a|batch_b``.
+    Slot and group columns and ``out_dims`` are ``int32``; the slot dims,
+    products of sector dims, are ``int64``.  Only the keys are tuples,
+    because blocks are looked up and stored by them.
+
+    ``a_words``/``b_words``/``out_nnz`` count the elements of the distinct
+    A, B and output blocks.  The cost model (:mod:`repro.ctf.plan_cost`)
+    prices the pair columns directly, and ``decisions`` memoizes its mapping
+    decisions per machine (:meth:`repro.ctf.world.SimWorld.preferred_mapping`).
     """
 
     axes_a: Tuple[int, ...]
@@ -77,21 +91,24 @@ class ContractionPlan:
     perm_a: Optional[Tuple[int, ...]]
     perm_b: Optional[Tuple[int, ...]]
     a_keys: List[BlockKey]
-    a_rows: List[int]
-    a_cols: List[int]
+    a_rows: np.ndarray
+    a_cols: np.ndarray
     b_keys: List[BlockKey]
-    b_rows: List[int]
-    b_cols: List[int]
+    b_rows: np.ndarray
+    b_cols: np.ndarray
     out_keys: List[BlockKey]
-    out_shapes: List[Tuple[int, ...]]
+    out_dims: np.ndarray
     pair_a: np.ndarray
     pair_b: np.ndarray
     pair_out: np.ndarray
-    pair_m: np.ndarray
-    pair_k: np.ndarray
-    pair_n: np.ndarray
-    fused: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]
-    batched: List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]]
+    fused_out: np.ndarray
+    fused_ptr: np.ndarray
+    fused_a: np.ndarray
+    fused_b: np.ndarray
+    batch_out: np.ndarray
+    batch_ptr: np.ndarray
+    batch_a: np.ndarray
+    batch_b: np.ndarray
     total_flops: float
     largest_pair_share: float
     a_words: int
@@ -103,6 +120,21 @@ class ContractionPlan:
     def npairs(self) -> int:
         """Number of Algorithm-2 block pairs the plan covers."""
         return len(self.pair_a)
+
+    @property
+    def pair_m(self) -> np.ndarray:
+        """GEMM rows of each pair (its A slot's rows)."""
+        return self.a_rows[self.pair_a]
+
+    @property
+    def pair_k(self) -> np.ndarray:
+        """Contracted extent of each pair (its A slot's columns)."""
+        return self.a_cols[self.pair_a]
+
+    @property
+    def pair_n(self) -> np.ndarray:
+        """GEMM columns of each pair (its B slot's columns)."""
+        return self.b_cols[self.pair_b]
 
     @property
     def pair_flops(self) -> np.ndarray:
@@ -172,16 +204,14 @@ def _rows(matrix: np.ndarray) -> List[Tuple[int, ...]]:
             else [()] * len(matrix))
 
 
-def _runs(key: np.ndarray, lengths: np.ndarray, *columns: np.ndarray
-          ) -> List[Tuple[Tuple[int, ...], ...]]:
-    """Stable-sort ``columns`` by ``key`` and cut them into runs of
-    ``lengths``, one tuple per column (tuples of ints leave the garbage
-    collector's tracking, so cached plans do not slow its collections)."""
-    order = np.argsort(key, kind="stable")
-    stops = np.cumsum(lengths).tolist()
-    starts = [0] + stops[:-1]
-    return list(zip(*([col[i:j] for i, j in zip(starts, stops)]
-                      for col in (tuple(c[order].tolist()) for c in columns))))
+def _int32(column: np.ndarray) -> np.ndarray:
+    """A slot, group or sector-dim column in the plan's ``int32`` type."""
+    return column.astype(np.int32)
+
+
+def _ptr(lengths: np.ndarray) -> np.ndarray:
+    """CSR row pointer of consecutive runs of the given lengths."""
+    return _int32(np.concatenate(([0], np.cumsum(lengths))))
 
 
 def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
@@ -235,18 +265,18 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
     total_flops = float(flops.cumsum()[-1]) if len(flops) else 0.0
     largest = float(flops.max()) if len(flops) else 0.0
 
+    # fused groups: the pairs of each multi-pair output, in pair order
     contributions = np.bincount(pair_out, minlength=len(first_out))
     multi = np.flatnonzero(contributions > 1)
-    fusing = contributions[pair_out] > 1
-    fused = [(so, sa, sb) for so, (sa, sb) in zip(
-        multi.tolist(), _runs(pair_out[fusing], contributions[multi],
-                              pair_a[fusing], pair_b[fusing]))]
+    fusing = np.flatnonzero(contributions[pair_out] > 1)
+    fusing = fusing[np.argsort(pair_out[fusing], kind="stable")]
+    # batched groups: single-pair outputs by (m, k, n), first shape first
     single = np.flatnonzero(contributions == 1)
     p = first_out[single]
-    shape_group, first_shape = _first_appearance(
+    shape_group, _ = _first_appearance(
         np.stack((pair_m[p], pair_k[p], pair_n[p]), axis=1))
-    batched = _runs(shape_group, np.bincount(shape_group), single, pair_a[p],
-                    pair_b[p])
+    by_shape = np.argsort(shape_group, kind="stable")
+    batching = p[by_shape]
 
     return ContractionPlan(
         axes_a=axes_a, axes_b=axes_b, keep_a=keep_a, keep_b=keep_b,
@@ -254,13 +284,18 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
         perm_a=perm_a if perm_a != tuple(range(a.ndim)) else None,
         perm_b=perm_b if perm_b != tuple(range(b.ndim)) else None,
         a_keys=[keys_a[i] for i in slots_a.tolist()],
-        a_rows=m_a[slots_a].tolist(), a_cols=k_a[slots_a].tolist(),
+        a_rows=m_a[slots_a], a_cols=k_a[slots_a],
         b_keys=[keys_b[i] for i in slots_b.tolist()],
-        b_rows=k_b[slots_b].tolist(), b_cols=n_b[slots_b].tolist(),
-        out_keys=_rows(out_sec[first_out]), out_shapes=_rows(out_dims),
-        pair_a=pair_a, pair_b=pair_b, pair_out=pair_out,
-        pair_m=pair_m, pair_k=pair_k, pair_n=pair_n,
-        fused=fused, batched=batched, total_flops=total_flops,
+        b_rows=k_b[slots_b], b_cols=n_b[slots_b],
+        out_keys=_rows(out_sec[first_out]), out_dims=_int32(out_dims),
+        pair_a=_int32(pair_a), pair_b=_int32(pair_b),
+        pair_out=_int32(pair_out),
+        fused_out=_int32(multi), fused_ptr=_ptr(contributions[multi]),
+        fused_a=_int32(pair_a[fusing]), fused_b=_int32(pair_b[fusing]),
+        batch_out=_int32(single[by_shape]),
+        batch_ptr=_ptr(np.bincount(shape_group)),
+        batch_a=_int32(pair_a[batching]), batch_b=_int32(pair_b[batching]),
+        total_flops=total_flops,
         largest_pair_share=(largest / total_flops) if total_flops > 0 else 1.0,
         a_words=int((m_a[slots_a] * k_a[slots_a]).sum()),
         b_words=int((k_b[slots_b] * n_b[slots_b]).sum()),

@@ -1,5 +1,10 @@
 """Tests for lattice builders and model Hamiltonians."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +64,18 @@ class TestLattices:
         g = lat.to_networkx()
         assert g.number_of_nodes() == 9
         assert g.number_of_edges() == len({(b.i, b.j) for b in lat.bonds})
+
+    def test_runner_import_leaves_networkx_and_scipy_unloaded(self):
+        """Only ``to_networkx`` needs networkx and only exact
+        diagonalization needs scipy; importing the run path loads neither."""
+        code = ("import sys, repro.exp.runner\n"
+                "print(sorted({'networkx', 'scipy'} & set(sys.modules)))")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_bond_ordering(self):
         b = Bond(5, 2, "nn").ordered()

@@ -7,7 +7,9 @@ the per-pair loop it replaced (kept here as the oracle), and regression tests
 for the dtype/truncation fixes that rode along with the planner PR.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,14 +143,18 @@ def _loop_plan(a, b, axes) -> dict:
                                          ([], [], []))
             for column, slot in zip(group, (so, sa, sb)):
                 column.append(slot)
+    batched = list(batchable.values())
     return dict(
         perm_a=perm_a if perm_a != tuple(range(a.ndim)) else None,
         perm_b=perm_b if perm_b != tuple(range(b.ndim)) else None,
         a_keys=a_keys, a_rows=a_rows, a_cols=a_cols,
         b_keys=b_keys, b_rows=b_rows, b_cols=b_cols,
-        out_keys=out_keys, out_shapes=out_shapes, pairs=pairs, flops=flops,
-        fused=fused,
-        batched=[tuple(map(tuple, group)) for group in batchable.values()],
+        out_keys=out_keys, out_dims=[list(s) for s in out_shapes],
+        pairs=pairs, flops=flops,
+        fused_out=[so for so, _, _ in fused], fused_ptr=_group_ptr(fused),
+        fused_a=_flatten(fused, 1), fused_b=_flatten(fused, 2),
+        batch_out=_flatten(batched, 0), batch_ptr=_group_ptr(batched),
+        batch_a=_flatten(batched, 1), batch_b=_flatten(batched, 2),
         total_flops=total_flops,
         largest_pair_share=largest / total_flops if total_flops > 0 else 1.0,
         a_words=sum(map(math.prod, zip(a_rows, a_cols))),
@@ -156,18 +162,43 @@ def _loop_plan(a, b, axes) -> dict:
         out_nnz=sum(math.prod(shape) for shape in out_shapes))
 
 
+def _flatten(groups, column) -> list:
+    """One column of a group list, concatenated in group order."""
+    return [slot for group in groups for slot in group[column]]
+
+
+def _group_ptr(groups) -> list:
+    """The CSR pointer of a group list (offsets of each group's pairs)."""
+    ptr = [0]
+    for group in groups:
+        ptr.append(ptr[-1] + len(group[-1]))
+    return ptr
+
+
+#: the plan's slot and group columns, all ``int32``
+INDEX_COLUMNS = ("pair_a", "pair_b", "pair_out", "fused_out", "fused_ptr",
+                 "fused_a", "fused_b", "batch_out", "batch_ptr", "batch_a",
+                 "batch_b")
+
+
 def _plan_columns(plan) -> dict:
     """The fields of a :class:`ContractionPlan` that :func:`_loop_plan` builds."""
-    columns = (plan.pair_a, plan.pair_b, plan.pair_out, plan.pair_m,
-               plan.pair_k, plan.pair_n)
+    assert {getattr(plan, c).dtype for c in INDEX_COLUMNS + ("out_dims",)} \
+        == {np.dtype(np.int32)}
+    dims = (plan.pair_m, plan.pair_k, plan.pair_n)
+    assert {d.dtype for d in dims} == {np.dtype(np.int64)}
+    columns = (plan.pair_a, plan.pair_b, plan.pair_out) + dims
     return dict(
         perm_a=plan.perm_a, perm_b=plan.perm_b,
-        a_keys=plan.a_keys, a_rows=plan.a_rows, a_cols=plan.a_cols,
-        b_keys=plan.b_keys, b_rows=plan.b_rows, b_cols=plan.b_cols,
-        out_keys=plan.out_keys, out_shapes=plan.out_shapes,
+        a_keys=plan.a_keys, a_rows=plan.a_rows.tolist(),
+        a_cols=plan.a_cols.tolist(),
+        b_keys=plan.b_keys, b_rows=plan.b_rows.tolist(),
+        b_cols=plan.b_cols.tolist(),
+        out_keys=plan.out_keys, out_dims=plan.out_dims.tolist(),
         pairs=list(zip(*(c.tolist() for c in columns))),
-        flops=plan.pair_flops.tolist(), fused=plan.fused,
-        batched=plan.batched, total_flops=plan.total_flops,
+        flops=plan.pair_flops.tolist(),
+        **{c: getattr(plan, c).tolist() for c in INDEX_COLUMNS[3:]},
+        total_flops=plan.total_flops,
         largest_pair_share=plan.largest_pair_share, a_words=plan.a_words,
         b_words=plan.b_words, out_nnz=plan.out_nnz)
 
@@ -236,6 +267,46 @@ class TestPlanOracle:
                     build_plan(a, b, axes)
 
 
+def _two_charge_sweep_step():
+    """A fixed two-charge contraction shaped like a two-site DMRG step: a
+    ``(bond, phys, phys, bond*)`` tensor against ``(bond*, phys*, bond)``
+    over the first two modes; 392 pairs into 130 outputs, 104 of them fused."""
+    sectors = [(n, s) for n in range(6) for s in range(-3, 4)]
+    bond = Index(sectors, [1 + (n + abs(s)) % 3 for n, s in sectors], flow=1)
+    phys = Index([(0, 0), (1, 1), (1, -1), (2, 0)], [1, 1, 1, 1], flow=1)
+    rng = np.random.default_rng(0)
+    a = BlockSparseTensor.random([bond, phys, phys, bond.dual()],
+                                 flux=(0, 0), rng=rng)
+    b = BlockSparseTensor.random([bond.dual(), phys.dual(), bond],
+                                 flux=(0, 0), rng=rng)
+    return a, b, ([0, 1], [0, 1])
+
+
+class TestPlanFootprint:
+    #: bytes a cached plan of :func:`_two_charge_sweep_step` retains,
+    #: measured under CPython 3.11 / numpy 2 when the plan became arrays (the
+    #: tuple-based plan before it retained ~81,000)
+    PLAN_BYTES = 36_200
+
+    def test_cached_plan_stays_arrays(self):
+        """The bytes tracemalloc sees a built plan keep alive stay within
+        1.25x of the array layout's."""
+        a, b, axes = _two_charge_sweep_step()
+        build_plan(a, b, axes)  # warm caches outside the measurement
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = build_plan(a, b, axes)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.25 * self.PLAN_BYTES
+        assert (plan.npairs, len(plan.out_keys), len(plan.fused_out)) == \
+            (392, 130, 104)
+
+
 class TestPlannedContraction:
     def test_matches_naive_across_random_structures(self):
         """Property test: planner == Algorithm 2 over random index structures."""
@@ -297,6 +368,28 @@ class TestPlannedContraction:
                            a2.contract(b, axes=([1], [0])).to_dense(),
                            atol=1e-12)
 
+    def test_cached_plan_labels_output_with_callers_tags(self):
+        """A cache hit takes the output's index tags from this call's
+        operands, as the unplanned contraction does."""
+        rng = np.random.default_rng(9)
+        cache, axes = PlanCache(), ([1], [0])
+
+        def operands(left, right):
+            i = Index([(0,), (1,)], [2, 3], flow=1, tag=left + "i")
+            j = Index([(0,), (1,)], [2, 2], flow=-1, tag="k")
+            k = Index([(0,), (1,)], [3, 1], flow=-1, tag=right + "j")
+            return (BlockSparseTensor.random([i, j], flux=(0,), rng=rng),
+                    BlockSparseTensor.random([j.dual(), k], flux=(0,),
+                                             rng=rng))
+
+        contract_planned(*operands("x", "y"), axes, cache=cache)
+        a, b = operands("p", "q")
+        out = contract_planned(a, b, axes, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        ref = a.contract(b, axes)
+        assert [ix.tag for ix in out.indices] == \
+            [ix.tag for ix in ref.indices] == ["pi", "qj"]
+
     def test_invalid_axes_raise(self):
         rng = np.random.default_rng(1)
         i1 = Index([(0,), (1,)], [2, 2], flow=1)
@@ -310,17 +403,18 @@ class TestPlannedContraction:
         for _ in range(20):
             a, b, axes = _random_case(rng, drop=0.3, **TWO_CHARGES)
             plan = build_plan(a, b, axes)
-            grouped = []
-            for so, a_slots, b_slots in plan.fused:
-                assert len(a_slots) == len(b_slots) >= 2
-                grouped += [(so, sa, sb) for sa, sb in zip(a_slots, b_slots)]
-            for out_slots, a_slots, b_slots in plan.batched:
-                grouped += list(zip(out_slots, a_slots, b_slots))
+            ptr = plan.fused_ptr.tolist()
+            assert all(j - i >= 2 for i, j in zip(ptr, ptr[1:]))
+            fused_out = np.repeat(plan.fused_out, np.diff(plan.fused_ptr))
+            grouped = list(zip(fused_out.tolist(), plan.fused_a.tolist(),
+                               plan.fused_b.tolist()))
+            grouped += zip(plan.batch_out.tolist(), plan.batch_a.tolist(),
+                           plan.batch_b.tolist())
             pairs = zip(plan.pair_out.tolist(), plan.pair_a.tolist(),
                         plan.pair_b.tolist())
             assert sorted(grouped) == sorted(pairs)
             assert len(set(grouped)) == plan.npairs
-            assert plan.out_nnz == sum(math.prod(s) for s in plan.out_shapes)
+            assert plan.out_nnz == sum(map(math.prod, plan.out_dims.tolist()))
 
 
 class TestPlanCacheInDMRG:

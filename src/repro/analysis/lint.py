@@ -14,8 +14,10 @@ Rule catalogue (:data:`RULES`):
 
 ``blockops-route``
     ``np.matmul``, ``np.tensordot`` and ``np.linalg.{svd,qr,eigh}`` are
-    dense-block kernels and must route through ``BlockOps``; direct calls
-    are allowed only in ``symmetry/blockops.py`` (the implementation home).
+    dense-block kernels, and ``np.copyto`` is the write that fills GEMM
+    panels and batch stacks; all must route through ``BlockOps``, and
+    direct calls are allowed only in ``symmetry/blockops.py`` (the
+    implementation home).
 ``seeded-rng``
     Library code must not draw from unseeded numpy generators:
     ``np.random.default_rng()`` / ``RandomState()`` without a seed and
@@ -65,8 +67,9 @@ __all__ = ["LintFinding", "LintReport", "RULES", "format_lint_report",
 #: rule id -> one-line description (the lint gate's public contract)
 RULES: Dict[str, str] = {
     "blockops-route": ("dense-block numpy kernels (matmul/tensordot/"
-                       "linalg.{svd,qr,eigh}) must route through BlockOps; "
-                       "direct calls live only in symmetry/blockops.py"),
+                       "linalg.{svd,qr,eigh}) and panel writes (copyto) "
+                       "must route through BlockOps; direct calls live "
+                       "only in symmetry/blockops.py"),
     "seeded-rng": ("library code must not use unseeded np.random "
                    "generators or module-level samplers"),
     "profiler-category": ("Profiler.add with a non-canonical literal "
@@ -87,7 +90,7 @@ _CANONICAL_CATEGORIES = ("gemm", "communication", "transposition", "svd",
                          "imbalance")
 
 #: numpy entry points that constitute dense-block kernels
-_DENSE_KERNELS = {"matmul", "tensordot"}
+_DENSE_KERNELS = {"matmul", "tensordot", "copyto"}
 _DENSE_LINALG = {"svd", "qr", "eigh"}
 
 #: np.random attributes that draw without an explicit seed

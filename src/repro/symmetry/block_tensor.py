@@ -49,6 +49,13 @@ def allowed_keys(indices: Sequence[Index], flux: Charge) -> Iterable[BlockKey]:
             yield key
 
 
+def _negated(blk: np.ndarray, dtype) -> np.ndarray:
+    """``-blk`` in ``dtype``, negated in the block's own dtype (as
+    ``blk * -1.0`` was): a real block cast to complex keeps a +0.0
+    imaginary part."""
+    return np.negative(blk, out=np.empty_like(blk, dtype=dtype))
+
+
 class BlockSparseTensor:
     """A tensor stored as a collection of symmetry-allowed dense blocks.
 
@@ -252,23 +259,31 @@ class BlockSparseTensor:
         if self.flux != other.flux:
             raise ValueError(f"tensor fluxes differ: {self.flux} vs {other.flux}")
 
-    def __add__(self, other: "BlockSparseTensor") -> "BlockSparseTensor":
+    def _combine(self, other: "BlockSparseTensor", op,
+                 lone) -> "BlockSparseTensor":
+        """``op`` of two tensors block by block, one allocation per block.
+
+        Blocks of ``self`` come out row-major, as copies of them always
+        did; a block stored only in ``other`` becomes ``lone(block,
+        dtype)``.
+        """
         self._compatible(other)
         dtype = np.result_type(self.dtype, other.dtype)
-        out = self.copy()
-        out.dtype = dtype
-        for key, blk in out.blocks.items():
-            if blk.dtype != dtype:
-                out.blocks[key] = blk.astype(dtype)
-        for key, blk in other.blocks.items():
-            if key in out.blocks:
-                out.blocks[key] = out.blocks[key] + blk
-            else:
-                out.blocks[key] = blk.astype(dtype)
-        return out
+        theirs = other.blocks
+        blocks = {key: (op(blk, theirs[key], dtype=dtype, order="C")
+                        if key in theirs else blk.astype(dtype, order="C"))
+                  for key, blk in self.blocks.items()}
+        for key, blk in theirs.items():
+            if key not in blocks:
+                blocks[key] = lone(blk, dtype)
+        return BlockSparseTensor(self.indices, blocks, flux=self.flux,
+                                 dtype=dtype, check=False)
+
+    def __add__(self, other: "BlockSparseTensor") -> "BlockSparseTensor":
+        return self._combine(other, np.add, np.ndarray.astype)
 
     def __sub__(self, other: "BlockSparseTensor") -> "BlockSparseTensor":
-        return self + (other * (-1.0))
+        return self._combine(other, np.subtract, _negated)
 
     def __mul__(self, scalar) -> "BlockSparseTensor":
         blocks = {k: v * scalar for k, v in self.blocks.items()}

@@ -2,8 +2,9 @@
 
 Every dense-array operation the engine performs on the blocks of a
 :class:`~repro.symmetry.block_tensor.BlockSparseTensor` — GEMM, batched
-GEMM, concat/stack of matricized views, SVD/QR/eigh factorizations, dtype
-promotion — is routed through one :class:`BlockOps` instance.  The
+GEMM, the copies that write (permuted) blocks into GEMM panels and batch
+stacks, SVD/QR/eigh factorizations, dtype promotion — is routed through one
+:class:`BlockOps` instance.  The
 simulated cost model (contraction plans, flop counters, layout-tracker
 charges, modelled seconds) never looks at the arithmetic, so swapping the
 ops implementation changes wall-clock behaviour and numerics only; plans
@@ -65,9 +66,12 @@ class BlockOps:
         return np.result_type(*dtypes)
 
     def prepare(self, mat: np.ndarray) -> np.ndarray:
-        """Hook applied to every matricized operand before GEMM.
+        """Hook applied to each operand a kernel reads without a copy (a
+        block viewed as a matrix, a factorization input).
 
-        Identity here; :class:`MixedPrecisionOps` downcasts.
+        Identity here; :class:`MixedPrecisionOps` downcasts.  Panels and
+        stacks need no hook: they are allocated in ``result_type`` and
+        the write into them casts.
         """
         return mat
 
@@ -81,23 +85,54 @@ class BlockOps:
 
     def concat(self, mats: Sequence[np.ndarray], axis: int,
                out: Optional[np.ndarray] = None) -> np.ndarray:
-        if out is None:
-            return np.concatenate(mats, axis=axis)
-        return np.concatenate(mats, axis=axis, out=out)
+        """Join blocks along ``axis`` of a 2-D panel.
+
+        Without ``out`` the items are matrices, joined by
+        ``np.concatenate``.  With ``out`` each item fills its slice of
+        ``out`` across the other axis, and the write casts to ``out``'s
+        dtype.  An item may be an N-D block (a transposed view) whose
+        row-major reshape is its slice: it is written straight into the
+        slice, so a permuted block is copied once.
+        """
+        try:
+            return np.concatenate(mats, axis=axis, out=out)
+        except ValueError:  # N-D blocks: no matrix fits its slice
+            if out is None:
+                raise
+        across, lo = out.shape[1 - axis], 0
+        for blk in mats:
+            hi = lo + blk.size // across
+            dest = out[:, lo:hi] if axis else out[lo:hi]
+            # splitting each axis of a slice into the block's dims is
+            # always a view, so the write lands in ``out``
+            np.copyto(dest.reshape(blk.shape), blk)
+            lo = hi
+        return out
 
     def stack(self, mats: Sequence[np.ndarray],
               out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Stack equal-shape matrices into one batch for ``matmul``.
+        """Stack equal-shape blocks into one batch for ``matmul``.
 
-        Keep ``np.stack``: ``np.array(mats)`` is ~4x faster but lays a
-        batch of Fortran-ordered views out differently (strides
+        Without ``out`` the items are matrices, stacked by ``np.stack``;
+        with ``out`` item ``i`` (a matrix, or an N-D block whose row-major
+        reshape is ``out[i]``) is written straight into ``out[i]``.
+
+        Keep ``np.stack``'s layout: ``np.array(mats)`` is ~4x faster but
+        lays a batch of Fortran-ordered views out differently (strides
         ``(320, 64, 8)`` instead of ``(320, 8, 40)`` for 5x8 items), which
         changes the batched GEMM's summation order and the last bits of
-        DMRG energies.
+        DMRG energies.  The engine allocates ``out`` in that layout.
         """
         if out is None:
             return np.stack(mats)
-        return np.stack(mats, out=out)
+        n, r, c = out.shape
+        if out.flags.c_contiguous and all(m.shape == (r, c) for m in mats):
+            # equal-shape matrices fill a row-major batch row by row
+            np.concatenate(mats, out=out.reshape(n * r, c))
+            return out
+        for dest, blk in zip(out, mats):
+            np.copyto(dest.reshape(blk.shape), blk)
+        return out
 
     def tensordot(self, a: np.ndarray, b: np.ndarray,
                   axes: Tuple[Sequence[int], Sequence[int]]) -> np.ndarray:

@@ -12,11 +12,13 @@ Algorithm-2 pairing is a sort/merge join on an integer code of the contracted
 sector columns, and slot numbering, output keys, GEMM shapes and the
 fused/batched grouping are vector arithmetic on the pair columns of the
 struct-of-arrays :class:`ContractionPlan`.  The plan keeps what it computed as
-contiguous arrays too: ``int32`` slot columns, the GEMM groups in CSR form and
-the output dims as one matrix; pair GEMM dims are read off the slot dims on
-demand.  Only block keys stay tuples, since blocks are stored under them, so
-the plan cache, the largest resident object of a run, costs a few array
-headers per plan rather than Python objects per pair.
+contiguous arrays too: ``int32`` slot columns, the GEMM groups and the
+deduplicated operand panels of the fused groups in CSR form and the output
+dims as one matrix; pair GEMM dims are read off the slot dims on demand.
+Only block keys stay tuples, since blocks are stored under them, and
+:class:`PlanCache` interns them, so the plan cache, the largest resident
+object of a run, costs a few array headers per plan and one tuple per
+distinct block key rather than Python objects per pair.
 :mod:`repro.symmetry.engine` runs plans and :class:`PlanCache` memoizes them
 by symbolic signature: the plan/execute split of TeNPy's abstract backend,
 which lets block-sparse contraction approach dense GEMM throughput
@@ -66,15 +68,19 @@ class ContractionPlan:
     ``pair_a[p]`` by B slot ``pair_b[p]`` into output ``pair_out[p]``; its
     GEMM dims ``pair_m|pair_k|pair_n`` are read off the slot dims.
 
-    The GEMM groups are CSR arrays.  Fused group ``g`` is one GEMM into
-    output ``fused_out[g]`` over the A/B slots ``fused_a|fused_b[
-    fused_ptr[g]:fused_ptr[g + 1]]``, concatenated along the contracted axis
-    (outputs with several pairs); batched group ``g`` is one batched matmul
-    of the single-pair outputs ``batch_out[batch_ptr[g]:batch_ptr[g + 1]]``
-    sharing an ``(m, k, n)``, over the same range of ``batch_a|batch_b``.
-    Slot and group columns and ``out_dims`` are ``int32``; the slot dims,
-    products of sector dims, are ``int64``.  Only the keys are tuples,
-    because blocks are looked up and stored by them.
+    The GEMM groups are CSR arrays.  Fused group ``g`` (an output with
+    several pairs) is one GEMM into output ``fused_out[g]`` of A panel
+    ``fused_a_panel[g]`` by B panel ``fused_b_panel[g]``.  A panel ``p``
+    joins the A slots ``a_panel_slots[a_panel_ptr[p]:a_panel_ptr[p + 1]]``
+    along the contracted axis, and B panels likewise: groups whose pairs
+    read the same slot run share one panel, and the groups of each A panel
+    are consecutive, so an executor can drop an A panel after its last
+    GEMM.  Batched group ``g`` is one batched matmul of the single-pair
+    outputs ``batch_out[batch_ptr[g]:batch_ptr[g + 1]]`` sharing an ``(m,
+    k, n)``, over the same range of ``batch_a|batch_b``.  Slot, panel and
+    group columns and ``out_dims`` are ``int32``; the slot dims, products of
+    sector dims, are ``int64``.  Only the keys are tuples, because blocks
+    are looked up and stored by them.
 
     ``a_words``/``b_words``/``out_nnz`` count the elements of the distinct
     A, B and output blocks.  The cost model (:mod:`repro.ctf.plan_cost`)
@@ -102,9 +108,12 @@ class ContractionPlan:
     pair_b: np.ndarray
     pair_out: np.ndarray
     fused_out: np.ndarray
-    fused_ptr: np.ndarray
-    fused_a: np.ndarray
-    fused_b: np.ndarray
+    fused_a_panel: np.ndarray
+    fused_b_panel: np.ndarray
+    a_panel_ptr: np.ndarray
+    a_panel_slots: np.ndarray
+    b_panel_ptr: np.ndarray
+    b_panel_slots: np.ndarray
     batch_out: np.ndarray
     batch_ptr: np.ndarray
     batch_a: np.ndarray
@@ -214,6 +223,51 @@ def _ptr(lengths: np.ndarray) -> np.ndarray:
     return _int32(np.concatenate(([0], np.cumsum(lengths))))
 
 
+#: odd base of the polynomial hash that proposes equal slot runs (a
+#: collision costs a separate panel, never a wrong one: runs are compared)
+_RUN_HASH_BASE = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _panels(lengths: np.ndarray, runs: np.ndarray
+            ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Deduplicate the slot runs of the fused groups into panels.
+
+    Group ``g`` reads the ``lengths[g]`` rows of ``runs`` (one slot column
+    per operand) that follow the rows of the groups before it.  For each
+    column, returns each group's panel number (panels numbered by first
+    appearance), the panels' CSR pointer and their slot column.  A
+    polynomial hash of each run, plus its length, proposes the equal runs;
+    every run is then compared with the first run of its hash, and one
+    that differs (a collision) gets a panel of its own.
+    """
+    starts = np.cumsum(lengths) - lengths
+    pos = np.arange(len(runs)) - np.repeat(starts, lengths)
+    powers = np.cumprod(np.full(int(lengths.max(initial=0)), _RUN_HASH_BASE))
+    hashes = (np.add.reduceat((runs.astype(np.uint64) + np.uint64(1))
+                              * powers[pos, None], starts)
+              + lengths[:, None].astype(np.uint64)) if len(lengths) \
+        else runs[:0].astype(np.uint64)
+    panels = []
+    for slots, run_hash in zip(runs.T, hashes.T):
+        number, first = _first_appearance(run_hash.view(np.int64)[:, None])
+        rep = first[number]
+        if len(lengths):
+            # a first run starts before its group's, so reading it with
+            # the group's length stays inside ``slots``
+            read = np.repeat(starts[rep], lengths) + pos
+            differs = (lengths != lengths[rep]) | np.logical_or.reduceat(
+                slots != slots[read], starts)
+            if differs.any():
+                tag = np.where(differs, np.arange(1, len(lengths) + 1), 0)
+                number, first = _first_appearance(np.column_stack(
+                    (run_hash.view(np.int64), tag)))
+        panel_ptr = _ptr(lengths[first])
+        taken = np.repeat(starts[first] - panel_ptr[:-1], lengths[first])
+        panels.append((number, panel_ptr,
+                       _int32(slots[taken + np.arange(len(taken))])))
+    return panels
+
+
 def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
                ) -> ContractionPlan:
     """Compile the contraction of ``a`` with ``b`` into a reusable plan.
@@ -265,11 +319,18 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
     total_flops = float(flops.cumsum()[-1]) if len(flops) else 0.0
     largest = float(flops.max()) if len(flops) else 0.0
 
-    # fused groups: the pairs of each multi-pair output, in pair order
+    # fused groups: the pairs of each multi-pair output, in pair order,
+    # reading deduplicated panels; the groups of each A panel run back to
+    # back, so the executor builds and drops it once
     contributions = np.bincount(pair_out, minlength=len(first_out))
     multi = np.flatnonzero(contributions > 1)
     fusing = np.flatnonzero(contributions[pair_out] > 1)
     fusing = fusing[np.argsort(pair_out[fusing], kind="stable")]
+    (a_panel, a_panel_ptr, a_panel_slots), \
+        (b_panel, b_panel_ptr, b_panel_slots) = _panels(
+            contributions[multi], np.stack((pair_a[fusing], pair_b[fusing]),
+                                           axis=1))
+    by_a_panel = np.argsort(a_panel, kind="stable")
     # batched groups: single-pair outputs by (m, k, n), first shape first
     single = np.flatnonzero(contributions == 1)
     p = first_out[single]
@@ -290,8 +351,11 @@ def build_plan(a, b, axes: Tuple[Sequence[int], Sequence[int]]
         out_keys=_rows(out_sec[first_out]), out_dims=_int32(out_dims),
         pair_a=_int32(pair_a), pair_b=_int32(pair_b),
         pair_out=_int32(pair_out),
-        fused_out=_int32(multi), fused_ptr=_ptr(contributions[multi]),
-        fused_a=_int32(pair_a[fusing]), fused_b=_int32(pair_b[fusing]),
+        fused_out=_int32(multi[by_a_panel]),
+        fused_a_panel=_int32(a_panel[by_a_panel]),
+        fused_b_panel=_int32(b_panel[by_a_panel]),
+        a_panel_ptr=a_panel_ptr, a_panel_slots=a_panel_slots,
+        b_panel_ptr=b_panel_ptr, b_panel_slots=b_panel_slots,
         batch_out=_int32(single[by_shape]),
         batch_ptr=_ptr(np.bincount(shape_group)),
         batch_a=_int32(pair_a[batching]), batch_b=_int32(pair_b[batching]),
@@ -309,13 +373,21 @@ class PlanCache:
     statistics live: the sweep engine's
     :class:`~repro.dmrg.config.StatsRecorder` reads its hit/miss counters
     and plan/execute seconds into the run's ``plan_cache.*`` metrics.
+
+    The cache also interns the output keys of the plans it stores: plans
+    of operands that share sectors but not dims (a ramp's next sweep,
+    another stage of the same bond) name the same blocks, and each distinct
+    key is then one tuple however many plans, and output tensors, hold it.
+    Output tensors store their blocks under these tuples, so the operand
+    keys of later plans are mostly the same objects.
     """
 
-    __slots__ = ("_plans", "max_plans", "hits", "misses", "plan_seconds",
-                 "execute_seconds")
+    __slots__ = ("_plans", "_keys", "max_plans", "hits", "misses",
+                 "plan_seconds", "execute_seconds")
 
     def __init__(self, max_plans: int = 8192):
         self._plans: Dict[Tuple, ContractionPlan] = {}
+        self._keys: Dict[BlockKey, BlockKey] = {}
         self.max_plans = int(max_plans)
         self.hits = 0
         self.misses = 0
@@ -333,6 +405,10 @@ class PlanCache:
             return plan
         span = trace.timed_span("plan-build", "planner").start()
         plan = build_plan(a, b, (axes_a, axes_b))
+        # the operands' keys are an earlier plan's interned outputs, or
+        # belong to tensors built elsewhere: only the new tuples need it
+        intern = self._keys.setdefault
+        plan.out_keys = list(map(intern, plan.out_keys, plan.out_keys))
         self.plan_seconds += span.stop()
         self.misses += 1
         if len(self._plans) >= self.max_plans:

@@ -45,6 +45,23 @@ class TestLintRules:
         assert sum(1 for f in report.findings
                    if f.rule == "blockops-route") == 5
 
+    def test_blockops_route_flags_panel_writes(self, tmp_path):
+        """``np.copyto`` fills GEMM panels: the writes stay in BlockOps."""
+        report = _lint_source(tmp_path, """
+            import numpy as np
+            def f(panel, blk):
+                np.copyto(panel[:, :3], blk)
+        """)
+        assert [(f.rule, f.line) for f in report.findings] == \
+            [("blockops-route", 4)]
+        assert "np.copyto" in report.findings[0].message
+        home = _lint_source(tmp_path, """
+            import numpy as np
+            def f(panel, blk):
+                np.copyto(panel[:, :3], blk)
+        """, name="blockops.py", subdir="symmetry")
+        assert home.ok
+
     def test_blockops_route_allowed_in_kernel_home(self, tmp_path):
         report = _lint_source(tmp_path, """
             import numpy as np

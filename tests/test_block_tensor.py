@@ -117,6 +117,53 @@ class TestAlgebra:
             random_tensor.transpose([0, 0, 1])
 
 
+def _parent_add(x, y) -> dict:
+    """``x + y`` as the tensor computed it before one allocation per block:
+    copy ``x``, cast, then add ``y`` block by block."""
+    dtype = np.result_type(x.dtype, y.dtype)
+    out = {k: v.copy() for k, v in x.blocks.items()}
+    for k, blk in out.items():
+        if blk.dtype != dtype:
+            out[k] = blk.astype(dtype)
+    for k, blk in y.blocks.items():
+        out[k] = out[k] + blk if k in out else blk.astype(dtype)
+    return out
+
+
+class TestElementwiseOneAllocation:
+    @pytest.mark.parametrize("layout", ["c", "fortran"])
+    @pytest.mark.parametrize("dtypes", [("f8", "f8"), ("f4", "f8"),
+                                        ("f8", "f4"), ("c16", "f8"),
+                                        ("f4", "c8")])
+    def test_add_sub_equal_the_copy_then_add_bits(self, small_indices,
+                                                  dtypes, layout):
+        """``a + b`` and ``a - b`` give the old results bit for bit and in
+        the old layout, over partly shared block sets, and no output block
+        aliases an operand."""
+        rng = np.random.default_rng(31)
+        x, y = (BlockSparseTensor.random(small_indices, flux=(0,), rng=rng,
+                                         dtype=np.dtype(d))
+                for d in dtypes)
+        if layout == "fortran":
+            for t in (x, y):
+                t.blocks = {k: np.asfortranarray(v)
+                            for k, v in t.blocks.items()}
+        keys = sorted(x.blocks)
+        x.blocks = {k: x.blocks[k] for k in keys[1:]}   # only in y: keys[0]
+        y.blocks = {k: y.blocks[k] for k in keys[:-1]}  # only in x: keys[-1]
+        for got, want in ((x + y, _parent_add(x, y)),
+                          (x - y, _parent_add(x, y * -1.0))):
+            assert got.dtype == np.result_type(x.dtype, y.dtype)
+            assert list(got.blocks) == list(want)
+            for key, blk in got.blocks.items():
+                assert blk.dtype == got.dtype == want[key].dtype
+                assert blk.tobytes() == want[key].tobytes()
+                assert blk.strides == want[key].strides
+                assert not any(np.shares_memory(blk, op)
+                               for op in (*x.blocks.values(),
+                                          *y.blocks.values()))
+
+
 class TestContraction:
     def test_matches_dense_tensordot(self, rng):
         a, b = dense_pair(rng)

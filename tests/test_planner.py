@@ -10,6 +10,7 @@ for the dtype/truncation fixes that rode along with the planner PR.
 import gc
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from repro.perf.shapesim import ShapeTensor
 from repro.symmetry import (BlockSparseTensor, Index, PlanCache, build_plan,
                             contract_planned, execute_plan, svd,
                             tensor_signature)
+from repro.symmetry import engine, planner
+from repro.symmetry.blockops import (BlockOps, MixedPrecisionOps,
+                                     resolve_block_ops)
 from repro.symmetry.planner import normalize_axes
 
 
@@ -144,6 +148,9 @@ def _loop_plan(a, b, axes) -> dict:
             for column, slot in zip(group, (so, sa, sb)):
                 column.append(slot)
     batched = list(batchable.values())
+    a_panel, a_runs = _panel_numbers([sa for _, sa, _ in fused])
+    b_panel, b_runs = _panel_numbers([sb for _, _, sb in fused])
+    by_a_panel = sorted(range(len(fused)), key=a_panel.__getitem__)
     return dict(
         perm_a=perm_a if perm_a != tuple(range(a.ndim)) else None,
         perm_b=perm_b if perm_b != tuple(range(b.ndim)) else None,
@@ -151,8 +158,13 @@ def _loop_plan(a, b, axes) -> dict:
         b_keys=b_keys, b_rows=b_rows, b_cols=b_cols,
         out_keys=out_keys, out_dims=[list(s) for s in out_shapes],
         pairs=pairs, flops=flops,
-        fused_out=[so for so, _, _ in fused], fused_ptr=_group_ptr(fused),
-        fused_a=_flatten(fused, 1), fused_b=_flatten(fused, 2),
+        fused_out=[fused[g][0] for g in by_a_panel],
+        fused_a_panel=[a_panel[g] for g in by_a_panel],
+        fused_b_panel=[b_panel[g] for g in by_a_panel],
+        a_panel_ptr=_group_ptr([(run,) for run in a_runs]),
+        a_panel_slots=[slot for run in a_runs for slot in run],
+        b_panel_ptr=_group_ptr([(run,) for run in b_runs]),
+        b_panel_slots=[slot for run in b_runs for slot in run],
         batch_out=_flatten(batched, 0), batch_ptr=_group_ptr(batched),
         batch_a=_flatten(batched, 1), batch_b=_flatten(batched, 2),
         total_flops=total_flops,
@@ -167,6 +179,13 @@ def _flatten(groups, column) -> list:
     return [slot for group in groups for slot in group[column]]
 
 
+def _panel_numbers(runs) -> tuple:
+    """Number equal slot runs by first appearance: (numbers, distinct runs)."""
+    number_of = {}
+    numbers = [number_of.setdefault(run, len(number_of)) for run in runs]
+    return numbers, list(number_of)
+
+
 def _group_ptr(groups) -> list:
     """The CSR pointer of a group list (offsets of each group's pairs)."""
     ptr = [0]
@@ -175,10 +194,11 @@ def _group_ptr(groups) -> list:
     return ptr
 
 
-#: the plan's slot and group columns, all ``int32``
-INDEX_COLUMNS = ("pair_a", "pair_b", "pair_out", "fused_out", "fused_ptr",
-                 "fused_a", "fused_b", "batch_out", "batch_ptr", "batch_a",
-                 "batch_b")
+#: the plan's slot, group and panel columns, all ``int32``
+INDEX_COLUMNS = ("pair_a", "pair_b", "pair_out", "fused_out", "fused_a_panel",
+                 "fused_b_panel", "a_panel_ptr", "a_panel_slots",
+                 "b_panel_ptr", "b_panel_slots", "batch_out", "batch_ptr",
+                 "batch_a", "batch_b")
 
 
 def _plan_columns(plan) -> dict:
@@ -233,6 +253,21 @@ class TestPlanOracle:
             out = execute_plan(plan, a, b, count_flops=False)
             ref = a.contract(b, axes, count_flops=False)
             assert np.allclose(_dense(out), _dense(ref), atol=1e-12)
+
+    def test_hash_collision_keeps_panels_apart(self):
+        """Different slot runs with equal hashes still get their own panels:
+        (B, 0) and (0, 1) both hash to B + 2 B**2 + 2 mod 2**64, and
+        (0, 0, c) with c + 1 = -B**-3 hashes like (0, 0), whose next slot
+        is c, so only the lengths tell them apart."""
+        base = int(planner._RUN_HASH_BASE)
+        c = (-pow(base, -3, 2 ** 64) - 1) % 2 ** 64
+        runs = [(base, 0), (0, 1), (base, 0), (0, 0), (c, 5), (0, 0, c)]
+        slots = np.array([s for run in runs for s in run],
+                         dtype=np.uint64).view(np.int64)
+        lengths = np.array([len(run) for run in runs])
+        (number, ptr, _), = planner._panels(lengths, slots[:, None])
+        assert number.tolist() == [0, 1, 0, 2, 3, 4]
+        assert ptr.tolist() == [0, 2, 4, 6, 8, 11]
 
     @pytest.mark.parametrize("empty", ["a", "b"])
     def test_empty_operand(self, empty):
@@ -403,11 +438,24 @@ class TestPlannedContraction:
         for _ in range(20):
             a, b, axes = _random_case(rng, drop=0.3, **TWO_CHARGES)
             plan = build_plan(a, b, axes)
-            ptr = plan.fused_ptr.tolist()
-            assert all(j - i >= 2 for i, j in zip(ptr, ptr[1:]))
-            fused_out = np.repeat(plan.fused_out, np.diff(plan.fused_ptr))
-            grouped = list(zip(fused_out.tolist(), plan.fused_a.tolist(),
-                               plan.fused_b.tolist()))
+            a_ptr, b_ptr = plan.a_panel_ptr, plan.b_panel_ptr
+            a_len = np.diff(a_ptr)[plan.fused_a_panel]
+            assert (a_len >= 2).all()
+            assert (a_len == np.diff(b_ptr)[plan.fused_b_panel]).all()
+            # an A panel's GEMMs are consecutive, and panels are distinct
+            assert (np.diff(plan.fused_a_panel) >= 0).all()
+            for ptr, slots in ((a_ptr, plan.a_panel_slots),
+                               (b_ptr, plan.b_panel_slots)):
+                runs = [tuple(slots[i:j]) for i, j in zip(ptr, ptr[1:])]
+                assert len(set(runs)) == len(runs)
+            fused_out = np.repeat(plan.fused_out, a_len)
+            grouped = list(zip(
+                fused_out.tolist(),
+                *(np.concatenate([slots[ptr[p]:ptr[p + 1]] for p in panel]
+                                 + [np.zeros(0, np.int32)]).tolist()
+                  for ptr, slots, panel in (
+                      (a_ptr, plan.a_panel_slots, plan.fused_a_panel),
+                      (b_ptr, plan.b_panel_slots, plan.fused_b_panel)))))
             grouped += zip(plan.batch_out.tolist(), plan.batch_a.tolist(),
                            plan.batch_b.tolist())
             pairs = zip(plan.pair_out.tolist(), plan.pair_a.tolist(),
@@ -415,6 +463,234 @@ class TestPlannedContraction:
             assert sorted(grouped) == sorted(pairs)
             assert len(set(grouped)) == plan.npairs
             assert plan.out_nnz == sum(map(math.prod, plan.out_dims.tolist()))
+
+
+# --------------------------------------------------------------------------- #
+# the panel executor against the matricize-then-join executor it replaced
+# --------------------------------------------------------------------------- #
+def _matricize_and_join(plan, a, b, ops=None) -> dict:
+    """The executor before panels, kept as the bit-level oracle: every
+    planned block matricized once (``reshape``: a view where numpy can make
+    one, else a row-major copy, then ``prepare``), each multi-pair output one
+    GEMM of ``np.concatenate``d matrices in pair order, and each batch one
+    ``matmul`` of ``np.stack``ed matrices.  Returns the output blocks."""
+    ops = resolve_block_ops(ops)
+
+    def matricize(t, keys, rows, cols, perm):
+        return [ops.prepare((t.blocks[k] if perm is None
+                             else np.transpose(t.blocks[k], perm)).reshape(r, c))
+                for k, r, c in zip(keys, rows.tolist(), cols.tolist())]
+
+    amats = matricize(a, plan.a_keys, plan.a_rows, plan.a_cols, plan.perm_a)
+    bmats = matricize(b, plan.b_keys, plan.b_rows, plan.b_cols, plan.perm_b)
+    pair_a, pair_b = plan.pair_a.tolist(), plan.pair_b.tolist()
+    pairs_of = {}
+    for p, so in enumerate(plan.pair_out.tolist()):
+        pairs_of.setdefault(so, []).append(p)
+    results = {}
+    for so, ps in pairs_of.items():
+        if len(ps) > 1:
+            results[so] = ops.matmul(
+                np.concatenate([amats[pair_a[p]] for p in ps], axis=1),
+                np.concatenate([bmats[pair_b[p]] for p in ps], axis=0))
+    ptr, outs = plan.batch_ptr.tolist(), plan.batch_out.tolist()
+    batch_a, batch_b = plan.batch_a.tolist(), plan.batch_b.tolist()
+    for i, j in zip(ptr, ptr[1:]):
+        if j - i == 1:
+            results[outs[i]] = ops.matmul(amats[batch_a[i]], bmats[batch_b[i]])
+            continue
+        prod = ops.matmul(np.stack([amats[s] for s in batch_a[i:j]]),
+                          np.stack([bmats[s] for s in batch_b[i:j]]))
+        results.update(zip(outs[i:j], prod))
+    return {key: results[so].reshape(shape) for so, (key, shape) in
+            enumerate(zip(plan.out_keys, plan.out_dims.tolist()))}
+
+
+def _relayout(t: BlockSparseTensor, kind: str, rng) -> BlockSparseTensor:
+    """``t`` with the same values in blocks of another memory layout."""
+    def move(blk):
+        if kind == "fortran":
+            return np.asfortranarray(blk)
+        if kind == "strided":  # every other element of a wider array
+            wide = rng.standard_normal(blk.shape + (2,))
+            wide[..., 0] = blk
+            return wide[..., 0]
+        # item 1 of a batched product, an offset slice like the engine's
+        # batched outputs (multiplying by one keeps the values exact)
+        flat = blk.reshape(1, -1, 1)
+        prod = np.matmul(np.concatenate((flat, flat)), np.ones((1, 1)))
+        return prod[1].reshape(blk.shape)
+    out = BlockSparseTensor(t.indices, {k: move(v) for k, v in
+                                        t.blocks.items()},
+                            flux=t.flux, dtype=t.dtype, check=False)
+    for k, v in t.blocks.items():
+        assert np.array_equal(out.blocks[k], v)
+    return out
+
+
+class _RecordingOps(BlockOps):
+    """Numpy ops that record every panel and batch stack they write."""
+
+    def __init__(self):
+        self.written = []
+
+    def concat(self, mats, axis, out=None):
+        self.written.append(super().concat(mats, axis, out=out))
+        return self.written[-1]
+
+    def stack(self, mats, out=None):
+        self.written.append(super().stack(mats, out=out))
+        return self.written[-1]
+
+
+def _assert_bits_equal(got: BlockSparseTensor, want: dict):
+    assert list(got.blocks) == list(want)
+    for key, blk in want.items():
+        assert got.blocks[key].dtype == blk.dtype
+        assert got.blocks[key].shape == blk.shape
+        assert got.blocks[key].tobytes() == blk.tobytes()
+
+
+def _mpo_like_step(scale: int = 24):
+    """A fixed permuted contraction shaped like a matvec's MPO stage: a
+    ``(bond, phys, phys, bond*)`` tensor against a small ``(phys*, phys*,
+    w)`` operator over both physical modes; 104 pairs into 42 fused
+    outputs, A transposed to ``(0, 3, 1, 2)``."""
+    sectors = [(n, s) for n in range(4) for s in range(-2, 3)]
+    bond = Index(sectors, [scale * (1 + (n + abs(s)) % 3) for n, s in sectors],
+                 flow=1)
+    phys = Index([(0, 0), (1, 1), (1, -1), (2, 0)], [2, 2, 2, 2], flow=1)
+    w = Index([(0, 0), (1, 1), (-1, -1), (1, -1), (-1, 1)], [2, 1, 1, 1, 1],
+              flow=1)
+    rng = np.random.default_rng(0)
+    a = BlockSparseTensor.random([bond, phys, phys, bond.dual()],
+                                 flux=(0, 0), rng=rng)
+    b = BlockSparseTensor.random([phys.dual(), phys.dual(), w],
+                                 flux=(-2, 0), rng=rng)
+    return a, b, ([1, 2], [0, 1])
+
+
+class TestPanelExecutor:
+    LAYOUTS = ("c", "fortran", "strided", "batch-slices")
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_equals_matricize_and_join_bit_for_bit(self, layout):
+        """Random two-charge contractions with permuted operands in each
+        block layout give the old executor's output blocks, bit for bit."""
+        rng = np.random.default_rng(23)
+        ops = _RecordingOps()
+        shared_a_panels = 0
+        for _ in range(30):
+            a, b, axes = _random_case(rng, n_free=(1, 4), **TWO_CHARGES)
+            if layout != "c":
+                a, b = _relayout(a, layout, rng), _relayout(b, layout, rng)
+            plan = build_plan(a, b, axes)
+            shared_a_panels += len(plan.fused_out) - (len(plan.a_panel_ptr) - 1)
+            got = execute_plan(plan, a, b, count_flops=False, ops=ops)
+            _assert_bits_equal(got, _matricize_and_join(plan, a, b))
+        assert shared_a_panels > 0  # some A panels feed several GEMMs
+        if layout == "fortran":
+            # column-major panels or stacks were written, as numpy would
+            assert any(w.ndim >= 2 and w.shape[-1] > 1 and w.shape[-2] > 1
+                       and w.strides[-2] < w.strides[-1] for w in ops.written)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_panels_take_numpys_layout(self, layout):
+        """A panel or stack written from permuted blocks has the strides of
+        ``np.concatenate``/``np.stack`` of the blocks' matrices."""
+        rng = np.random.default_rng(5)
+        ops = BlockOps()
+        for _ in range(40):
+            shape = tuple(int(d) for d in rng.integers(1, 4, size=3))
+            perm = tuple(int(p) for p in rng.permutation(3))
+            r = math.prod(shape[p] for p in perm[:2])
+            c = shape[perm[2]]
+            blocks = {}
+            for key in range(3):
+                blk = rng.standard_normal(shape)
+                if layout == "fortran":
+                    blk = np.asfortranarray(blk)
+                elif layout == "strided":
+                    blk = np.swapaxes(rng.standard_normal(shape[::-1]), 0, 2)
+                elif layout == "batch-slices":
+                    blk = np.matmul(rng.standard_normal((2,) + shape[:2] + (1,)),
+                                    np.ones((1, shape[2])))[1]
+                blocks[key] = blk
+            mats = [np.transpose(blk, perm).reshape(r, c)
+                    for blk in blocks.values()]
+            slots, rows, cols = [0, 1, 2], [r] * 3, [c] * 3
+            operands, any_cm = engine._operands(
+                SimpleNamespace(blocks=blocks), slots, perm, rows, cols)
+            for axis in (0, 1):
+                got = engine._panel(ops, operands, rows, cols, slots, axis,
+                                    np.float64, any_cm)
+                want = np.concatenate(mats, axis=axis)
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+            got = engine._batch(ops, operands, rows, cols, slots, np.float64,
+                                any_cm)
+            want = np.stack(mats)
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_stays_within_output_and_largest_panel(self):
+        """Above the operands, one call holds at most its output and the
+        largest panel: no matricized copy of every block (the old
+        executor also held a copy of all of A: 9.0 MB against this
+        bound's 1.4 MB)."""
+        a, b, axes = _mpo_like_step()
+        plan = build_plan(a, b, axes)
+        assert plan.perm_a is not None and len(plan.fused_out) == 42
+        execute_plan(plan, a, b, count_flops=False)  # warm numpy's caches
+        panels = [(plan.a_rows, plan.a_cols, plan.a_panel_ptr,
+                   plan.a_panel_slots),
+                  (plan.b_rows, plan.b_cols, plan.b_panel_ptr,
+                   plan.b_panel_slots)]
+        largest = max(int((rows[slots[i:j]] * cols[slots[i:j]]).sum())
+                      for rows, cols, ptr, slots in panels
+                      for i, j in zip(ptr[:-1], ptr[1:])) * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = execute_plan(plan, a, b, count_flops=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(blk.nbytes for blk in out.blocks.values())
+        assert peak <= out_bytes + largest
+
+    def test_mixed_precision_panels_are_float32(self):
+        """Panels are allocated in the compute dtype, so the write does the
+        downcast ``prepare`` used to do block by block."""
+        rng = np.random.default_rng(8)
+        base = _RecordingOps()
+        ops = MixedPrecisionOps(base)
+        for _ in range(10):
+            a, b, axes = _random_case(rng, **TWO_CHARGES)
+            plan = build_plan(a, b, axes)
+            got = execute_plan(plan, a, b, count_flops=False, ops=ops)
+            assert got.dtype == np.float32
+            _assert_bits_equal(got, _matricize_and_join(plan, a, b, ops))
+        assert base.written
+        assert {w.dtype for w in base.written} == {np.dtype(np.float32)}
+
+    def test_plan_cache_interns_block_keys(self):
+        """Two plans whose operands share sectors but not dims share their
+        key tuples, so a key is stored once however many plans name it."""
+        cache = PlanCache()
+        a, b, axes = _mpo_like_step(scale=1)
+        a2, b2, _ = _mpo_like_step(scale=2)
+        p1, p2 = cache.lookup(a, b, axes), cache.lookup(a2, b2, axes)
+        assert cache.misses == 2 and p1 is not p2
+        k1, k2 = p1.out_keys, p2.out_keys
+        assert k1 == k2 and all(x is y for x, y in zip(k1, k2))
+        # the outputs store their blocks under the interned tuples, so a
+        # plan that reads an output shares them as its operand keys
+        out = execute_plan(p2, a2, b2, count_flops=False)
+        assert all(x is y for x, y in zip(out.blocks, k1))
+        p3 = cache.lookup(out, out.conj(), ([0, 1, 2], [0, 1, 2]))
+        assert all(any(x is y for y in k1) for x in p3.a_keys)
 
 
 class TestPlanCacheInDMRG:

@@ -3,10 +3,9 @@
 Several project invariants cannot be expressed as unit tests because they
 are properties of the *source*, not of any particular run: a dense-block
 numpy call that bypasses :class:`~repro.symmetry.blockops.BlockOps` is
-bit-identical under the default implementation and only diverges when the
-mixed-precision wrapper (or an injected implementation) is active; an
-unseeded rng is deterministic per-process and only breaks reproducibility
-across runs.
+bit-identical under the default implementation and only diverges when an
+injected implementation (a device backend) is active; an unseeded rng is
+deterministic per-process and only breaks reproducibility across runs.
 This pass encodes those rules over ``src/repro`` and fails ``make check``
 the moment a violation lands.
 
@@ -43,21 +42,28 @@ Rule catalogue (:data:`RULES`):
     exception.
 ``pragma-reason``
     Every suppression pragma must state *why* the exception is sound.
+``pragma-stale``
+    Every suppression pragma must suppress a finding of its rule on its
+    own line; one left behind after the code it excused changed is itself
+    a finding.
 
 Intentional exceptions are suppressed line-by-line with an auditable
 pragma::
 
     mk = np.linalg.eigh(h)  # repro-lint: ok(blockops-route): reason here
 
-A pragma with no reason is itself a finding.  Run via ``repro analyze
---target lint`` or ``make analyze``.
+A pragma is a comment (the same text inside a string is not one); a pragma
+with no reason, or one that suppresses nothing, is itself a finding.  Run
+via ``repro analyze --target lint`` or ``make analyze``.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,6 +89,8 @@ RULES: Dict[str, str] = {
                  "pairs"),
     "pragma-reason": ("every repro-lint ok(rule) suppression pragma must "
                       "carry a reason after a colon"),
+    "pragma-stale": ("every repro-lint ok(rule) suppression pragma must "
+                     "suppress a finding of that rule on its own line"),
 }
 
 #: canonical profiler categories (kept in sync by test_analysis.py)
@@ -158,12 +166,14 @@ class LintReport:
 
 
 def _pragmas_for(source: str) -> Dict[int, Tuple[str, Optional[str]]]:
-    """Map line number -> (rule, reason) for every suppression pragma."""
+    """Map line number -> (rule, reason) for every suppression pragma
+    comment."""
     out: Dict[int, Tuple[str, Optional[str]]] = {}
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        m = _PRAGMA_RE.search(text)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        m = (_PRAGMA_RE.search(tok.string)
+             if tok.type == tokenize.COMMENT else None)
         if m:
-            out[lineno] = (m.group(1), m.group(2))
+            out[tok.start[0]] = (m.group(1), m.group(2))
     return out
 
 
@@ -327,9 +337,11 @@ def lint_file(path: pathlib.Path, rel: Optional[str] = None
     pragmas = _pragmas_for(source)
     survived: List[LintFinding] = []
     suppressed = 0
+    used = set()
     for f in linter.findings:
         pragma = pragmas.get(f.line)
         if pragma and pragma[0] == f.rule:
+            used.add(f.line)
             if pragma[1]:
                 suppressed += 1
                 continue
@@ -339,14 +351,16 @@ def lint_file(path: pathlib.Path, rel: Optional[str] = None
                 "no reason"))
             continue
         survived.append(f)
-    # pragmas must carry reasons even when they match nothing yet
     for lineno, (rule, reason) in pragmas.items():
-        if reason is None and not any(
-                s.rule == "pragma-reason" and s.line == lineno
-                for s in survived):
+        if lineno in used:
+            continue
+        if reason is None:
             survived.append(LintFinding(
                 "pragma-reason", rel, lineno,
                 f"pragma ok({rule}) carries no reason"))
+        survived.append(LintFinding(
+            "pragma-stale", rel, lineno,
+            f"pragma ok({rule}) suppresses no {rule} finding on its line"))
     return survived, suppressed
 
 

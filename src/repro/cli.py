@@ -151,7 +151,6 @@ def _spec_from_args(args: argparse.Namespace):
         "seed": args.seed,
         "initial_state": args.initial_state,
         "initial_bond_dim": args.initial_bond_dim,
-        "mixed_precision": args.mixed_precision,
         "observables": args.measure or [],
     })
 
@@ -475,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "seeded random block-sparse MPS")
     p_run.add_argument("--initial-bond-dim", type=int, default=8,
                        help="bond dimension of --initial-state random")
-    p_run.add_argument("--mixed-precision", action="store_true",
-                       help="float32 Davidson warm-up for the first half of "
-                            "the sweep schedule, float64 polish after")
     p_run.add_argument("--checkpoint", default=None, metavar="PATH",
                        help="write a resumable checkpoint here after every "
                             "sweep (two-site / single-site engines)")

@@ -62,14 +62,6 @@ class DMRGConfig:
     energy_tol: float = 0.0          # stop early when sweep-to-sweep change is below
     site_ranges: Sequence[tuple[int, int]] | None = None  # restrict optimized sites
     record_site_details: bool = True
-    #: reduced compute dtype ("float32") of the warm-up phase; the first
-    #: ``warmup_sweeps`` sweeps run their contractions and factorizations
-    #: through a :class:`~repro.symmetry.blockops.MixedPrecisionOps` wrapper,
-    #: then the state is upcast and the remaining polish sweeps run at full
-    #: precision.  ``None`` disables the warm-up (always full precision).
-    warmup_dtype: Optional[str] = None
-    #: number of leading sweeps run at ``warmup_dtype`` (0 disables)
-    warmup_sweeps: int = 0
     #: called as ``sweep_hook(sweep_index, psi, result)`` after every
     #: completed sweep (records already appended).  The experiment runner
     #: (:mod:`repro.exp.runner`) uses it to write DMRG checkpoints so an

@@ -36,12 +36,18 @@ def _subspace_dtype(dtype: np.dtype) -> np.dtype:
 
     The subspace problem is tiny but solved every iteration; real tensors
     get a real symmetric matrix (``inner`` returns real scalars for them)
-    instead of paying complex128 algebra unconditionally.  Reduced-precision
-    inputs still accumulate the subspace in double precision — the Gram
-    matrix conditioning, not the matvec, limits accuracy there.
+    instead of paying complex128 algebra unconditionally.
     """
     return np.dtype(np.complex128 if np.dtype(dtype).kind == "c"
                     else np.float64)
+
+
+def _finite(value, what: str):
+    """``value`` itself; a non-finite one raises before it reaches ``eigh``
+    (LAPACK would fail there with no hint of where the NaN came from)."""
+    if not np.isfinite(value):
+        raise FloatingPointError(f"Davidson: non-finite {what} ({value!r})")
+    return value
 
 
 def _randomize_like(x: BlockSparseTensor,
@@ -80,6 +86,11 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
     tol:
         Convergence threshold on the residual norm.
 
+    Raises
+    ------
+    FloatingPointError
+        When the starting norm or a subspace-matrix entry is not finite.
+
     Notes
     -----
     When ``apply_h`` exposes a ``backend`` with a simulated world (the
@@ -103,7 +114,7 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
     # :meth:`repro.ctf.world.SimWorld.charge_davidson_algebra`)
     naxpy = 0
     ndot = 0
-    nrm = x0.norm()
+    nrm = _finite(x0.norm(), "starting-vector norm")
     ndot += 1
     if nrm == 0:
         raise ValueError("Davidson starting vector has zero norm")
@@ -116,7 +127,7 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
     # subspace matrix  m_ij = <v_i | H | v_j>
     msize = max_subspace + 1
     m = np.zeros((msize, msize), dtype=_subspace_dtype(x0.dtype))
-    m[0, 0] = basis[0].inner(h_basis[0])
+    m[0, 0] = _finite(basis[0].inner(h_basis[0]), "subspace-matrix entry")
     ndot += 1
 
     best_val = float(np.real(m[0, 0]))
@@ -130,14 +141,9 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
         k = len(basis)
         mk = m[:k, :k]
         with trace.span("subspace-eigh", "davidson", k=k):
-            evals, evecs = np.linalg.eigh((mk + mk.conj().T) / 2.0)  # repro-lint: ok(blockops-route): the tiny subspace solve must stay full precision even under MixedPrecisionOps
+            evals, evecs = np.linalg.eigh((mk + mk.conj().T) / 2.0)  # repro-lint: ok(blockops-route): the subspace matrix is not a tensor block
         lam = float(evals[0])
         s = evecs[:, 0]
-        if basis[0].dtype in (np.dtype(np.float32), np.dtype(np.complex64)):
-            # keep reduced-precision basis vectors in their dtype: a float64
-            # Ritz coefficient would silently promote every linear
-            # combination back to double (NEP 50 scalar promotion)
-            s = s.astype(basis[0].dtype)
 
         # Ritz vector and residual q = (H - lam) x
         x = basis[0] * s[0]
@@ -185,7 +191,8 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
             h_basis = [timed_apply(basis[0])]
             matvecs += 1
             m[:, :] = 0
-            m[0, 0] = basis[0].inner(h_basis[0])
+            m[0, 0] = _finite(basis[0].inner(h_basis[0]),
+                              "subspace-matrix entry")
             ndot += 1
             continue
 
@@ -194,7 +201,8 @@ def davidson(apply_h: Callable[[BlockSparseTensor], BlockSparseTensor],
         matvecs += 1
         kk = len(basis)
         for j in range(kk):
-            val = h_basis[kk - 1].inner(basis[j])
+            val = _finite(h_basis[kk - 1].inner(basis[j]),
+                          "subspace-matrix entry")
             m[j, kk - 1] = np.conj(val)
             m[kk - 1, j] = val
         ndot += kk

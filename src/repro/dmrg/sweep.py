@@ -25,59 +25,12 @@ from ..mps.mps import MPS
 from ..obs import trace
 from ..perf import flops as flopcount
 from ..symmetry import BlockSparseTensor
-from ..symmetry.blockops import MixedPrecisionOps
 from ..symmetry.linalg import TruncationInfo
 from ..symmetry.matvec import MatvecCompiler, MatvecStage
 from .config import (DMRGConfig, DMRGResult, SiteRecord, StatsRecorder,
                      Sweeps, SweepRecord)
 from .davidson import DavidsonResult, davidson
 from .environments import CenterCache, EnvironmentCache
-
-
-class PrecisionSchedule:
-    """Mixed-precision warm-up state machine of the sweep engine.
-
-    When ``config.warmup_dtype`` is set, the backend's block ops are wrapped
-    in a :class:`~repro.symmetry.blockops.MixedPrecisionOps` *before* the
-    environments are first built, so the leading ``warmup_sweeps`` sweeps run
-    every contraction and factorization in the reduced dtype.  At the
-    transition the base ops are restored, the state is upcast and the cached
-    environments are dropped so the polish sweeps rebuild them at full
-    precision.  The modelled costs are unaffected either way — only the
-    arithmetic dtype changes.
-    """
-
-    def __init__(self, config: DMRGConfig, backend: ContractionBackend):
-        self.backend = backend
-        self.base_ops = backend.block_ops
-        self.warmup_sweeps = 0
-        self.active = False
-        if config.warmup_dtype is not None and config.warmup_sweeps > 0:
-            compute = np.dtype(config.warmup_dtype)
-            if compute != np.dtype(np.float64):
-                self.warmup_ops = MixedPrecisionOps(self.base_ops, compute)
-                self.warmup_sweeps = int(config.warmup_sweeps)
-
-    def begin(self) -> None:
-        """Install the warm-up ops (call before environments are built)."""
-        if self.warmup_sweeps > 0:
-            self.backend.block_ops = self.warmup_ops
-            self.active = True
-
-    def start_sweep(self, sweep_id: int, psi: MPS,
-                    caches: Sequence[CenterCache]) -> None:
-        """Execute the warm-up → polish transition when its sweep arrives."""
-        if self.active and sweep_id >= self.warmup_sweeps:
-            self.finish(psi, caches)
-
-    def finish(self, psi: MPS, caches: Sequence[CenterCache]) -> None:
-        """Restore full precision (transition, end of run, early stop)."""
-        if self.active:
-            self.backend.block_ops = self.base_ops
-            psi.astype(np.float64)
-            for cache in caches:
-                cache.invalidate_all()
-            self.active = False
 
 
 @dataclass
@@ -220,23 +173,11 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
     Runs ``config.sweeps`` over a copy of ``psi0``: at every centre
     ``update`` names, build the effective Hamiltonian, solve with Davidson,
     let ``update`` split the result back into the state, and advance the
-    environments; keep the per-bond and per-sweep records.
+    environments; keep the per-bond and per-sweep records.  A non-finite
+    Davidson input raises ``FloatingPointError`` with the sweep, site and
+    direction noted on it.
     """
     backend = backend if backend is not None else DirectBackend()
-    base_ops = backend.block_ops
-    try:
-        return _sweep_loop(update, operator, psi0, config, backend, rng)
-    finally:
-        # an exception during the float32 warm-up (a raising ``sweep_hook``,
-        # KeyboardInterrupt, LinAlgError) skips ``PrecisionSchedule.finish``;
-        # the caller's backend must not keep the reduced-precision wrapper
-        backend.block_ops = base_ops
-
-
-def _sweep_loop(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
-                config: DMRGConfig, backend: ContractionBackend,
-                rng: np.random.Generator) -> tuple[DMRGResult, MPS]:
-    """The body of :func:`run_sweeps` (which restores the block ops)."""
     psi = psi0.copy()
     n = len(psi)
     if n < 2:
@@ -247,8 +188,6 @@ def _sweep_loop(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
             raise ValueError(f"invalid site range ({lo}, {hi})")
     psi.canonicalize(0)
     psi.normalize()
-    precision = PrecisionSchedule(config, backend)
-    precision.begin()
     envs = EnvironmentCache(psi, operator, backend)
     caches = [envs] + update.companion_caches(psi)
 
@@ -259,7 +198,6 @@ def _sweep_loop(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
     span_args = {"engine": update.engine} if update.engine else {}
 
     for sweep_id in range(len(config.sweeps)):
-        precision.start_sweep(sweep_id, psi, caches)
         update.start_sweep(sweep_id)
         maxdim = config.sweeps.maxdims[sweep_id]
         truncation = dict(max_dim=maxdim,
@@ -291,9 +229,15 @@ def _sweep_loop(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
                 solve = update.wrap(heff)
                 x0 = update.local_tensor(psi, j, backend)
                 with trace.span("davidson", "dmrg", site=j) as dav_span:
-                    dav = davidson(solve, x0, max_iterations=dav_iters,
-                                   max_subspace=config.davidson_max_subspace,
-                                   tol=config.davidson_tol, rng=rng)
+                    try:
+                        dav = davidson(
+                            solve, x0, max_iterations=dav_iters,
+                            max_subspace=config.davidson_max_subspace,
+                            tol=config.davidson_tol, rng=rng)
+                    except FloatingPointError as exc:
+                        exc.add_note(f"{label}sweep {sweep_id}, site {j}, "
+                                     f"direction {direction}")
+                        raise
                     dav_span.annotate(iterations=dav.iterations,
                                       matvecs=dav.matvecs)
                 energy = update.energy(heff, dav)
@@ -340,7 +284,6 @@ def _sweep_loop(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
             break
         last_energy = sweep_energy
 
-    precision.finish(psi, caches)
     result.metrics = stats.run_metrics()
     if update.normalize:
         psi.normalize()

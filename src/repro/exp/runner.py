@@ -193,11 +193,7 @@ def execute_run(spec: RunSpec, *, checkpoint_path: str | Path | None = None,
                     f"interrupted after sweep {done}/{len(full_schedule)}")
 
     config = DMRGConfig(sweeps=schedule, sweep_hook=sweep_hook,
-                        verbose=verbose,
-                        warmup_dtype="float32" if spec.mixed_precision
-                        else None,
-                        warmup_sweeps=(spec.nsweeps // 2)
-                        if spec.mixed_precision else 0)
+                        verbose=verbose)
 
     result: Optional[DMRGResult] = None
     if len(schedule) == 0:
@@ -286,6 +282,4 @@ def build_report(spec: RunSpec, result: Optional[DMRGResult], psi: MPS,
         report["layout_tracker"] = world.layout_tracker.snapshot()
     report["metrics"] = obs_metrics.run_metrics(
         result=result, backend=backend, world=world).flat()
-    if spec.mixed_precision:
-        report["mixed_precision"] = True
     return report

@@ -69,9 +69,6 @@ class RunSpec:
     seed: int = 0
     initial_state: str = "product"
     initial_bond_dim: int = 8
-    #: float32 Davidson warm-up for the first half of the schedule, float64
-    #: polish for the rest (``DMRGConfig.warmup_dtype``/``warmup_sweeps``)
-    mixed_precision: bool = False
     observables: Tuple[str, ...] = ()
     #: free-form human tag for grid files and reports; cosmetic only — it is
     #: excluded from the content hash, so relabelling the same physics keeps
@@ -129,6 +126,13 @@ class RunSpec:
                              "process executors were removed (numpy is the "
                              "only block-ops executor); drop the field — "
                              "the run gets the id of the default")
+        # and the float32 warm-up switch, which ``to_dict`` wrote at
+        # ``false``; it was omitted from the hashed payload at that value
+        if clean.pop("mixed_precision", False):
+            raise ValueError("mixed_precision=true: the float32 warm-up was "
+                             "removed (DMRG runs in double precision); drop "
+                             "the field — the run gets the id of the "
+                             "default")
         known = set(cls.__dataclass_fields__)
         unknown = set(clean) - known
         if unknown:
@@ -145,8 +149,6 @@ class RunSpec:
         for key in _FLOAT_FIELDS:
             if key in clean:
                 clean[key] = float(clean[key])
-        if "mixed_precision" in clean:
-            clean["mixed_precision"] = bool(clean["mixed_precision"])
         return cls(**clean)
 
     def with_overrides(self, **overrides) -> "RunSpec":
@@ -169,11 +171,6 @@ class RunSpec:
         payload = {"spec_version": SPEC_VERSION, "compile_matvec": True}
         payload.update(self.to_dict())
         payload.pop("label", None)    # cosmetic, not part of the identity
-        # engine fields added after spec_version 1 shipped are omitted at
-        # their defaults, so every pre-existing spec keeps its run id (the
-        # registry stays content-addressed across releases)
-        if payload.get("mixed_precision") is False:
-            payload.pop("mixed_precision", None)
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @property
@@ -192,8 +189,6 @@ class RunSpec:
         bits = [self.model + (f"({params})" if params else ""),
                 self.engine, self.backend, f"m={self.maxdim}",
                 f"sweeps={self.nsweeps}"]
-        if self.mixed_precision:
-            bits.append("mixed-precision")
         if self.backend != "direct":
             bits.append(f"{self.nodes}x{self.procs_per_node}@{self.machine}")
         return " ".join(bits)

@@ -131,21 +131,6 @@ class MPS:
         """Deep copy."""
         return MPS(self.sites, [t.copy() for t in self.tensors], self.center)
 
-    def astype(self, dtype) -> "MPS":
-        """Cast every site tensor to (at least) ``dtype``, in place.
-
-        Complex tensors are promoted to the complex dtype of matching
-        precision (``astype(np.float64)`` turns complex64 into complex128);
-        the mixed-precision DMRG warm-up uses this to upcast the state
-        before the polish sweeps.
-        """
-        dtype = np.dtype(dtype)
-        for i, t in enumerate(self.tensors):
-            target = np.promote_types(t.dtype, dtype)
-            if t.dtype != target:
-                self.tensors[i] = t.astype(target)
-        return self
-
     def total_charge(self) -> Charge:
         """Total charge of the state (charge of the rightmost bond)."""
         right = self.tensors[-1].indices[2]

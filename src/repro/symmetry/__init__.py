@@ -9,8 +9,7 @@ from .charges import (Charge, add_charges, negate_charge, scale_charge,
                       sum_charges, zero_charge)
 from .index import Index, fuse_indices
 from .block_tensor import BlockSparseTensor, contract, outer
-from .blockops import (BlockOps, MixedPrecisionOps, NumpyOps,
-                       resolve_block_ops)
+from .blockops import BlockOps, NumpyOps, resolve_block_ops
 from .linalg import (SingularSpectrum, TruncationInfo, qr, spectrum_tensor,
                      svd)
 from .planner import (ContractionPlan, PlanCache, build_plan,
@@ -26,5 +25,5 @@ __all__ = [
     "svd", "ContractionPlan", "PlanCache", "build_plan", "tensor_signature",
     "contract_planned", "execute_plan", "MatvecCompiler", "MatvecStage",
     "FusedMode", "fuse_modes", "matricize", "split_mode",
-    "BlockOps", "MixedPrecisionOps", "NumpyOps", "resolve_block_ops",
+    "BlockOps", "NumpyOps", "resolve_block_ops",
 ]

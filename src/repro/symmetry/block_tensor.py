@@ -239,14 +239,6 @@ class BlockSparseTensor:
                                  {k: v.copy() for k, v in self.blocks.items()},
                                  flux=self.flux, dtype=self.dtype, check=False)
 
-    def astype(self, dtype) -> "BlockSparseTensor":
-        """A copy with every block cast to ``dtype`` (blocks shared if equal)."""
-        dtype = np.dtype(dtype)
-        return BlockSparseTensor(
-            self.indices,
-            {k: v.astype(dtype, copy=False) for k, v in self.blocks.items()},
-            flux=self.flux, dtype=dtype, check=False)
-
     # ------------------------------------------------------------------ #
     # elementwise algebra
     # ------------------------------------------------------------------ #
@@ -387,7 +379,7 @@ class BlockSparseTensor:
         out_flux = add_charges(self.flux, other.flux)
         from .blockops import resolve_block_ops
         ops = resolve_block_ops(ops)
-        out_dtype = ops.result_type(self.dtype, other.dtype)
+        out_dtype = np.result_type(self.dtype, other.dtype)
 
         # group B blocks by the sector ids on the contracted modes
         b_by_contr: Dict[BlockKey, list[tuple[BlockKey, np.ndarray]]] = {}

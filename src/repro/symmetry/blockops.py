@@ -3,28 +3,19 @@
 Every dense-array operation the engine performs on the blocks of a
 :class:`~repro.symmetry.block_tensor.BlockSparseTensor` — GEMM, batched
 GEMM, the copies that write (permuted) blocks into GEMM panels and batch
-stacks, SVD/QR/eigh factorizations, dtype promotion — is routed through one
-:class:`BlockOps` instance.  The
-simulated cost model (contraction plans, flop counters, layout-tracker
-charges, modelled seconds) never looks at the arithmetic, so swapping the
-ops implementation changes wall-clock behaviour and numerics only; plans
-and modelled costs are bit-identical across implementations.
+stacks, SVD/QR/eigh factorizations — is routed through one
+:class:`BlockOps` instance.  The simulated cost model (contraction plans,
+flop counters, layout-tracker charges, modelled seconds) never looks at the
+arithmetic, so swapping the ops implementation changes wall-clock behaviour
+and numerics only; plans and modelled costs are bit-identical across
+implementations.
 
-Two implementations exist:
-
-:class:`BlockOps` (alias :data:`NumpyOps`, ``name == "numpy"``)
-    The default.  Thin method-call indirection over exactly the numpy
-    calls the engine has always made — byte-identical results.  Multi-core
-    execution is numpy's threaded BLAS, the single-node analogue of the
-    paper's parallelism *inside* each contraction.
-
-:class:`MixedPrecisionOps`
-    A wrapper around another instance that computes in a reduced dtype
-    (float32/complex64).  Used by the DMRG drivers for a float32
-    Davidson warm-up phase followed by float64 polish sweeps
-    (``DMRGConfig.warmup_dtype`` / ``warmup_sweeps``); kernels delegate
-    to the wrapped base, so the warm-up composes with whatever instance
-    the backend holds.
+:class:`BlockOps` (alias :data:`NumpyOps`, ``name == "numpy"``) is the one
+implementation: thin method-call indirection over exactly the numpy calls
+the engine has always made, so results are byte-identical.  Multi-core
+execution is numpy's threaded BLAS, the single-node analogue of the paper's
+parallelism *inside* each contraction.  Everything runs in the operands' own
+dtype (double precision throughout, as in the paper).
 
 A device implementation (cupy/torch) plugs in at this same seam: subclass
 :class:`BlockOps`, implement the handful of methods below against device
@@ -43,7 +34,6 @@ import numpy as np
 __all__ = [
     "BlockOps",
     "NumpyOps",
-    "MixedPrecisionOps",
     "resolve_block_ops",
 ]
 
@@ -51,28 +41,18 @@ __all__ = [
 class BlockOps:
     """Numpy reference implementation of the block-ops interface.
 
-    Subclasses override the kernels (a device implementation) or the
-    numeric environment (``result_type``, ``prepare``); the per-call
-    kernels below stay the single source of truth for *which* numpy
-    routine implements each operation.
+    Subclasses override the kernels (a device implementation); the
+    per-call kernels below stay the single source of truth for *which*
+    numpy routine implements each operation.
     """
 
     name = "numpy"
 
-    # -- dtype environment -------------------------------------------------
-
-    def result_type(self, *dtypes) -> np.dtype:
-        """Promotion rule for contraction outputs."""
-        return np.result_type(*dtypes)
-
+    # kept only because ``benchmarks/e2e/layers.py`` resolves it (its
+    # ``symmetry.blockops.pack`` entry); nothing calls it, and it goes when
+    # ROADMAP item 1 re-declares the benchmark's layers
     def prepare(self, mat: np.ndarray) -> np.ndarray:
-        """Hook applied to each operand a kernel reads without a copy (a
-        block viewed as a matrix, a factorization input).
-
-        Identity here; :class:`MixedPrecisionOps` downcasts.  Panels and
-        stacks need no hook: they are allocated in ``result_type`` and
-        the write into them casts.
-        """
+        """Identity (no caller)."""
         return mat
 
     # -- GEMM kernels ------------------------------------------------------
@@ -136,7 +116,7 @@ class BlockOps:
 
     def tensordot(self, a: np.ndarray, b: np.ndarray,
                   axes: Tuple[Sequence[int], Sequence[int]]) -> np.ndarray:
-        return np.tensordot(self.prepare(a), self.prepare(b), axes=axes)
+        return np.tensordot(a, b, axes=axes)
 
     # -- vector algebra ----------------------------------------------------
 
@@ -159,23 +139,28 @@ class BlockOps:
         single home for that knob — both the block-sparse truncation path
         and the ``ctf`` distributed wrappers route through here.
         """
-        mat = self.prepare(mat)
         try:
             return np.linalg.svd(mat, full_matrices=False)
         except np.linalg.LinAlgError:
             return _gram_svd(mat)
 
     def qr(self, mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return np.linalg.qr(self.prepare(mat), mode="reduced")
+        return np.linalg.qr(mat, mode="reduced")
 
     def eigh(self, mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.prepare(mat))
+        return np.linalg.eigh(mat)
 
+    # kept only because ``benchmarks/e2e/layers.py`` resolves it (its
+    # ``symmetry.blockops.factorize`` entry); it folds into :meth:`svd`
+    # when ROADMAP item 1 re-declares the benchmark's layers
     def svd_many(self, mats: Sequence[np.ndarray]
                  ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Factorize independent blocks (one per charge group)."""
         return [self.svd(m) for m in mats]
 
+    # kept only because ``benchmarks/e2e/layers.py`` resolves it (its
+    # ``symmetry.blockops.factorize`` entry); it folds into :meth:`qr`
+    # when ROADMAP item 1 re-declares the benchmark's layers
     def qr_many(self, mats: Sequence[np.ndarray]
                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
         return [self.qr(m) for m in mats]
@@ -183,7 +168,7 @@ class BlockOps:
     # -- introspection -----------------------------------------------------
 
     def describe(self) -> dict:
-        """Metadata naming the implementation (wrappers add their dtype)."""
+        """Metadata naming the implementation."""
         return {"name": self.name}
 
 
@@ -205,84 +190,6 @@ def _gram_svd(mat: np.ndarray
         return u, s, v.conj().T
     u, s, vh = _gram_svd(mat.conj().T)
     return vh.conj().T, s, u.conj().T
-
-
-_COMPUTE_DTYPES = {
-    np.dtype(np.float32): {
-        np.dtype(np.float64): np.dtype(np.float32),
-        np.dtype(np.complex128): np.dtype(np.complex64),
-        np.dtype(np.complex64): np.dtype(np.complex64),
-    },
-    np.dtype(np.float64): {},
-}
-
-
-class MixedPrecisionOps(BlockOps):
-    """Compute-in-reduced-precision wrapper around a base ops instance.
-
-    ``result_type`` demotes float64/complex128 results to the compute
-    dtype and ``prepare`` downcasts operands, so every GEMM and
-    factorization issued during a warm-up phase runs in float32 (or
-    complex64) while plans, charges, and modelled costs stay untouched.
-    The kernels themselves are delegated to ``base``.
-    """
-
-    def __init__(self, base: Optional[BlockOps] = None,
-                 compute_dtype=np.float32):
-        self.base = resolve_block_ops(base)
-        self.compute_dtype = np.dtype(compute_dtype)
-        if self.compute_dtype not in (np.dtype(np.float32),
-                                      np.dtype(np.float64)):
-            raise ValueError(
-                f"unsupported compute dtype {self.compute_dtype!r}")
-        self._demote = _COMPUTE_DTYPES[self.compute_dtype]
-        self.name = f"{self.base.name}+mixed[{self.compute_dtype.name}]"
-
-    def result_type(self, *dtypes) -> np.dtype:
-        full = self.base.result_type(*dtypes)
-        return self._demote.get(full, full)
-
-    def prepare(self, mat: np.ndarray) -> np.ndarray:
-        target = self._demote.get(mat.dtype)
-        if target is not None:
-            mat = mat.astype(target, copy=False)
-        # chain the base's placement hook (a device base moves the downcast
-        # operand where its kernels want it)
-        return self.base.prepare(mat)
-
-    # every kernel executes through the base implementation
-    def matmul(self, a: np.ndarray, b: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.base.matmul(a, b, out=out)
-
-    def concat(self, mats: Sequence[np.ndarray], axis: int,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.base.concat(mats, axis, out=out)
-
-    def stack(self, mats: Sequence[np.ndarray],
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.base.stack(mats, out=out)
-
-    def svd_many(self, mats: Sequence[np.ndarray]):
-        return self.base.svd_many([self.prepare(m) for m in mats])
-
-    def qr_many(self, mats: Sequence[np.ndarray]):
-        return self.base.qr_many([self.prepare(m) for m in mats])
-
-    def svd(self, mat: np.ndarray):
-        return self.base.svd(self.prepare(mat))
-
-    def qr(self, mat: np.ndarray):
-        return self.base.qr(self.prepare(mat))
-
-    def eigh(self, mat: np.ndarray):
-        return self.base.eigh(self.prepare(mat))
-
-    def describe(self) -> dict:
-        d = self.base.describe()
-        d["name"] = self.name
-        d["compute_dtype"] = self.compute_dtype.name
-        return d
 
 
 #: the one default instance (stateless, so sharing it is free)

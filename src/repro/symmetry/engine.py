@@ -129,7 +129,7 @@ def _matrix(ops: BlockOps, item: np.ndarray, r: int, c: int, dtype
     """A single-pair GEMM operand: the block's matrix view where there is
     one, else the block written once into a row-major matrix."""
     if item.shape == (r, c):
-        return ops.prepare(item)
+        return item
     return ops.concat([item], 1, out=np.empty((r, c), dtype))
 
 
@@ -142,13 +142,10 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
     dtype when the contraction has no free modes.  The output's indices are
     taken from ``a`` and ``b`` themselves, so a plan cached for operands of
     equal structure still labels the result with this call's index tags.
-    Panels and stacks of an operand are allocated in that operand's compute
-    dtype (``ops.result_type``), so writing them does any downcast
-    :class:`~repro.symmetry.blockops.MixedPrecisionOps` asks for.
+    Panels and stacks of an operand are allocated in that operand's dtype.
     """
     ops = resolve_block_ops(ops)
-    out_dtype = ops.result_type(a.dtype, b.dtype)
-    a_dtype, b_dtype = ops.result_type(a.dtype), ops.result_type(b.dtype)
+    out_dtype = np.result_type(a.dtype, b.dtype)
     a_rows, a_cols = plan.a_rows.tolist(), plan.a_cols.tolist()
     b_rows, b_cols = plan.b_rows.tolist(), plan.b_cols.tolist()
     a_blocks, a_cm = _operands(a, plan.a_keys, plan.perm_a, a_rows, a_cols)
@@ -166,13 +163,13 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
             # drop the last A panel, whose GEMMs are done, before the next
             a_id, a_panel = pa, None
             a_panel = _panel(ops, a_blocks, a_rows, a_cols,
-                             a_slots[a_ptr[pa]:a_ptr[pa + 1]], 1, a_dtype,
+                             a_slots[a_ptr[pa]:a_ptr[pa + 1]], 1, a.dtype,
                              a_cm)
         b_panel = b_panels[pb]
         if b_panel is None:
             b_panel = b_panels[pb] = _panel(
                 ops, b_blocks, b_rows, b_cols,
-                b_slots[b_ptr[pb]:b_ptr[pb + 1]], 0, b_dtype, b_cm)
+                b_slots[b_ptr[pb]:b_ptr[pb + 1]], 0, b.dtype, b_cm)
         results[so] = ops.matmul(a_panel, b_panel)
     a_panel = b_panel = b_panels = None
 
@@ -183,13 +180,13 @@ def execute_plan(plan: ContractionPlan, a: BlockSparseTensor,
         if j - i == 1:
             sa, sb = batch_a[i], batch_b[i]
             results[out_slots[i]] = ops.matmul(
-                _matrix(ops, a_blocks[sa], a_rows[sa], a_cols[sa], a_dtype),
-                _matrix(ops, b_blocks[sb], b_rows[sb], b_cols[sb], b_dtype))
+                _matrix(ops, a_blocks[sa], a_rows[sa], a_cols[sa], a.dtype),
+                _matrix(ops, b_blocks[sb], b_rows[sb], b_cols[sb], b.dtype))
         else:
             prod = ops.matmul(
-                _batch(ops, a_blocks, a_rows, a_cols, batch_a[i:j], a_dtype,
+                _batch(ops, a_blocks, a_rows, a_cols, batch_a[i:j], a.dtype,
                        a_cm),
-                _batch(ops, b_blocks, b_rows, b_cols, batch_b[i:j], b_dtype,
+                _batch(ops, b_blocks, b_rows, b_cols, batch_b[i:j], b.dtype,
                        b_cm))
             for res, so in zip(prod, out_slots[i:j]):
                 results[so] = res

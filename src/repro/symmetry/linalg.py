@@ -188,7 +188,7 @@ def svd(t: BlockSparseTensor, row_axes: Sequence[int],
         raise ValueError(f"invalid absorb={absorb!r}")
 
     ops = resolve_block_ops(ops)
-    out_dtype = ops.result_type(t.dtype)
+    out_dtype = t.dtype
     records = _assemble_groups(t, row_axes, col_axes)
 
     # independent per-charge-group factorizations, handed over as one list;
@@ -325,7 +325,7 @@ def qr(t: BlockSparseTensor, row_axes: Sequence[int],
         raise ValueError("row_axes and col_axes must partition the tensor modes")
 
     ops = resolve_block_ops(ops)
-    out_dtype = ops.result_type(t.dtype)
+    out_dtype = t.dtype
     records = _assemble_groups(t, row_axes, col_axes)
     facts = ops.qr_many([rec[1] for rec in records])
     charges, dims = [], []

@@ -145,6 +145,19 @@ class TestLintRules:
         """)
         assert any(f.rule == "blockops-route" for f in report.findings)
 
+    def test_stale_pragma_is_a_finding(self, tmp_path):
+        """A pragma whose line no longer trips its rule is reported, so its
+        reason cannot outlive the code it excused; pragma text inside a
+        string is not a pragma."""
+        report = _lint_source(tmp_path, """
+            '''Quoted: ``x  # repro-lint: ok(seeded-rng): an example``.'''
+            import numpy as np
+            def f(a, b):
+                return a @ b  # repro-lint: ok(blockops-route): was np.matmul
+        """)
+        assert [(f.rule, f.line) for f in report.findings] == \
+            [("pragma-stale", 5)]
+
 
 def test_repo_lints_clean():
     """The gate itself: ``src/repro`` has no unsuppressed violations."""

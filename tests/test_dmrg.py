@@ -54,6 +54,15 @@ class TestDavidson:
         with pytest.raises(ValueError):
             davidson(apply_h, x0 * 0.0)
 
+    def test_non_finite_input_raises_before_eigh(self):
+        """A NaN from the operator or the start vector stops the solve at
+        the subspace matrix, not as a LAPACK convergence failure."""
+        _, apply_h, x0 = self._random_hermitian_problem()
+        with pytest.raises(FloatingPointError, match="subspace-matrix"):
+            davidson(lambda x: apply_h(x) * np.nan, x0)
+        with pytest.raises(FloatingPointError, match="starting-vector"):
+            davidson(apply_h, x0 * np.inf)
+
 
 class TestEnvironments:
     def test_full_contraction_gives_energy(self, spin_chain_problem):
@@ -179,6 +188,21 @@ class TestDMRGGroundStates:
         config = DMRGConfig(sweeps=Sweeps.fixed(4, 3))  # tiny m forces truncation
         result, _ = dmrg(mpo, psi0, config)
         assert max(r.max_truncation_error for r in result.sweep_records) > 0
+
+
+class TestNonFiniteTripwire:
+    def test_nan_operator_raises_with_its_location(self, spin_chain_problem):
+        """An MPO whose last tensor holds NaN blocks poisons the first
+        effective Hamiltonian; the sweep names where the solve failed."""
+        mpo = build_mpo(spin_chain_problem["opsum"],
+                        spin_chain_problem["sites"])
+        for blk in mpo.tensors[-1].blocks.values():
+            blk[...] = np.nan
+        psi0 = MPS.product_state(spin_chain_problem["sites"],
+                                 spin_chain_problem["config"])
+        with pytest.raises(FloatingPointError) as info:
+            dmrg(mpo, psi0, DMRGConfig(sweeps=Sweeps.fixed(8, 2)))
+        assert "sweep 0, site 0, direction right" in info.value.__notes__
 
 
 class TestSweepsConfig:

@@ -160,48 +160,6 @@ def test_sweep_hook_fires_once_per_completed_sweep(engine):
     assert calls == list(range(len(result.sweep_records))) == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_float32_warmup_then_float64_polish(engine):
-    case = ("heisenberg-chain", engine, "direct")
-    problem = _problem(case)
-    dtypes = []
-
-    def hook(sweep_id, psi, result):
-        dtypes.append(np.result_type(*(t.dtype for t in psi.tensors)))
-
-    plain, _, _ = _run(case, problem)
-    mixed, _, backend = _run(case, problem, sweep_hook=hook,
-                             warmup_dtype="float32", warmup_sweeps=2)
-    assert dtypes == [np.float32, np.float32, np.float64, np.float64]
-    assert mixed.energy == pytest.approx(plain.energy, abs=1e-7)
-    assert type(backend.block_ops).__name__ != "MixedPrecisionOps"
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_interrupted_warmup_restores_the_backend_ops(engine):
-    """An exception during the float32 warm-up (a raising hook is the
-    campaign interrupt path) leaves the caller's backend as it found it."""
-    case = ("heisenberg-chain", engine, "direct")
-    problem = _problem(case)
-
-    class Interrupt(Exception):
-        pass
-
-    def hook(sweep_id, psi, result):
-        raise Interrupt
-
-    backend = make_backend("direct")
-    base_ops = backend.block_ops
-    with pytest.raises(Interrupt):
-        _run(case, problem, backend=backend, sweep_hook=hook,
-             warmup_dtype="float32", warmup_sweeps=2)
-    assert backend.block_ops is base_ops
-    # so a plain run on the same backend is a float64 run, to the bit
-    again, _, _ = _run(case, problem, backend=backend)
-    plain, _, _ = _run(case, problem)
-    assert again.energy == plain.energy
-
-
 @pytest.mark.parametrize("engine, touched", [
     ("two-site", {2, 3, 4}), ("single-site", {2, 3, 4, 5}),
     ("excited", {2, 3, 4})])

@@ -25,8 +25,7 @@ from repro.symmetry import (BlockSparseTensor, Index, PlanCache, build_plan,
                             contract_planned, execute_plan, svd,
                             tensor_signature)
 from repro.symmetry import engine, planner
-from repro.symmetry.blockops import (BlockOps, MixedPrecisionOps,
-                                     resolve_block_ops)
+from repro.symmetry.blockops import BlockOps, resolve_block_ops
 from repro.symmetry.planner import normalize_axes
 
 
@@ -471,14 +470,14 @@ class TestPlannedContraction:
 def _matricize_and_join(plan, a, b, ops=None) -> dict:
     """The executor before panels, kept as the bit-level oracle: every
     planned block matricized once (``reshape``: a view where numpy can make
-    one, else a row-major copy, then ``prepare``), each multi-pair output one
+    one, else a row-major copy), each multi-pair output one
     GEMM of ``np.concatenate``d matrices in pair order, and each batch one
     ``matmul`` of ``np.stack``ed matrices.  Returns the output blocks."""
     ops = resolve_block_ops(ops)
 
     def matricize(t, keys, rows, cols, perm):
-        return [ops.prepare((t.blocks[k] if perm is None
-                             else np.transpose(t.blocks[k], perm)).reshape(r, c))
+        return [(t.blocks[k] if perm is None
+                 else np.transpose(t.blocks[k], perm)).reshape(r, c)
                 for k, r, c in zip(keys, rows.tolist(), cols.tolist())]
 
     amats = matricize(a, plan.a_keys, plan.a_rows, plan.a_cols, plan.perm_a)
@@ -659,21 +658,6 @@ class TestPanelExecutor:
             tracemalloc.stop()
         out_bytes = sum(blk.nbytes for blk in out.blocks.values())
         assert peak <= out_bytes + largest
-
-    def test_mixed_precision_panels_are_float32(self):
-        """Panels are allocated in the compute dtype, so the write does the
-        downcast ``prepare`` used to do block by block."""
-        rng = np.random.default_rng(8)
-        base = _RecordingOps()
-        ops = MixedPrecisionOps(base)
-        for _ in range(10):
-            a, b, axes = _random_case(rng, **TWO_CHARGES)
-            plan = build_plan(a, b, axes)
-            got = execute_plan(plan, a, b, count_flops=False, ops=ops)
-            assert got.dtype == np.float32
-            _assert_bits_equal(got, _matricize_and_join(plan, a, b, ops))
-        assert base.written
-        assert {w.dtype for w in base.written} == {np.dtype(np.float32)}
 
     def test_plan_cache_interns_block_keys(self):
         """Two plans whose operands share sectors but not dims share their

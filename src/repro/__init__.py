@@ -10,8 +10,7 @@ package provides:
   topologies, collective cost models, SUMMA mapping selection and memory tracking
 * ``repro.backends`` — the paper's three contraction algorithms
   (``list``, ``sparse-dense``, ``sparse-sparse``)
-* ``repro.mps``      — MPS/MPO machinery, site sets, AutoMPO, and MPS algebra
-  (addition, MPO application, compression)
+* ``repro.mps``      — MPS/MPO machinery, site sets and AutoMPO
 * ``repro.models``   — lattices and Hamiltonians (J1-J2 Heisenberg, triangular
   Hubbard, Table-I comparison models) and a name-based registry
 * ``repro.dmrg``     — the two-site DMRG engine with Davidson (Algorithm 1),

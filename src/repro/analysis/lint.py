@@ -40,6 +40,15 @@ Rule catalogue (:data:`RULES`):
     ``timed_span``) instead of ad-hoc ``time.perf_counter()`` pairs, so
     every measured duration is also a trace span; none of them carries an
     exception.
+``test-only``
+    A function of ``src/repro`` whose name no file of the program uses —
+    ``src/``, ``benchmarks/`` (the ``"module:Class.method"`` strings of the
+    end-to-end harness included), ``examples/`` and ``tools/`` — is reached
+    by the tests alone and is either deleted or marked as a test oracle.
+    Dunder methods are a class's protocol and are exempt; the definition
+    itself, a function's references to itself and the strings of
+    ``__all__``/``_LAZY`` are not uses.  The rule needs the whole program,
+    so it runs over the default tree (or when ``callers`` is given).
 ``pragma-reason``
     Every suppression pragma must state *why* the exception is sound.
 ``pragma-stale``
@@ -65,7 +74,7 @@ import pathlib
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 __all__ = ["LintFinding", "LintReport", "RULES", "format_lint_report",
            "run_lint"]
@@ -87,6 +96,9 @@ RULES: Dict[str, str] = {
     "obs-span": ("hot-path modules must time code through repro.obs.trace "
                  "spans (span/timed_span), not ad-hoc time.perf_counter() "
                  "pairs"),
+    "test-only": ("every non-dunder function of src/repro must be used by "
+                  "the program (src/, benchmarks/, examples/, tools/), "
+                  "not only by tests"),
     "pragma-reason": ("every repro-lint ok(rule) suppression pragma must "
                       "carry a reason after a colon"),
     "pragma-stale": ("every repro-lint ok(rule) suppression pragma must "
@@ -114,6 +126,20 @@ _OBS_SPAN_MODULES = ("dmrg/sweep.py", "dmrg/single_site.py",
                      "dmrg/excited.py", "dmrg/davidson.py",
                      "symmetry/matvec.py", "symmetry/engine.py",
                      "symmetry/planner.py", "ctf/profiler.py")
+
+#: directories beside ``src/`` whose Python files are also the program
+_CALLER_DIRS = ("benchmarks", "examples", "tools")
+
+#: module-level lists whose strings export names rather than use them
+_EXPORT_LISTS = ("__all__", "_LAZY")
+
+#: a ``"module:Class.method"`` string names code; its dotted parts are uses
+#: (a trailing ``*`` makes the last part a prefix)
+_CODE_PATH_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*:[A-Za-z0-9_.*]+")
+_NAME_PART_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\*?")
+
+#: what the program uses: ``(names, name prefixes)``
+_Uses = Tuple[Set[str], Tuple[str, ...]]
 
 #: subpackages whose public surface must be documented
 _DOC_ROOTS = ("ctf", "analysis")
@@ -206,7 +232,7 @@ class _FileLinter(ast.NodeVisitor):
         self.findings.append(LintFinding(rule, self.rel, line, message))
 
     # -- per-call rules ----------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
+    def visit_Call(self, node: ast.Call) -> None:  # repro-lint: ok(test-only): ast.NodeVisitor dispatches to it by node type
         chain = _attr_chain(node.func)
         self._check_dense_kernel(node, chain)
         self._check_rng(node, chain)
@@ -215,7 +241,7 @@ class _FileLinter(ast.NodeVisitor):
         self._check_obs_span(node, chain)
         self.generic_visit(node)
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
+    def visit_Attribute(self, node: ast.Attribute) -> None:  # repro-lint: ok(test-only): ast.NodeVisitor dispatches to it by node type
         if node.attr == "close":
             self.has_close = True
         elif node.attr == "unlink":
@@ -323,9 +349,67 @@ def _check_docstrings(tree: ast.Module, rel: str,
                              f"public {kind} {name!r} lacks a docstring")
 
 
-def lint_file(path: pathlib.Path, rel: Optional[str] = None
-              ) -> Tuple[List[LintFinding], int]:
-    """Lint one file; return (surviving findings, suppressed count)."""
+def _collect_uses(node: ast.AST, scope: frozenset, names: Set[str],
+                  prefixes: Set[str]) -> None:
+    """Add every name ``node`` uses to ``names`` (``*`` patterns of
+    ``"module:Class.prefix*"`` strings to ``prefixes``); ``scope`` holds the
+    enclosing functions, whose references to themselves are not uses."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = scope | {node.name}
+    elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = getattr(node, "targets", None) or [node.target]
+        if any(isinstance(t, ast.Name) and t.id in _EXPORT_LISTS
+               for t in targets):
+            return
+    used: List[str] = []
+    if isinstance(node, ast.Name):
+        used.append(node.id)
+    elif isinstance(node, ast.Attribute):
+        used.append(node.attr)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and _CODE_PATH_RE.fullmatch(node.value):
+        for part in _NAME_PART_RE.findall(node.value):
+            if part.endswith("*"):
+                prefixes.add(part[:-1])
+            else:
+                used.append(part)
+    names.update(n for n in used if n not in scope)
+    for child in ast.iter_child_nodes(node):
+        _collect_uses(child, scope, names, prefixes)
+
+
+def _program_uses(files: Sequence[pathlib.Path]) -> _Uses:
+    """The names (and name prefixes) the Python ``files`` use."""
+    names: Set[str] = set()
+    prefixes: Set[str] = set()
+    for f in files:
+        tree = ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
+        _collect_uses(tree, frozenset(), names, prefixes)
+    return names, tuple(sorted(prefixes))
+
+
+def _check_test_only(tree: ast.Module, uses: _Uses,
+                     linter: _FileLinter) -> None:
+    """Flag every non-dunder function whose name the program never uses."""
+    names, prefixes = uses
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = node.name
+        if (name.startswith("__") and name.endswith("__")) or \
+                name in names or name.startswith(prefixes):
+            continue
+        linter._flag("test-only", node.lineno,
+                     f"{name!r} is used by no file of the program; only "
+                     "tests reach it")
+
+
+def lint_file(path: pathlib.Path, rel: Optional[str] = None,
+              uses: Optional[_Uses] = None) -> Tuple[List[LintFinding], int]:
+    """Lint one file; return (surviving findings, suppressed count).
+
+    ``uses`` holds the names the whole program uses; the ``test-only``
+    rule runs only when it is given."""
     rel = rel if rel is not None else str(path)
     source = path.read_text(encoding="utf-8")
     tree = ast.parse(source, filename=rel)
@@ -333,6 +417,8 @@ def lint_file(path: pathlib.Path, rel: Optional[str] = None
     linter.visit(tree)
     linter.finish()
     _check_docstrings(tree, rel, linter)
+    if uses is not None:
+        _check_test_only(tree, uses, linter)
 
     pragmas = _pragmas_for(source)
     survived: List[LintFinding] = []
@@ -358,19 +444,26 @@ def lint_file(path: pathlib.Path, rel: Optional[str] = None
             survived.append(LintFinding(
                 "pragma-reason", rel, lineno,
                 f"pragma ok({rule}) carries no reason"))
-        survived.append(LintFinding(
-            "pragma-stale", rel, lineno,
-            f"pragma ok({rule}) suppresses no {rule} finding on its line"))
+        if rule != "test-only" or uses is not None:
+            survived.append(LintFinding(
+                "pragma-stale", rel, lineno,
+                f"pragma ok({rule}) suppresses no {rule} finding on its "
+                "line"))
     return survived, suppressed
 
 
 def run_lint(root: Optional[pathlib.Path] = None,
-             paths: Optional[Sequence[pathlib.Path]] = None) -> LintReport:
+             paths: Optional[Sequence[pathlib.Path]] = None,
+             callers: Optional[Sequence[pathlib.Path]] = None) -> LintReport:
     """Lint the library source tree (or an explicit file list).
 
     ``root`` defaults to the ``src/repro`` package directory resolved from
     this module's location, so the gate works from any cwd.  ``paths``
-    overrides discovery entirely (used by the fixture tests).
+    overrides discovery entirely (used by the fixture tests).  ``callers``
+    are the directories whose Python files, with the linted ones, make up
+    the program for the ``test-only`` rule; the default tree adds the
+    repository's :data:`_CALLER_DIRS`, and an explicit ``root`` or
+    ``paths`` without ``callers`` skips the rule.
     """
     report = LintReport()
     if paths is None:
@@ -378,11 +471,19 @@ def run_lint(root: Optional[pathlib.Path] = None,
             pathlib.Path(__file__).resolve().parent.parent
         files = sorted(base.rglob("*.py"))
         rels = [str(f.relative_to(base)) for f in files]
+        if root is None and callers is None:
+            callers = [base.parents[1] / d for d in _CALLER_DIRS]
     else:
         files = list(paths)
         rels = [f.name for f in files]
+    uses = None
+    if callers is not None:
+        program = set(files)
+        for d in callers:
+            program.update(pathlib.Path(d).rglob("*.py"))
+        uses = _program_uses(sorted(program))
     for f, rel in zip(files, rels):
-        findings, suppressed = lint_file(f, rel)
+        findings, suppressed = lint_file(f, rel, uses)
         report.files_checked += 1
         report.suppressed += suppressed
         report.findings.extend(findings)

@@ -129,12 +129,6 @@ class ContractionBackend(ABC):
         kwargs.setdefault("ops", self.block_ops)
         return blocklinalg.svd(t, row_axes, col_axes, **kwargs)
 
-    def qr(self, t: BlockSparseTensor, row_axes: Sequence[int],
-           col_axes: Sequence[int] | None = None, **kwargs):
-        """Block QR factorization."""
-        kwargs.setdefault("ops", self.block_ops)
-        return blocklinalg.qr(t, row_axes, col_axes, **kwargs)
-
     def synchronize(self) -> None:
         """Hook called at the end of each DMRG local optimization."""
 

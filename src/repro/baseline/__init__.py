@@ -1,13 +1,10 @@
-"""Baselines: the single-node reference (the role ITensor plays in the paper)
-and the real-space block-parallel algorithm (Stoudenmire-White, Table I)."""
+"""Baseline: the real-space block-parallel algorithm (Stoudenmire-White,
+Table I)."""
 
-from .serial_dmrg import SerialDMRG, SerialRunSummary, serial_reference_energy
 from .realspace import (RealSpaceIterationRecord, RealSpaceParallelDMRG,
-                        RealSpaceResult, partition_sites,
-                        realspace_reference_energy)
+                        RealSpaceResult, partition_sites)
 
 __all__ = [
-    "SerialDMRG", "SerialRunSummary", "serial_reference_energy",
     "RealSpaceIterationRecord", "RealSpaceParallelDMRG", "RealSpaceResult",
-    "partition_sites", "realspace_reference_energy",
+    "partition_sites",
 ]

@@ -153,11 +153,3 @@ class RealSpaceParallelDMRG:
             result.energy = energy
 
         return result, psi
-
-
-def realspace_reference_energy(operator: MPO, psi0: MPS, nworkers: int, *,
-                               maxdim: int = 64, iterations: int = 8) -> float:
-    """Final energy of the real-space block-parallel baseline."""
-    result, _ = RealSpaceParallelDMRG(operator, psi0, nworkers).run(
-        maxdim=maxdim, iterations=iterations)
-    return result.energy

@@ -97,20 +97,12 @@ class CollectiveModel:
     # ------------------------------------------------------------------ #
     # collectives
     # ------------------------------------------------------------------ #
-    def send_recv(self, nwords: float) -> CollectiveCost:
-        """One point-to-point message of ``nwords`` words."""
-        return self._cost(1.0, nwords)
-
     def broadcast(self, nwords: float, nprocs: int) -> CollectiveCost:
         """Binomial-tree broadcast of ``nwords`` words to ``nprocs`` ranks."""
         if nprocs <= 1:
             return CollectiveCost(0.0, 0.0, 0.0)
         rounds = math.ceil(math.log2(nprocs))
         return self._cost(rounds, rounds * nwords)
-
-    def reduce(self, nwords: float, nprocs: int) -> CollectiveCost:
-        """Binomial-tree reduction (same wire cost as a broadcast)."""
-        return self.broadcast(nwords, nprocs)
 
     def reduce_scatter(self, nwords: float, nprocs: int) -> CollectiveCost:
         """Ring reduce-scatter of a ``nwords``-word buffer."""
@@ -141,21 +133,3 @@ class CollectiveModel:
         seconds_words = (p - 1) / p * nwords
         cost = self._cost(p - 1, seconds_words, pattern="alltoall")
         return cost
-
-    def barrier(self, nprocs: int) -> CollectiveCost:
-        """Dissemination barrier."""
-        if nprocs <= 1:
-            return CollectiveCost(0.0, 0.0, 0.0)
-        rounds = math.ceil(math.log2(nprocs))
-        return self._cost(rounds, 0.0)
-
-    def scatter(self, nwords: float, nprocs: int) -> CollectiveCost:
-        """Binomial scatter of ``nwords`` total words."""
-        if nprocs <= 1:
-            return CollectiveCost(0.0, 0.0, 0.0)
-        rounds = math.ceil(math.log2(nprocs))
-        return self._cost(rounds, (nprocs - 1) / nprocs * nwords)
-
-    def gather(self, nwords: float, nprocs: int) -> CollectiveCost:
-        """Binomial gather (same wire cost as scatter)."""
-        return self.scatter(nwords, nprocs)

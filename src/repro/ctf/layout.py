@@ -40,7 +40,7 @@ entry point built on top of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .mapping import MappingDecision
 
@@ -103,10 +103,6 @@ class LayoutTracker:
     #: layouts installed for freshly produced tensors (never charged)
     births: int = 0
 
-    def current(self, key: str) -> Optional[TensorLayout]:
-        """The operand's tracked layout, or ``None`` if it was never mapped."""
-        return self.layouts.get(key)
-
     def observe(self, key: str, layout: TensorLayout) -> bool:
         """Note that ``key`` is contracted under ``layout``; ``True`` if it moves.
 
@@ -149,14 +145,6 @@ class LayoutTracker:
     def observations(self) -> int:
         """Total :meth:`observe` calls (charged or free)."""
         return self.first_touches + self.transitions + self.reuses
-
-    def reset(self) -> None:
-        """Forget every layout and zero the counters."""
-        self.layouts.clear()
-        self.first_touches = 0
-        self.transitions = 0
-        self.reuses = 0
-        self.births = 0
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict counters (for reports and benchmark tables)."""

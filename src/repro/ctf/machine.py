@@ -20,7 +20,7 @@ scaling figures; ``make bench`` regenerates them under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ class MachineSpec:
     def memory_bytes_per_node(self) -> float:
         """Usable memory per node in bytes."""
         return self.memory_per_node_gb * 1e9
-
-    def with_overrides(self, **kwargs) -> "MachineSpec":
-        """A copy of the spec with selected fields replaced."""
-        return replace(self, **kwargs)
 
 
 #: Cray XE6 (Blue Waters) — modest per-node throughput, Gemini interconnect.

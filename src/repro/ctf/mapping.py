@@ -46,11 +46,6 @@ class GemmShape:
     k: int
 
     @property
-    def flops(self) -> float:
-        """Classical matrix-multiplication flop count."""
-        return 2.0 * self.m * self.n * self.k
-
-    @property
     def words_a(self) -> float:
         """Elements (words) of the ``m x k`` operand A."""
         return 1.0 * self.m * self.k

@@ -99,24 +99,6 @@ class Profiler:
         total = self.total_seconds()
         return self.flops / total / 1e9 if total > 0 else 0.0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.seconds.clear()
-        self.counts.clear()
-        self.comm_words = 0.0
-        self.supersteps = 0.0
-        self.flops = 0.0
-
-    def merge(self, other: "Profiler") -> None:
-        """Accumulate another profiler's totals into this one."""
-        for cat, sec in other.seconds.items():
-            self.seconds[cat] += sec
-        for cat, cnt in other.counts.items():
-            self.counts[cat] += cnt
-        self.comm_words += other.comm_words
-        self.supersteps += other.supersteps
-        self.flops += other.flops
-
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict snapshot (seconds per recorded category plus totals)."""
         out = {c: self.seconds.get(c, 0.0) for c in self.categories()}

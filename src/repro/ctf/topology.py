@@ -60,10 +60,6 @@ class Topology(ABC):
         """Mean hop count between two uniformly random nodes."""
 
     @abstractmethod
-    def diameter(self) -> int:
-        """Maximum hop count between any two nodes."""
-
-    @abstractmethod
     def bisection_links(self) -> int:
         """Number of links crossing a balanced bisection of the machine."""
 
@@ -137,10 +133,6 @@ class Torus3D(Topology):
         """Mean hop count between random node pairs on the torus."""
         return sum(self._dim_average(d) for d in self.dims)
 
-    def diameter(self) -> int:
-        """Longest shortest path (hops) across the torus."""
-        return sum(d // 2 for d in self.dims)
-
     def bisection_links(self) -> int:
         """Links crossing a balanced bisection of the torus."""
         # cut across the largest dimension: two cut planes (torus wrap) of
@@ -187,10 +179,6 @@ class FatTree(Topology):
             return 2.0
         return 2.0 * self.levels()
 
-    def diameter(self) -> int:
-        """Longest path: up to the root level and back down."""
-        return 2 * self.levels()
-
     def bisection_links(self) -> int:
         """Links crossing the bisection (full fat tree over the taper)."""
         # full bisection divided by the taper factor
@@ -208,10 +196,6 @@ class SingleNode(Topology):
     def average_hops(self) -> float:
         """No network hops inside a single node."""
         return 0.0
-
-    def diameter(self) -> int:
-        """No network: zero hops."""
-        return 0
 
     def bisection_links(self) -> int:
         """A single (memory-bandwidth proxy) link."""

@@ -14,9 +14,8 @@ from .observables import (MeasurementReport, bond_spectrum,
 from .single_site import run_single_site_dmrg, single_site_dmrg
 from .excited import (OverlapEnvironmentCache, PenalizedHamiltonian,
                       excited_dmrg, find_lowest_states)
-from .checkpoint import (Checkpoint, load_checkpoint, load_mpo, load_mps,
-                         resume_sweep_schedule, save_checkpoint, save_mpo,
-                         save_mps)
+from .checkpoint import (Checkpoint, load_checkpoint, load_mps,
+                         resume_sweep_schedule, save_checkpoint, save_mps)
 
 __all__ = [
     "DMRGConfig", "DMRGResult", "SiteRecord", "SweepRecord", "Sweeps",
@@ -29,6 +28,5 @@ __all__ = [
     "expectation_profile", "local_expectation", "measure", "renyi_entropy",
     "run_single_site_dmrg", "single_site_dmrg", "OverlapEnvironmentCache", "PenalizedHamiltonian",
     "excited_dmrg", "find_lowest_states", "Checkpoint", "load_checkpoint",
-    "load_mpo", "load_mps", "resume_sweep_schedule", "save_checkpoint",
-    "save_mpo", "save_mps",
+    "load_mps", "resume_sweep_schedule", "save_checkpoint", "save_mps",
 ]

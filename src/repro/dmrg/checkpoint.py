@@ -1,4 +1,4 @@
-"""Checkpointing of MPS/MPO tensors and DMRG runs.
+"""Checkpointing of MPS tensors and DMRG runs.
 
 The paper notes that production DMRG runs "can often take many weeks on a
 single node" and that writing tensors to disk "generates additional
@@ -25,7 +25,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..mps.mpo import MPO
 from ..mps.mps import MPS
 from ..mps.sites import SiteSet
 from ..symmetry import BlockSparseTensor, Index
@@ -105,7 +104,7 @@ def tensor_from_arrays(prefix: str, data) -> BlockSparseTensor:
 
 
 # --------------------------------------------------------------------------- #
-# MPS / MPO
+# MPS
 # --------------------------------------------------------------------------- #
 def save_mps(path: str | Path, psi: MPS, extra: Dict[str, float] | None = None
              ) -> Path:
@@ -124,7 +123,7 @@ def save_mps(path: str | Path, psi: MPS, extra: Dict[str, float] | None = None
     return path
 
 
-def load_mps(path: str | Path, sites: SiteSet) -> MPS:
+def load_mps(path: str | Path, sites: SiteSet) -> MPS:  # repro-lint: ok(test-only): reads back what run --save-state writes
     """Load an MPS written by :func:`save_mps` onto the given site set."""
     with np.load(Path(path), allow_pickle=False) as data:
         if str(data["kind"]) != "mps":
@@ -135,31 +134,6 @@ def load_mps(path: str | Path, sites: SiteSet) -> MPS:
         tensors = [tensor_from_arrays(f"t{j}", data) for j in range(n)]
         center = int(data["center"])
     return MPS(sites, tensors, center=None if center < 0 else center)
-
-
-def save_mpo(path: str | Path, operator: MPO) -> Path:
-    """Write an MPO to a ``.npz`` archive."""
-    path = Path(path)
-    arrays: Dict[str, np.ndarray] = {
-        "kind": np.asarray("mpo"),
-        "nsites": np.asarray(len(operator), dtype=np.int64),
-    }
-    for j, t in enumerate(operator.tensors):
-        arrays.update(tensor_to_arrays(t, f"t{j}"))
-    _atomic_savez(path, arrays)
-    return path
-
-
-def load_mpo(path: str | Path, sites: SiteSet) -> MPO:
-    """Load an MPO written by :func:`save_mpo`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        if str(data["kind"]) != "mpo":
-            raise ValueError(f"{path} does not contain an MPO")
-        n = int(data["nsites"])
-        if n != len(sites):
-            raise ValueError(f"archive has {n} sites, site set has {len(sites)}")
-        tensors = [tensor_from_arrays(f"t{j}", data) for j in range(n)]
-    return MPO(sites, tensors)
 
 
 # --------------------------------------------------------------------------- #

@@ -205,16 +205,3 @@ class DMRGResult:
     def layout_reuse_rate(self) -> float:
         """Fraction of tracked operand touches served in place (free)."""
         return _share(self.metrics, "layout.reuses", "layout.moves")
-
-    @property
-    def plan_cache_hit_rate_after_first_sweep(self) -> float:
-        """Plan-cache hit rate over the 2nd and later sweeps.
-
-        The first sweep populates the cache; once index structures stop
-        changing, Davidson matvecs should hit almost always.
-        """
-        later = [r.metrics for r in self.sweep_records[1:]]
-        hits = sum(m.get("plan_cache.hits", 0) for m in later)
-        misses = sum(m.get("plan_cache.misses", 0) for m in later)
-        n = hits + misses
-        return hits / n if n else 0.0

@@ -117,14 +117,6 @@ class CenterCache:
         self._left[0] = left_edge
         self._right[n - 1] = right_edge
 
-    def _extend_left(self, j: int) -> BlockSparseTensor:
-        """``left(j)`` from ``left(j - 1)`` and site ``j - 1``."""
-        raise NotImplementedError
-
-    def _extend_right(self, j: int) -> BlockSparseTensor:
-        """``right(j)`` from ``right(j + 1)`` and site ``j + 1``."""
-        raise NotImplementedError
-
     def left(self, j: int) -> BlockSparseTensor:
         """Contraction of all sites strictly to the left of ``j``."""
         if self._left[j] is None:
@@ -188,11 +180,3 @@ class EnvironmentCache(CenterCache):
         return extend_right(self.right(j + 1), self.state.tensors[j + 1],
                             self.operator.tensors[j + 1], self.backend,
                             site=j + 1)
-
-    def memory_elements(self) -> int:
-        """Total number of stored environment elements (paper: O(N m^2 k))."""
-        total = 0
-        for env in list(self._left) + list(self._right):
-            if env is not None:
-                total += env.nnz
-        return total

@@ -17,16 +17,16 @@ measurement (``O(N^2)`` transfer steps for a full correlation matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from ..mps.algebra import apply_mpo
 from ..mps.mpo import MPO
 from ..mps.mps import MPS, overlap
 from ..mps.opsum import OpFactor, OpSum, Term, normalize_term
 from ..mps.sites import Site
 from ..symmetry import BlockSparseTensor, svd
+from ..symmetry.reshape import fuse_modes
 
 
 # --------------------------------------------------------------------------- #
@@ -115,7 +115,7 @@ def expect_term(psi: MPS, term: Term, normalized: bool = True) -> complex:
     return val
 
 
-def expect_opsum(psi: MPS, opsum: OpSum, normalized: bool = True) -> complex:
+def expect_opsum(psi: MPS, opsum: OpSum, normalized: bool = True) -> complex:  # repro-lint: ok(test-only): observables are library surface for measuring a converged state
     """Expectation value of an operator sum, term by term.
 
     This is an ``O(N_terms * N)`` cross-check of the MPO expectation value;
@@ -140,7 +140,7 @@ def correlation(psi: MPS, op1: str, i: int, op2: str, j: int,
                        normalized=normalized)
 
 
-def correlation_matrix(psi: MPS, op1: str, op2: str,
+def correlation_matrix(psi: MPS, op1: str, op2: str,  # repro-lint: ok(test-only): observables are library surface for measuring a converged state
                        sites: Sequence[int] | None = None) -> np.ndarray:
     """The full matrix ``C[a, b] = <O1_{s_a} O2_{s_b}>`` over selected sites.
 
@@ -160,7 +160,7 @@ def correlation_matrix(psi: MPS, op1: str, op2: str,
     return out.real if np.allclose(out.imag, 0.0, atol=1e-12) else out
 
 
-def connected_correlation(psi: MPS, op1: str, i: int, op2: str, j: int
+def connected_correlation(psi: MPS, op1: str, i: int, op2: str, j: int  # repro-lint: ok(test-only): observables are library surface for measuring a converged state
                           ) -> complex:
     """The connected correlator ``<O1_i O2_j> - <O1_i><O2_j>``."""
     return (correlation(psi, op1, i, op2, j)
@@ -190,7 +190,7 @@ def entanglement_profile(psi: MPS) -> np.ndarray:
     return np.array([psi.entanglement_entropy(b) for b in range(len(psi) - 1)])
 
 
-def renyi_entropy(psi: MPS, bond: int, alpha: float = 2.0) -> float:
+def renyi_entropy(psi: MPS, bond: int, alpha: float = 2.0) -> float:  # repro-lint: ok(test-only): observables are library surface for measuring a converged state
     """The Renyi-``alpha`` entanglement entropy across a bond."""
     if alpha <= 0:
         raise ValueError("Renyi index must be positive")
@@ -204,6 +204,29 @@ def renyi_entropy(psi: MPS, bond: int, alpha: float = 2.0) -> float:
 # --------------------------------------------------------------------------- #
 # energy variance
 # --------------------------------------------------------------------------- #
+def apply_mpo(operator: MPO, psi: MPS) -> MPS:
+    """The MPS representing ``H|psi>`` exactly.
+
+    Each site contracts the MPO tensor with the MPS tensor over the physical
+    index and the (MPO bond, MPS bond) pairs are fused into single bonds, so
+    the result has bond dimension ``k*m`` (Section II-B of the paper: "the
+    product of an MPO and an MPS H|Ψ⟩ can be represented exactly as an MPS
+    with bond dimension kd").
+    """
+    if len(operator) != len(psi):
+        raise ValueError("operator and state have different lengths")
+    tensors = []
+    for j in range(len(psi)):
+        w = operator.tensors[j]          # (wl, p_out, p_in, wr)
+        a = psi.tensors[j]               # (l, p, r)
+        t = w.contract(a, axes=([2], [1]))         # (wl, p_out, wr, l, r)
+        t = t.transpose([0, 3, 1, 2, 4])           # (wl, l, p_out, wr, r)
+        fused, _ = fuse_modes(t, [[0, 1], [2], [3, 4]], flows=[1, 1, -1],
+                              tags=[f"l{j}", "phys", f"l{j + 1}"])
+        tensors.append(fused)
+    return MPS(psi.sites, tensors, center=None)
+
+
 def energy_and_variance(psi: MPS, operator: MPO) -> tuple[float, float]:
     """``(<H>, <H^2> - <H>^2)`` for a normalized state.
 
@@ -211,7 +234,7 @@ def energy_and_variance(psi: MPS, operator: MPO) -> tuple[float, float]:
     it is exact up to floating point; it is the standard certificate of how
     well the MPS approximates a true eigenstate.
     """
-    hpsi = apply_mpo(operator, psi, compress_result=False)
+    hpsi = apply_mpo(operator, psi)
     den = abs(overlap(psi, psi))
     energy = float(np.real(overlap(psi, hpsi)) / den)
     h2 = float(abs(overlap(hpsi, hpsi)) / den)

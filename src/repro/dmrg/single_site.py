@@ -22,7 +22,6 @@ import numpy as np
 
 from ..backends.base import ContractionBackend
 from ..ctf.layout import site_key
-from ..mps.algebra import _direct_sum_index
 from ..mps.mpo import MPO
 from ..mps.mps import MPS
 from ..obs import trace
@@ -62,6 +61,15 @@ def _expansion_term_left(right_env: BlockSparseTensor, x: BlockSparseTensor,
     fused, _ = fuse_modes(t, [[0, 1], [2], [3]], flows=[1, 1, -1],
                           tags=["exp", "phys", "r"])
     return fused * alpha
+
+
+def _direct_sum_index(a: Index, b: Index, tag: str) -> Index:
+    """Concatenate the sectors of two bond indices (direct sum)."""
+    if a.flow != b.flow:
+        raise ValueError("cannot direct-sum indices with different flows")
+    if a.nsym != b.nsym:
+        raise ValueError("cannot direct-sum indices with different symmetry rank")
+    return Index(a.sectors + b.sectors, a.dims + b.dims, flow=a.flow, tag=tag)
 
 
 def _pad_along_axis(t: BlockSparseTensor, axis: int,

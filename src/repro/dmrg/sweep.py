@@ -228,21 +228,21 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
                     envs.right(j + update.width - 1), backend, site=j)
                 solve = update.wrap(heff)
                 x0 = update.local_tensor(psi, j, backend)
-                with trace.span("davidson", "dmrg", site=j) as dav_span:
-                    try:
+                try:
+                    with trace.span("davidson", "dmrg", site=j) as dav_span:
                         dav = davidson(
                             solve, x0, max_iterations=dav_iters,
                             max_subspace=config.davidson_max_subspace,
                             tol=config.davidson_tol, rng=rng)
-                    except FloatingPointError as exc:
-                        exc.add_note(f"{label}sweep {sweep_id}, site {j}, "
-                                     f"direction {direction}")
-                        raise
-                    dav_span.annotate(iterations=dav.iterations,
-                                      matvecs=dav.matvecs)
-                energy = update.energy(heff, dav)
-                info = update.split(psi, heff, direction, dav.eigenvector,
-                                    truncation)
+                        dav_span.annotate(iterations=dav.iterations,
+                                          matvecs=dav.matvecs)
+                    energy = update.energy(heff, dav)
+                    info = update.split(psi, heff, direction, dav.eigenvector,
+                                        truncation)
+                except FloatingPointError as exc:
+                    exc.add_note(f"{label}sweep {sweep_id}, site {j}, "
+                                 f"direction {direction}")
+                    raise
                 # extend the environments in the direction of motion and
                 # drop caches that are now stale
                 for cache in caches:

@@ -63,7 +63,7 @@ def build_hamiltonian(opsum: OpSum, sites: SiteSet) -> sp.csr_matrix:
     return h
 
 
-def total_charge_operator(sites: SiteSet, component: int) -> sp.csr_matrix:
+def total_charge_operator(sites: SiteSet, component: int) -> sp.csr_matrix:  # repro-lint: ok(test-only): exact diagonalization is the test oracle for DMRG
     """Diagonal operator measuring one conserved U(1) charge."""
     dim = int(np.prod(sites.dims))
     diag = np.zeros(dim)

@@ -81,10 +81,6 @@ class RunRecord:
         return str(self.meta.get("status", "unknown"))
 
     @property
-    def completed(self) -> bool:
-        return self.status == "completed"
-
-    @property
     def energy(self) -> Optional[float]:
         """Final energy, if the attempt produced a report."""
         if self.report and self.report.get("energies"):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
@@ -151,14 +151,6 @@ class RunSpec:
                 clean[key] = float(clean[key])
         return cls(**clean)
 
-    def with_overrides(self, **overrides) -> "RunSpec":
-        """A copy with the given fields replaced (params merged, not replaced)."""
-        if "params" in overrides:
-            merged = dict(self.params)
-            merged.update(dict(overrides["params"]))
-            overrides["params"] = tuple(sorted(merged.items()))
-        return replace(self, **overrides)
-
     # -- content addressing ------------------------------------------------- #
     def canonical_json(self) -> str:
         """The canonical JSON form the run id is derived from.
@@ -251,12 +243,6 @@ class GridSpec:
         return dedupe_specs(specs)            # zip/axes collisions collapse
 
     # -- serialization ------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, object]:
-        """Plain JSON-native dict form (inverse of :meth:`from_dict`)."""
-        return {"name": self.name, "base": dict(self.base),
-                "axes": {k: list(v) for k, v in self.axes.items()},
-                "zips": [{k: list(v) for k, v in g.items()}
-                         for g in self.zips]}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "GridSpec":

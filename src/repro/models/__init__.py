@@ -7,8 +7,8 @@ from .heisenberg import (heisenberg_chain_model, heisenberg_opsum,
 from .hubbard import (half_filled_configuration, hubbard_chain_model,
                       hubbard_opsum, hubbard_sites, triangular_hubbard_model)
 from .tfim import tfim_exact_energy_open_chain, tfim_model, tfim_opsum, tfim_sites
-from .extended_hubbard import (doped_configuration, extended_hubbard_opsum,
-                               square_hubbard_model, uv_hubbard_chain_model)
+from .extended_hubbard import (extended_hubbard_opsum, square_hubbard_model,
+                               uv_hubbard_chain_model)
 from .registry import (ModelEntry, available_models, build_model, get_model,
                        register_model)
 
@@ -19,8 +19,7 @@ __all__ = [
     "half_filled_configuration", "hubbard_chain_model", "hubbard_opsum",
     "hubbard_sites", "triangular_hubbard_model",
     "tfim_exact_energy_open_chain", "tfim_model", "tfim_opsum", "tfim_sites",
-    "doped_configuration", "extended_hubbard_opsum", "square_hubbard_model",
-    "uv_hubbard_chain_model",
+    "extended_hubbard_opsum", "square_hubbard_model", "uv_hubbard_chain_model",
     "ModelEntry", "available_models", "build_model", "get_model",
     "register_model",
 ]

@@ -16,7 +16,6 @@ rather than citations alone.
 from __future__ import annotations
 
 from ..mps.opsum import OpSum
-from ..mps.sites import SiteSet
 from .hubbard import half_filled_configuration, hubbard_sites
 from .lattices import Lattice, chain, square_cylinder
 
@@ -65,33 +64,3 @@ def square_hubbard_model(lx: int, ly: int, t: float = 1.0, u: float = 4.0,
     from .hubbard import hubbard_opsum
     os = hubbard_opsum(lat, t, u)
     return lat, sites, os, half_filled_configuration(lat.nsites)
-
-
-def doped_configuration(nsites: int, nholes: int) -> list[str]:
-    """A hole-doped starting configuration with ``N = nsites - nholes``.
-
-    Holes are spread uniformly; the remaining sites alternate up/down so the
-    state lies in the ``Sz ~ 0`` sector (exactly 0 when the electron count is
-    even).
-    """
-    if not 0 <= nholes <= nsites:
-        raise ValueError("hole count must lie between 0 and the site count")
-    config: list[str] = []
-    hole_positions = set()
-    if nholes:
-        stride = nsites / nholes
-        hole_positions = {int(round(k * stride)) % nsites for k in range(nholes)}
-        # collisions from rounding: fill from the left
-        k = 0
-        while len(hole_positions) < nholes:
-            if k not in hole_positions:
-                hole_positions.add(k)
-            k += 1
-    spin_toggle = True
-    for i in range(nsites):
-        if i in hole_positions:
-            config.append("Emp")
-        else:
-            config.append("Up" if spin_toggle else "Dn")
-            spin_toggle = not spin_toggle
-    return config

@@ -12,10 +12,7 @@ reference implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Tuple
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -25,10 +22,6 @@ class Bond:
     i: int
     j: int
     kind: str = "nn"
-
-    def ordered(self) -> "Bond":
-        """The same bond with ``i < j``."""
-        return self if self.i < self.j else Bond(self.j, self.i, self.kind)
 
 
 @dataclass
@@ -49,33 +42,6 @@ class Lattice:
     def bonds_of_kind(self, kind: str) -> List[Bond]:
         """All bonds of a given kind (e.g. ``"nn"`` or ``"nnn"``)."""
         return [b for b in self.bonds if b.kind == kind]
-
-    def column_of_site(self, s: int) -> int:
-        """Column index (x coordinate) of a 1D-ordered site."""
-        return s // self.ny_sites
-
-    def sites_in_column(self, x: int) -> List[int]:
-        """Sites belonging to column ``x``."""
-        return list(range(x * self.ny_sites, (x + 1) * self.ny_sites))
-
-    def to_networkx(self) -> nx.Graph:
-        """Export the lattice as a NetworkX graph (bond kind as edge data).
-
-        ``networkx`` is imported here, not at module scope: it costs every
-        process that imports :mod:`repro` ~0.15 s and ~18 MiB otherwise.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        for s, (x, y) in enumerate(self.coords):
-            g.add_node(s, x=x, y=y)
-        for b in self.bonds:
-            g.add_edge(b.i, b.j, kind=b.kind)
-        return g
-
-    def interaction_range(self) -> int:
-        """Maximum |i - j| over all bonds (determines MPO automaton width)."""
-        return max(abs(b.i - b.j) for b in self.bonds) if self.bonds else 0
 
 
 def _add_unique(bonds: Dict[Tuple[int, int, str], Bond], i: int, j: int,

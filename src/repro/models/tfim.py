@@ -37,7 +37,7 @@ def tfim_model(n: int, j: float = 1.0, h: float = 1.0):
     return chain(n), tfim_sites(n), tfim_opsum(n, j, h), ["Up"] * n
 
 
-def tfim_exact_energy_open_chain(n: int, j: float = 1.0, h: float = 1.0) -> float:
+def tfim_exact_energy_open_chain(n: int, j: float = 1.0, h: float = 1.0) -> float:  # repro-lint: ok(test-only): closed-form oracle for the symmetry-free DMRG path
     """Ground-state energy of the open TFIM chain via free fermions.
 
     With spin-1/2 operators (S = sigma/2) the Hamiltonian maps to a

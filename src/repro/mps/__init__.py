@@ -5,13 +5,9 @@ from .opsum import OpSum, Term, NormalizedTerm, normalize_opsum, normalize_term
 from .mps import MPS, bond_structure, overlap
 from .mpo import MPO
 from .autompo import build_mpo
-from .algebra import (add, apply_mpo, compress, distance, fidelity, scale,
-                      variational_compress)
 
 __all__ = [
     "ElectronSite", "Site", "SiteSet", "SpinHalfSite",
     "OpSum", "Term", "NormalizedTerm", "normalize_opsum", "normalize_term",
     "MPS", "bond_structure", "overlap", "MPO", "build_mpo",
-    "add", "apply_mpo", "compress", "distance", "fidelity", "scale",
-    "variational_compress",
 ]

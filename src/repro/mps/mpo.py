@@ -47,14 +47,6 @@ class MPO:
         dims = self.bond_dimensions()
         return max(dims) if dims else 1
 
-    def site_tensor(self, j: int) -> BlockSparseTensor:
-        """The MPO tensor at site ``j``."""
-        return self.tensors[j]
-
-    def copy(self) -> "MPO":
-        """Deep copy."""
-        return MPO(self.sites, [t.copy() for t in self.tensors])
-
     # ------------------------------------------------------------------ #
     # compression
     # ------------------------------------------------------------------ #
@@ -86,7 +78,7 @@ class MPO:
     # ------------------------------------------------------------------ #
     # dense conversions (validation on small systems)
     # ------------------------------------------------------------------ #
-    def to_dense_matrix(self) -> np.ndarray:
+    def to_dense_matrix(self) -> np.ndarray:  # repro-lint: ok(test-only): dense oracle the block-sparse MPO is checked against
         """Contract the MPO into a dense matrix (small systems only)."""
         dims = self.sites.dims
         size = int(np.prod(dims))

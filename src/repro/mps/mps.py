@@ -119,10 +119,6 @@ class MPS:
         dims = self.bond_dimensions()
         return max(dims) if dims else 1
 
-    def bond_index(self, j: int) -> Index:
-        """The Index of the bond between sites ``j`` and ``j+1``."""
-        return self.tensors[j].indices[2]
-
     def site_tensor(self, j: int) -> BlockSparseTensor:
         """The site tensor at ``j``."""
         return self.tensors[j]
@@ -231,7 +227,7 @@ class MPS:
         _, spec, _, _ = svd(theta, row_axes=[0, 1], col_axes=[2])
         return spec.entanglement_entropy()
 
-    def to_dense_vector(self) -> np.ndarray:
+    def to_dense_vector(self) -> np.ndarray:  # repro-lint: ok(test-only): dense oracle the block-sparse MPS is checked against
         """Contract the full state into a dense vector (small systems only)."""
         dims = self.sites.dims
         size = int(np.prod(dims))

@@ -37,11 +37,6 @@ class Term:
     coefficient: complex
     factors: Tuple[OpFactor, ...]
 
-    @property
-    def sites(self) -> Tuple[int, ...]:
-        """Sites the term acts on (with multiplicity)."""
-        return tuple(f.site for f in self.factors)
-
     def __repr__(self) -> str:  # pragma: no cover
         ops = " ".join(f"{f.name}[{f.site}]" for f in self.factors)
         return f"{self.coefficient} * {ops}"
@@ -81,17 +76,6 @@ class OpSum:
 
     def __iter__(self):
         return iter(self.terms)
-
-    def max_site(self) -> int:
-        """Largest site index appearing in any term."""
-        return max(max(t.sites) for t in self.terms)
-
-    def scaled(self, factor: complex) -> "OpSum":
-        """A copy of the operator sum with every coefficient scaled."""
-        out = OpSum()
-        for t in self.terms:
-            out.terms.append(Term(t.coefficient * factor, t.factors))
-        return out
 
     def __add__(self, other: "OpSum") -> "OpSum":
         out = OpSum()

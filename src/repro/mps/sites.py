@@ -76,10 +76,6 @@ class Site:
         return self.state_names.index(label)
 
     # -- operators ----------------------------------------------------------
-    def has_operator(self, name: str) -> bool:
-        """Whether the site defines operator ``name``."""
-        return name in self.operators
-
     def op(self, name: str) -> np.ndarray:
         """Dense matrix of a (possibly composite ``"A*B"``) operator."""
         if name in self.operators:

@@ -122,15 +122,6 @@ class MetricsRegistry:
             elif isinstance(value, float):
                 self.gauge(f"{prefix}.{key}", value)
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Nested plain-dict copy: counters / gauges / histograms."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: h.snapshot()
-                           for k, h in self.histograms.items()},
-        }
-
     def flat(self) -> Dict[str, float]:
         """One ``name -> number`` mapping over every instrument.
 

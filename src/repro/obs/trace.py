@@ -33,7 +33,6 @@ naming the pid/tid lanes.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
@@ -44,9 +43,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Span", "SpanRecorder", "TimedSpan",
-    "chrome_trace_events", "enabled", "install", "instant", "load_trace",
-    "merge_traces", "recorder", "span", "summarize_events", "timed_span",
-    "traced", "tracing", "uninstall", "write_trace",
+    "chrome_trace_events", "install", "load_trace", "merge_traces",
+    "recorder", "span", "summarize_events", "timed_span", "tracing",
+    "uninstall", "write_trace",
 ]
 
 _TRACE_SCHEMA = "repro-trace/1"
@@ -123,12 +122,6 @@ class TimedSpan:
         self.seconds = 0.0
         self._t0 = 0.0
 
-    def annotate(self, **fields: Any) -> None:
-        """Attach key/value details that export into the event ``args``."""
-        if self.args is None:
-            self.args = {}
-        self.args.update(fields)
-
     def start(self) -> "TimedSpan":
         """Begin timing; returns ``self`` for one-line assignment."""
         self._t0 = time.perf_counter()
@@ -179,20 +172,10 @@ class SpanRecorder:
 
     # -- recording -------------------------------------------------------
 
-    def span(self, name: str, category: str = "span",
-             **args: Any) -> Span:
-        """A context-manager span recorded into this buffer on exit."""
-        return Span(self, name, category, args or None)
-
     def record(self, name: str, category: str, t0_pc: float, dur: float,
                args: Optional[Dict[str, Any]] = None) -> None:
         """Append a completed span timed with this process's perf_counter."""
         self.add_event(name, category, self._anchor + t0_pc, dur, args)
-
-    def instant(self, name: str, category: str = "span",
-                **args: Any) -> None:
-        """Record a zero-duration marker event at the current time."""
-        self.add_event(name, category, time.time(), 0.0, args or None)
 
     def add_event(self, name: str, category: str, ts: float, dur: float,
                   args: Optional[Dict[str, Any]] = None) -> None:
@@ -248,11 +231,6 @@ def recorder() -> Optional[SpanRecorder]:
     return _RECORDER
 
 
-def enabled() -> bool:
-    """Whether a recorder is installed in this process."""
-    return _RECORDER is not None
-
-
 def install(rec: Optional[SpanRecorder] = None, *,
             capacity: int = 65536) -> SpanRecorder:
     """Install ``rec`` (or a fresh recorder) as the process tracer."""
@@ -286,29 +264,6 @@ def span(name: str, category: str = "span", **args: Any):
 def timed_span(name: str, category: str = "span", **args: Any) -> TimedSpan:
     """A span that always measures (``.seconds``) and records if enabled."""
     return TimedSpan(name, category, args or None)
-
-
-def instant(name: str, category: str = "span", **args: Any) -> None:
-    """Record a zero-duration marker if tracing is enabled."""
-    rec = _RECORDER
-    if rec is not None:
-        rec.instant(name, category, **args)
-
-
-def traced(name: Optional[str] = None, category: str = "span"):
-    """Decorator tracing each call of the wrapped function as a span."""
-    def decorate(fn):
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*a: Any, **kw: Any):
-            rec = _RECORDER
-            if rec is None:
-                return fn(*a, **kw)
-            with rec.span(label, category):
-                return fn(*a, **kw)
-        return wrapper
-    return decorate
 
 
 @contextmanager

@@ -7,12 +7,11 @@ loaded lazily on first attribute access to avoid circular imports.
 
 from . import flops
 from .flops import (FlopCounter, add_flops, count_flops, global_counter,
-                    reset_flops, total_flops)
+                    total_flops)
 
 _LAZY = {
     "GeometricBlockModel": "block_model",
     "MeasuredBlockStructure": "block_model",
-    "structural_bond_index": "block_model",
     "ComplexityEntry": "complexity",
     "scaling_exponent": "complexity",
     "table2": "complexity",
@@ -57,7 +56,7 @@ _LAZY = {
 }
 
 __all__ = ["flops", "FlopCounter", "add_flops", "count_flops",
-           "global_counter", "reset_flops", "total_flops"] + sorted(_LAZY)
+           "global_counter", "total_flops"] + sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -6,10 +6,10 @@ Two complementary models are provided:
   caption): the ℓ-th block of a bond has auxiliary dimension
   ``b_ℓ = floor((m / q) * r^ℓ)`` with fitted parameters ``(q, r) = (4, 0.6)``
   for the spin system and ``(10, 0.65)`` for the electron system.
-* :func:`structural_bond_index` — the exact quantum-number fusion structure of
-  a bond of the benchmark systems at a given bond dimension, computed with
-  :func:`repro.mps.mps.bond_structure`.  This is what Fig. 2 measures on real
-  MPS tensors; the geometric model is a smooth fit to it.
+* :class:`MeasuredBlockStructure` — the block statistics Fig. 2 measures on
+  a site tensor with given bond indices (for instance the exact fusion
+  structure :func:`repro.mps.mps.bond_structure` computes); the geometric
+  model is a smooth fit to it.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import List
 
 import numpy as np
 
-from ..mps.mps import bond_structure
-from ..mps.sites import SiteSet
 from ..symmetry import Index
 
 
@@ -54,18 +52,6 @@ class GeometricBlockModel:
             l += 1
         return dims if dims else [1]
 
-    def num_blocks(self, m: int) -> int:
-        """Number of bond sectors."""
-        return len(self.block_dims(m))
-
-    def largest_block(self, m: int) -> int:
-        """Largest bond-sector dimension (scales ~ m, cf. Fig. 2a bottom)."""
-        return self.block_dims(m)[0]
-
-    def total_dim(self, m: int) -> int:
-        """Sum of sector dimensions (the effective bond dimension)."""
-        return int(sum(self.block_dims(m)))
-
     def bond_index(self, m: int, flow: int = 1, tag: str = "bond") -> Index:
         """A symmetric :class:`Index` realizing the model's block structure.
 
@@ -78,20 +64,6 @@ class GeometricBlockModel:
         dims = self.block_dims(m)
         return Index([(l,) for l in range(len(dims))], dims, flow=flow,
                      tag=tag)
-
-    def fill_fraction(self, m: int, d: int = 2) -> float:
-        """Fraction of a dense ``m x d x m`` MPS tensor that is stored.
-
-        An MPS site tensor has one block per compatible (left, physical,
-        right) sector combination; with one conserved charge per physical
-        state, each (left sector, physical state) pair matches exactly one
-        right sector, so the stored volume is ``d * sum_l b_l * b'_l``.
-        """
-        dims = np.asarray(self.block_dims(m), dtype=float)
-        total = dims.sum()
-        stored = d * float((dims * dims).sum())
-        dense = d * total * total
-        return stored / dense if dense > 0 else 0.0
 
     @classmethod
     def fit(cls, block_dims: List[int], name: str = "fit") -> "GeometricBlockModel":
@@ -108,22 +80,6 @@ class GeometricBlockModel:
         r = float(np.exp(coeffs[0]))
         q = float(m / np.exp(coeffs[1]))
         return cls(q=q, r=min(max(r, 1e-3), 0.999), name=name)
-
-
-def structural_bond_index(sites: SiteSet, total_charge, bond_dim: int,
-                          bond: int | None = None,
-                          drop_small_sectors: bool = True) -> Index:
-    """The exact quantum-number structure of a representative MPS bond.
-
-    ``bond`` defaults to the middle of the chain, where the block structure is
-    richest (the tensors Fig. 2 measures).  Sectors whose share of the bond
-    dimension rounds to zero are dropped, as SVD truncation would do.
-    """
-    bonds = bond_structure(sites, tuple(total_charge), bond_dim,
-                           drop_small_sectors=drop_small_sectors)
-    if bond is None:
-        bond = len(sites) // 2
-    return bonds[bond]
 
 
 @dataclass

@@ -46,12 +46,6 @@ class FlopCounter:
         """Total flops recorded across all categories."""
         return self.gemm + self.svd + self.other
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.gemm = 0.0
-        self.svd = 0.0
-        self.other = 0.0
-
     def snapshot(self) -> dict[str, float]:
         """Return a plain-dict copy of the current counts."""
         return {"gemm": self.gemm, "svd": self.svd, "other": self.other,
@@ -69,11 +63,6 @@ def global_counter() -> FlopCounter:
 def add_flops(n: float, category: str = "gemm") -> None:
     """Record flops on the process-global counter."""
     _GLOBAL.add(n, category)
-
-
-def reset_flops() -> None:
-    """Reset the process-global counter."""
-    _GLOBAL.reset()
 
 
 def total_flops() -> float:

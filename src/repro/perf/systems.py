@@ -38,11 +38,6 @@ class BenchmarkSystem:
         return len(self.sites)
 
     @property
-    def d(self) -> int:
-        """Local physical dimension."""
-        return self.sites[0].dim
-
-    @property
     def mpo_bond_dimension(self) -> int:
         """The MPO bond dimension ``k``."""
         return self.mpo.max_bond_dimension()

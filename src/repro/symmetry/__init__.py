@@ -5,25 +5,22 @@ paper and the list-of-blocks tensor representation of Section IV-A, including
 Algorithm 2 (block-pair contraction) and block-wise truncated SVD/QR.
 """
 
-from .charges import (Charge, add_charges, negate_charge, scale_charge,
-                      sum_charges, zero_charge)
+from .charges import Charge, add_charges, negate_charge, zero_charge
 from .index import Index, fuse_indices
-from .block_tensor import BlockSparseTensor, contract, outer
+from .block_tensor import BlockSparseTensor
 from .blockops import BlockOps, NumpyOps, resolve_block_ops
-from .linalg import (SingularSpectrum, TruncationInfo, qr, spectrum_tensor,
-                     svd)
+from .linalg import SingularSpectrum, TruncationInfo, qr, svd
 from .planner import (ContractionPlan, PlanCache, build_plan,
                       tensor_signature)
 from .engine import contract_planned, execute_plan
 from .matvec import MatvecCompiler, MatvecStage
-from .reshape import FusedMode, fuse_modes, matricize, split_mode
+from .reshape import FusedMode, fuse_modes
 
 __all__ = [
-    "Charge", "add_charges", "negate_charge", "scale_charge", "sum_charges",
-    "zero_charge", "Index", "fuse_indices", "BlockSparseTensor", "contract",
-    "outer", "SingularSpectrum", "TruncationInfo", "qr", "spectrum_tensor",
-    "svd", "ContractionPlan", "PlanCache", "build_plan", "tensor_signature",
+    "Charge", "add_charges", "negate_charge", "zero_charge", "Index",
+    "fuse_indices", "BlockSparseTensor", "SingularSpectrum", "TruncationInfo",
+    "qr", "svd", "ContractionPlan", "PlanCache", "build_plan", "tensor_signature",
     "contract_planned", "execute_plan", "MatvecCompiler", "MatvecStage",
-    "FusedMode", "fuse_modes", "matricize", "split_mode",
+    "FusedMode", "fuse_modes",
     "BlockOps", "NumpyOps", "resolve_block_ops",
 ]

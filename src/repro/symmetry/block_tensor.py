@@ -162,13 +162,6 @@ class BlockSparseTensor:
         ds = self.dense_size
         return self.nnz / ds if ds else 0.0
 
-    def largest_block_dims(self) -> Tuple[int, ...]:
-        """Shape of the largest stored block (by element count)."""
-        if not self.blocks:
-            return tuple(0 for _ in self.indices)
-        key = max(self.blocks, key=lambda k: self.blocks[k].size)
-        return tuple(self.blocks[key].shape)
-
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
@@ -319,13 +312,6 @@ class BlockSparseTensor:
             return float(total.real)
         return complex(total)
 
-    def drop_small_blocks(self, tol: float = 0.0) -> "BlockSparseTensor":
-        """Remove blocks whose Frobenius norm is ``<= tol`` (in place)."""
-        for key in [k for k, v in self.blocks.items()
-                    if float(np.linalg.norm(v)) <= tol]:
-            del self.blocks[key]
-        return self
-
     # ------------------------------------------------------------------ #
     # structural transforms
     # ------------------------------------------------------------------ #
@@ -424,21 +410,3 @@ class BlockSparseTensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BlockSparseTensor(shape={self.shape}, blocks={self.num_blocks}, "
                 f"nnz={self.nnz}, flux={self.flux})")
-
-
-def contract(a: BlockSparseTensor, b: BlockSparseTensor,
-             axes: tuple[Sequence[int], Sequence[int]]):
-    """Module-level convenience wrapper around :meth:`BlockSparseTensor.contract`."""
-    return a.contract(b, axes)
-
-
-def outer(a: BlockSparseTensor, b: BlockSparseTensor) -> BlockSparseTensor:
-    """Outer (tensor) product of two block tensors."""
-    out_indices = a.indices + b.indices
-    out_flux = add_charges(a.flux, b.flux)
-    blocks: Dict[BlockKey, np.ndarray] = {}
-    for ka, ba in a.blocks.items():
-        for kb, bb in b.blocks.items():
-            blocks[ka + kb] = np.multiply.outer(ba, bb)
-    return BlockSparseTensor(out_indices, blocks, flux=out_flux,
-                             dtype=np.result_type(a.dtype, b.dtype), check=False)

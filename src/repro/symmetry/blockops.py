@@ -118,15 +118,6 @@ class BlockOps:
                   axes: Tuple[Sequence[int], Sequence[int]]) -> np.ndarray:
         return np.tensordot(a, b, axes=axes)
 
-    # -- vector algebra ----------------------------------------------------
-
-    def norm(self, mat: np.ndarray) -> float:
-        return float(np.linalg.norm(mat))
-
-    def axpy(self, alpha, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Return ``alpha * x + y`` (no aliasing requirements)."""
-        return alpha * x + y
-
     # -- factorizations ----------------------------------------------------
 
     def svd(self, mat: np.ndarray
@@ -137,8 +128,14 @@ class BlockOps:
         on ill-conditioned blocks; fall back to the slower but sturdier
         eigen-decomposition of the Gram matrix in that case.  This is the
         single home for that knob — both the block-sparse truncation path
-        and the ``ctf`` distributed wrappers route through here.
+        and the ``ctf`` distributed wrappers route through here.  A block
+        holding inf or NaN raises ``FloatingPointError`` before LAPACK sees
+        it: LAPACK returns NaN for some such blocks, raises for others and
+        never returns for a 3x3 block with one inf entry.
         """
+        if not np.isfinite(mat).all():
+            raise FloatingPointError(
+                f"non-finite {mat.shape[0]}x{mat.shape[1]} block given to svd")
         try:
             return np.linalg.svd(mat, full_matrices=False)
         except np.linalg.LinAlgError:
@@ -164,12 +161,6 @@ class BlockOps:
     def qr_many(self, mats: Sequence[np.ndarray]
                 ) -> List[Tuple[np.ndarray, np.ndarray]]:
         return [self.qr(m) for m in mats]
-
-    # -- introspection -----------------------------------------------------
-
-    def describe(self) -> dict:
-        """Metadata naming the implementation."""
-        return {"name": self.name}
 
 
 #: Alias making the default implementation's role explicit at call sites.

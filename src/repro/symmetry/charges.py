@@ -13,7 +13,7 @@ single dense block.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Charge = Tuple[int, ...]
 
@@ -33,24 +33,6 @@ def add_charges(a: Charge, b: Charge) -> Charge:
 def negate_charge(a: Charge) -> Charge:
     """Group inverse of a charge."""
     return tuple(-x for x in a)
-
-
-def scale_charge(a: Charge, s: int) -> Charge:
-    """Multiply a charge by an integer (repeated group product)."""
-    return tuple(s * x for x in a)
-
-
-def sum_charges(charges: Iterable[Charge], nsym: int) -> Charge:
-    """Sum an iterable of charges, returning the zero charge when empty."""
-    total = zero_charge(nsym)
-    for c in charges:
-        total = add_charges(total, c)
-    return total
-
-
-def charge_rank(charge: Charge) -> int:
-    """Number of U(1) factors the charge lives in."""
-    return len(charge)
 
 
 def validate_charge(charge: Sequence[int], nsym: int) -> Charge:

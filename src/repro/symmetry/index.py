@@ -13,7 +13,7 @@ This is the same bookkeeping ITensor's ``QN Index`` and the paper's
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -83,20 +83,9 @@ class Index:
         """Charge of sector ``s``."""
         return self.sectors[s]
 
-    def sector_offset(self, s: int) -> int:
-        """Offset of sector ``s`` in the dense (unfolded) index range."""
-        return int(self._offsets[s])
-
     def sector_slice(self, s: int) -> slice:
         """Dense slice covered by sector ``s``."""
         return slice(int(self._offsets[s]), int(self._offsets[s + 1]))
-
-    def charge_lookup(self) -> dict[Charge, list[int]]:
-        """Map charge -> list of sector ids carrying that charge."""
-        out: dict[Charge, list[int]] = {}
-        for i, q in enumerate(self.sectors):
-            out.setdefault(q, []).append(i)
-        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -104,14 +93,6 @@ class Index:
                 tag: str = "") -> "Index":
         """A single-sector index carrying the zero charge."""
         return cls([zero_charge(nsym)], [dim], flow=flow, tag=tag)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Sequence[int], int]],
-                   flow: int = 1, tag: str = "") -> "Index":
-        """Build an index from ``(charge, dim)`` pairs."""
-        pairs = list(pairs)
-        return cls([p[0] for p in pairs], [p[1] for p in pairs],
-                   flow=flow, tag=tag)
 
     # -- transformations ---------------------------------------------------
     def dual(self) -> "Index":
@@ -125,15 +106,6 @@ class Index:
     def with_tag(self, tag: str) -> "Index":
         """Copy of the index with a new tag."""
         return Index(self.sectors, self.dims, flow=self.flow, tag=tag)
-
-    def merged(self) -> "Index":
-        """Merge sectors with equal charges (dims add); sorted by charge."""
-        acc: dict[Charge, int] = {}
-        for q, d in zip(self.sectors, self.dims):
-            acc[q] = acc.get(q, 0) + d
-        items = sorted(acc.items())
-        return Index([q for q, _ in items], [d for _, d in items],
-                     flow=self.flow, tag=self.tag)
 
     # -- comparison --------------------------------------------------------
     def same_space(self, other: "Index") -> bool:

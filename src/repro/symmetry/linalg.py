@@ -31,11 +31,6 @@ class SingularSpectrum:
     charges: List[Charge]
     values: List[np.ndarray]
 
-    @property
-    def total_dim(self) -> int:
-        """Total number of kept singular values."""
-        return int(sum(len(v) for v in self.values))
-
     def all_values(self) -> np.ndarray:
         """All kept singular values, unsorted across sectors."""
         if not self.values:
@@ -208,6 +203,10 @@ def svd(t: BlockSparseTensor, row_axes: Sequence[int],
     else:
         flat = np.zeros(0)
     total_weight = float(flat.sum())
+    if not np.isfinite(total_weight):
+        raise FloatingPointError(f"non-finite singular-value weight "
+                                 f"{total_weight!r}: the squared values "
+                                 "overflow or the factorization gave NaN")
 
     # Global truncation: sort all singular values, keep the largest until the
     # bond-dimension cap is hit, then drop any trailing weight below cutoff.
@@ -366,18 +365,3 @@ def qr(t: BlockSparseTensor, row_axes: Sequence[int],
     R = BlockSparseTensor(r_idx, r_blocks, flux=t.flux, dtype=out_dtype,
                           check=False)
     return Q, R
-
-
-def spectrum_tensor(spec: SingularSpectrum, left: Index | None = None,
-                    dtype=np.float64) -> BlockSparseTensor:
-    """Represent a singular spectrum as a diagonal order-2 block tensor.
-
-    The left index flows out of U (flow +1 here since it is the dual of U's
-    new bond) and the right index flows into Vh.
-    """
-    dims = [len(v) for v in spec.values]
-    li = Index(spec.charges, dims, flow=1, tag="s_left") if left is None else left
-    ri = Index(spec.charges, dims, flow=-1, tag="s_right")
-    blocks = {(i, i): np.diag(v).astype(dtype) for i, v in enumerate(spec.values)}
-    return BlockSparseTensor((li, ri), blocks, flux=zero_charge(len(spec.charges[0])),
-                             dtype=dtype, check=False)

@@ -1,15 +1,15 @@
-"""Fusing and splitting of block-sparse tensor modes.
+"""Fusing of block-sparse tensor modes.
 
 Several DMRG operations need to merge a group of tensor modes into a single
-mode (and later undo the merge): applying an MPO to an MPS multiplies bond
+mode: applying an MPO to an MPS multiplies bond
 dimensions (``m -> k*m``), and the paper's SVD path "wraps" tensor indices to
 form an effective order-2 matrix with a row index and a column index
 (Section IV-A).  With quantum numbers, merging modes means combining charge
 sectors: every combination of input sectors lands at a well-defined offset
 inside the fused sector carrying the combined charge.
 
-:func:`fuse_modes` performs the merge and records enough bookkeeping
-(:class:`FusedMode`) for :func:`split_mode` to reverse it exactly.  The fused
+:func:`fuse_modes` performs the merge and records its bookkeeping
+(:class:`FusedMode`: where each combination of input sectors landed).  The fused
 index produced here is interchangeable with the one :func:`~repro.symmetry.index.fuse_indices`
 computes (same sector order, same offsets), which is what guarantees that two
 independently fused bonds on neighbouring tensors remain contractible.
@@ -28,7 +28,8 @@ from .index import Index, fuse_indices
 
 @dataclass
 class FusedMode:
-    """Bookkeeping needed to split a fused mode back into its originals.
+    """Bookkeeping of one fused mode: where each original sector combination
+    lands inside the fused index.
 
     Attributes
     ----------
@@ -80,8 +81,7 @@ def fuse_modes(t: BlockSparseTensor, groups: Sequence[Sequence[int]],
     -------
     (fused_tensor, fused_modes):
         The reshaped tensor and a list of :class:`FusedMode` records, one per
-        group of length > 1 (pass-through modes produce no record), that
-        :func:`split_mode` consumes to undo the fuse.
+        group of length > 1 (pass-through modes produce no record).
     """
     flat = [ax for grp in groups for ax in grp]
     if sorted(flat) != list(range(t.ndim)):
@@ -140,68 +140,3 @@ def fuse_modes(t: BlockSparseTensor, groups: Sequence[Sequence[int]],
         blocks[key_out][tuple(out_slices)] = blk.reshape(out_shape)
     out.blocks = blocks
     return out, records
-
-
-def split_mode(t: BlockSparseTensor, axis: int, fused: FusedMode,
-               drop_zero_blocks: bool = True,
-               zero_tol: float = 0.0) -> BlockSparseTensor:
-    """Split a previously fused mode back into its original indices.
-
-    ``axis`` is the position of the fused mode in ``t`` (it need not equal
-    ``fused.axis``; the tensor may have been permuted or contracted since the
-    fuse).  The sectors of ``t.indices[axis]`` must be those of
-    ``fused.index`` (the flow may have been reversed by a ``conj``/dual).
-    """
-    axis = int(axis) % t.ndim
-    target = t.indices[axis]
-    if not target.same_space(fused.index):
-        raise ValueError("tensor index does not match the fused mode record")
-    flip = target.flow != fused.index.flow
-
-    new_originals = tuple(ix.dual() if flip else ix
-                          for ix in fused.original_indices)
-    out_indices = (t.indices[:axis] + new_originals + t.indices[axis + 1:])
-
-    blocks: Dict[BlockKey, np.ndarray] = {}
-    for key, blk in t.blocks.items():
-        sector = key[axis]
-        for combo, (fsec, offset) in fused.fusemap.items():
-            if fsec != sector:
-                continue
-            d = fused.combo_dim(combo)
-            sl = [slice(None)] * t.ndim
-            sl[axis] = slice(offset, offset + d)
-            piece = blk[tuple(sl)]
-            if drop_zero_blocks and float(np.abs(piece).max(initial=0.0)) <= zero_tol:
-                continue
-            combo_shape = tuple(ix.sector_dim(s)
-                                for ix, s in zip(fused.original_indices, combo))
-            new_shape = blk.shape[:axis] + combo_shape + blk.shape[axis + 1:]
-            new_key = key[:axis] + tuple(combo) + key[axis + 1:]
-            blocks[new_key] = np.ascontiguousarray(piece.reshape(new_shape))
-    return BlockSparseTensor(out_indices, blocks, flux=t.flux, dtype=t.dtype,
-                             check=False)
-
-
-def matricize(t: BlockSparseTensor, row_axes: Sequence[int],
-              col_axes: Sequence[int] | None = None
-              ) -> Tuple[BlockSparseTensor, FusedMode | None, FusedMode | None]:
-    """Wrap a tensor into an effective order-2 (matrix) block tensor.
-
-    This is the "indices are 'wrapped' to form an effective order-2 matrix
-    with a row index and a column index" step of the paper's SVD path.
-    Returns the matrix along with the row/column :class:`FusedMode` records
-    (``None`` when the corresponding group had a single mode).
-    """
-    row_axes = [int(a) % t.ndim for a in row_axes]
-    if col_axes is None:
-        col_axes = [a for a in range(t.ndim) if a not in row_axes]
-    else:
-        col_axes = [int(a) % t.ndim for a in col_axes]
-    if sorted(row_axes + col_axes) != list(range(t.ndim)):
-        raise ValueError("row_axes and col_axes must partition the tensor modes")
-    mat, recs = fuse_modes(t, [row_axes, col_axes], flows=[1, -1],
-                           tags=["row", "col"])
-    row_rec = next((r for r in recs if r.axis == 0), None)
-    col_rec = next((r for r in recs if r.axis == 1), None)
-    return mat, row_rec, col_rec

@@ -159,6 +159,45 @@ class TestLintRules:
             [("pragma-stale", 5)]
 
 
+class TestTestOnlyRule:
+    """The ``test-only`` rule: a library function no program file uses."""
+
+    def test_flags_functions_only_tests_could_reach(self, tmp_path):
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text('__all__ = ["orphan"]\n')
+        (pkg / "lib.py").write_text(textwrap.dedent("""
+            class Engine:
+                def run(self):
+                    return self.step()
+                def step(self):
+                    return 1
+                def spare(self):
+                    return self.spare()
+                def kept(self):  # repro-lint: ok(test-only): test oracle
+                    return 0
+                def __len__(self):
+                    return 0
+            def orphan():
+                return 2
+            def _resolved():
+                return 3
+        """), encoding="utf-8")
+        tools = tmp_path / "tools"
+        tools.mkdir()
+        (tools / "cli.py").write_text(textwrap.dedent("""
+            from repro.lib import Engine
+            Engine().run()
+            TARGET = "repro.lib:_resolved"
+        """), encoding="utf-8")
+        report = run_lint(root=pkg, callers=[tools])
+        assert [(f.rule, f.path, f.line) for f in report.findings] == [
+            ("test-only", "lib.py", 7), ("test-only", "lib.py", 13)]
+        assert report.suppressed == 1
+        # without the program around it, the rule does not run
+        assert run_lint(root=pkg).ok
+
+
 def test_repo_lints_clean():
     """The gate itself: ``src/repro`` has no unsuppressed violations."""
     report = run_lint()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.symmetry import BlockSparseTensor, Index, qr, svd
-from repro.symmetry.linalg import spectrum_tensor
 
 
 @pytest.fixture
@@ -59,8 +58,9 @@ class TestSVD:
 
     def test_absorb_none_reconstruction(self, tensor):
         u, s, vh, _ = svd(tensor, row_axes=[0, 1])
-        smat = spectrum_tensor(s)
-        rec = u.contract(smat, axes=([2], [0])).contract(vh, axes=([2], [0]))
+        for key, blk in vh.blocks.items():   # absorb S into Vh by hand
+            blk *= s.values[key[0]][:, None]
+        rec = u.contract(vh, axes=([2], [0]))
         assert np.allclose(rec.to_dense(), tensor.to_dense())
 
     def test_invalid_absorb(self, tensor):
@@ -74,6 +74,21 @@ class TestSVD:
     def test_spectrum_entropy_nonnegative(self, tensor):
         _, s, _, _ = svd(tensor, row_axes=[0, 1])
         assert s.entanglement_entropy() >= 0.0
+
+    def test_non_finite_block_raises(self, tensor):
+        """LAPACK returns NaN, raises or never returns on an inf block; the
+        SVD refuses it before LAPACK sees it."""
+        key = next(iter(tensor.blocks))
+        tensor.blocks[key][...] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            svd(tensor, row_axes=[0, 1], max_dim=4)
+
+    def test_overflowing_weight_raises(self, tensor):
+        """Finite blocks whose squared singular values overflow would make
+        every truncation weight NaN; the SVD says so instead."""
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite"):
+            svd(tensor * 1e200, row_axes=[0, 1], max_dim=4)
 
     def test_new_bond_flux_convention(self, tensor):
         """U carries zero flux; Vh carries the flux of the input tensor."""

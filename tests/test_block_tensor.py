@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.symmetry import BlockSparseTensor, Index, outer
+from repro.symmetry import BlockSparseTensor, Index
 from repro.perf import count_flops
 
 
@@ -91,14 +91,6 @@ class TestAlgebra:
         other = random_tensor.transpose([1, 0, 2])
         with pytest.raises(ValueError):
             random_tensor + other
-
-    def test_drop_small_blocks(self, random_tensor):
-        t = random_tensor.copy()
-        key = next(iter(t.blocks))
-        t.blocks[key] = t.blocks[key] * 1e-16
-        before = t.num_blocks
-        t.drop_small_blocks(1e-12)
-        assert t.num_blocks == before - 1
 
     def test_conj_flips_flows_and_flux(self, small_indices, rng):
         t = BlockSparseTensor.random(small_indices, flux=(1,), rng=rng)
@@ -198,14 +190,6 @@ class TestContraction:
             a.contract(b, axes=([2], [0]))
         assert counter.gemm > 0
 
-    def test_outer_product(self, rng):
-        i1 = Index([(0,), (1,)], [1, 2], flow=1)
-        a = BlockSparseTensor.random([i1, i1.dual()], flux=(0,), rng=rng)
-        b = BlockSparseTensor.random([i1, i1.dual()], flux=(0,), rng=rng)
-        o = outer(a, b)
-        ref = np.multiply.outer(a.to_dense(), b.to_dense())
-        assert np.allclose(o.to_dense(), ref)
-
     def test_nonzero_flux_contraction(self, rng):
         """Contraction of tensors with nonzero flux adds the fluxes."""
         i1 = Index([(0,), (1,)], [2, 2], flow=1)
@@ -224,11 +208,6 @@ class TestStructure:
                                         random_tensor.blocks.values())
         assert 0 < random_tensor.fill_fraction <= 1.0
         assert random_tensor.dense_size == np.prod(random_tensor.shape)
-
-    def test_largest_block_dims(self, random_tensor):
-        dims = random_tensor.largest_block_dims()
-        sizes = [b.size for b in random_tensor.blocks.values()]
-        assert int(np.prod(dims)) == max(sizes)
 
     def test_allowed_keys_superset_of_blocks(self, random_tensor):
         allowed = set(random_tensor.allowed_keys())

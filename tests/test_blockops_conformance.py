@@ -159,13 +159,6 @@ class TestKernelConformance:
                              [impl.qr(m) for m in mats]):
             _assert_all_equal(got, want)
 
-    def test_vector_algebra_and_dtypes(self, impl, compute):
-        rng = np.random.default_rng(18)
-        x = rng.standard_normal((6, 7))
-        y = rng.standard_normal((6, 7))
-        assert impl.norm(x) == float(np.linalg.norm(x))
-        np.testing.assert_array_equal(impl.axpy(0.5, x, y), 0.5 * x + y)
-
     def test_prepare_roundtrips_values_and_layout(self, impl, compute):
         rng = np.random.default_rng(19)
         plain = rng.standard_normal((20, 30))

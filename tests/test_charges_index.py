@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.symmetry import (Index, add_charges, fuse_indices, negate_charge,
-                            scale_charge, sum_charges, zero_charge)
-from repro.symmetry.charges import charge_rank, validate_charge
+                            zero_charge)
+from repro.symmetry.charges import validate_charge
 
 
 class TestCharges:
@@ -23,16 +23,6 @@ class TestCharges:
     def test_negate(self):
         assert negate_charge((2, -3)) == (-2, 3)
 
-    def test_scale(self):
-        assert scale_charge((1, -1), 3) == (3, -3)
-
-    def test_sum(self):
-        assert sum_charges([(1,), (2,), (-4,)], 1) == (-1,)
-        assert sum_charges([], 2) == (0, 0)
-
-    def test_rank(self):
-        assert charge_rank((1, 2, 3)) == 3
-
     def test_validate(self):
         assert validate_charge([1, 2], 2) == (1, 2)
         with pytest.raises(ValueError):
@@ -47,7 +37,6 @@ class TestIndex:
         assert ix.nsym == 1
         assert ix.sector_dim(1) == 4
         assert ix.sector_charge(1) == (2,)
-        assert ix.sector_offset(1) == 3
         assert ix.sector_slice(0) == slice(0, 3)
 
     def test_invalid_flow(self):
@@ -79,13 +68,6 @@ class TestIndex:
         b = Index([(0,), (2,)], [2, 2], flow=-1)
         assert not a.can_contract_with(b)
 
-    def test_merged(self):
-        ix = Index([(1,), (0,), (1,)], [2, 1, 3], flow=1)
-        merged = ix.merged()
-        assert merged.sectors == ((0,), (1,))
-        assert merged.dims == (1, 5)
-        assert merged.dim == ix.dim
-
     def test_with_flow_and_tag(self):
         ix = Index([(0,)], [1], flow=1, tag="a")
         assert ix.with_flow(-1).flow == -1
@@ -96,18 +78,6 @@ class TestIndex:
         b = Index([(0,), (1,)], [1, 2], flow=1)
         assert a == b and hash(a) == hash(b)
         assert a != a.dual()
-
-    def test_charge_lookup(self):
-        ix = Index([(0,), (1,), (0,)], [1, 2, 3], flow=1)
-        lookup = ix.charge_lookup()
-        assert lookup[(0,)] == [0, 2]
-        assert lookup[(1,)] == [1]
-
-    def test_from_pairs(self):
-        ix = Index.from_pairs([((0,), 2), ((1,), 3)], flow=-1)
-        assert ix.dims == (2, 3)
-        assert ix.flow == -1
-
 
 class TestFuse:
     def test_fuse_dims(self):

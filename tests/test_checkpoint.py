@@ -1,11 +1,11 @@
-"""Tests for MPS/MPO serialization and DMRG checkpointing."""
+"""Tests for MPS serialization and DMRG checkpointing."""
 
 import numpy as np
 import pytest
 
 from repro.dmrg import (Checkpoint, DMRGConfig, Sweeps, dmrg, load_checkpoint,
-                        load_mpo, load_mps, resume_sweep_schedule,
-                        run_dmrg, save_checkpoint, save_mpo, save_mps)
+                        load_mps, resume_sweep_schedule, run_dmrg,
+                        save_checkpoint, save_mps)
 from repro.ed import ground_state_energy
 from repro.models import heisenberg_chain_model, hubbard_chain_model
 from repro.mps import MPS, build_mpo, overlap
@@ -56,8 +56,8 @@ class TestMPSRoundTrip:
             load_mps(path, small_sites)
 
     def test_wrong_kind_rejected(self, spin_problem, tmp_path):
-        sites, _, mpo, _, _ = spin_problem
-        path = save_mpo(tmp_path / "h.npz", mpo)
+        sites, _, _, psi0, _ = spin_problem
+        path = save_checkpoint(tmp_path / "c.npz", psi0, completed_sweeps=0)
         with pytest.raises(ValueError):
             load_mps(path, sites)
 
@@ -68,19 +68,6 @@ class TestMPSRoundTrip:
                          bond_dim=8, rng=rng)
         loaded = load_mps(save_mps(tmp_path / "e.npz", psi), sites)
         assert np.allclose(loaded.to_dense_vector(), psi.to_dense_vector())
-
-
-class TestMPORoundTrip:
-    def test_mpo_round_trip(self, spin_problem, tmp_path):
-        sites, _, mpo, _, _ = spin_problem
-        loaded = load_mpo(save_mpo(tmp_path / "h.npz", mpo), sites)
-        assert loaded.bond_dimensions() == mpo.bond_dimensions()
-        assert np.allclose(loaded.to_dense_matrix(), mpo.to_dense_matrix())
-
-    def test_mpo_expectation_after_reload(self, spin_problem, tmp_path):
-        sites, _, mpo, psi0, _ = spin_problem
-        loaded = load_mpo(save_mpo(tmp_path / "h2.npz", mpo), sites)
-        assert loaded.expectation(psi0) == pytest.approx(mpo.expectation(psi0))
 
 
 class TestCheckpointResume:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ctf import (BLUE_WATERS, LAPTOP, MACHINES, STAMPEDE2, CATEGORIES,
+from repro.ctf import (BLUE_WATERS, MACHINES, STAMPEDE2, CATEGORIES,
                        CommCost, Profiler, SimWorld,
                        blockwise_contraction_comm, dense_contraction_comm,
                        load_imbalance_fraction, parallel_gemm_efficiency,
@@ -25,11 +25,6 @@ class TestMachineAndBSP:
     def test_comm_includes_latency(self):
         t = STAMPEDE2.comm_seconds(0.0, 4, supersteps=10)
         assert t == pytest.approx(10 * STAMPEDE2.network_latency_us * 1e-6)
-
-    def test_with_overrides(self):
-        m = LAPTOP.with_overrides(gemm_gflops_per_node=1.0)
-        assert m.gemm_gflops_per_node == 1.0
-        assert LAPTOP.gemm_gflops_per_node != 1.0
 
     def test_bsp_comm_scaling(self):
         dense = dense_contraction_comm(1e6, 1e6, 1e6, 64)
@@ -65,17 +60,6 @@ class TestProfilerAndWorld:
             Profiler().add("disk", 1.0)
         with pytest.raises(ValueError):
             Profiler().add("gemm", -1.0)
-
-    def test_merge_and_reset(self):
-        a, b = Profiler(), Profiler()
-        a.add("gemm", 1.0)
-        b.add("svd", 2.0)
-        b.add_flops(10.0)
-        a.merge(b)
-        assert a.total_seconds() == pytest.approx(3.0)
-        assert a.flops == 10.0
-        a.reset()
-        assert a.total_seconds() == 0.0
 
     def test_world_memory_check(self):
         w = SimWorld(nodes=2, procs_per_node=16, machine=BLUE_WATERS)

@@ -12,6 +12,7 @@ from repro.models import (heisenberg_chain_model, hubbard_chain_model,
                           tfim_model, triangular_hubbard_model)
 from repro.mps import MPS, build_mpo
 from repro.symmetry import BlockSparseTensor, Index
+from repro.symmetry.blockops import BlockOps
 
 
 class TestDavidson:
@@ -77,15 +78,6 @@ class TestEnvironments:
         energy = float(np.real(x.inner(heff.apply(x))))
         assert energy == pytest.approx(mpo.expectation(psi), abs=1e-10)
 
-    def test_environment_memory_counter(self, spin_chain_problem):
-        sites = spin_chain_problem["sites"]
-        mpo = spin_chain_problem["mpo"]
-        psi = MPS.product_state(sites, spin_chain_problem["config"])
-        psi.canonicalize(0)
-        envs = EnvironmentCache(psi, mpo)
-        envs.right(1)
-        assert envs.memory_elements() > 0
-
     def test_invalidate_all(self, spin_chain_problem):
         sites = spin_chain_problem["sites"]
         mpo = spin_chain_problem["mpo"]
@@ -94,7 +86,9 @@ class TestEnvironments:
         envs = EnvironmentCache(psi, mpo)
         envs.right(0)
         envs.invalidate_all()
-        assert envs.memory_elements() == 2 * 1  # only the trivial edges
+        # only the trivial edges stay cached
+        assert [e is not None for e in envs._left + envs._right] == \
+            [True] + [False] * (2 * len(psi) - 2) + [True]
 
 
 class TestDMRGGroundStates:
@@ -202,6 +196,23 @@ class TestNonFiniteTripwire:
                                  spin_chain_problem["config"])
         with pytest.raises(FloatingPointError) as info:
             dmrg(mpo, psi0, DMRGConfig(sweeps=Sweeps.fixed(8, 2)))
+        assert "sweep 0, site 0, direction right" in info.value.__notes__
+
+    def test_nan_in_split_raises_with_its_location(self, spin_chain_problem):
+        """A NaN reaching the bond SVD stops the split with a
+        ``FloatingPointError`` (not LAPACK's bare convergence failure), and
+        the sweep names the bond as it does for Davidson."""
+        class NaNSvdOps(BlockOps):
+            def svd(self, mat):
+                return super().svd(mat * np.nan)
+
+        mpo = build_mpo(spin_chain_problem["opsum"],
+                        spin_chain_problem["sites"])
+        psi0 = MPS.product_state(spin_chain_problem["sites"],
+                                 spin_chain_problem["config"])
+        with pytest.raises(FloatingPointError, match="non-finite") as info:
+            dmrg(mpo, psi0, DMRGConfig(sweeps=Sweeps.fixed(8, 2)),
+                 backend=DirectBackend(block_ops=NaNSvdOps()))
         assert "sweep 0, site 0, direction right" in info.value.__notes__
 
 

@@ -173,7 +173,7 @@ class TestScheduler:
             assert (record / "attempt-000" / "report.json").is_file()
             assert (record / "attempt-000" / "meta.json").is_file()
             rec = registry.load(spec.run_id)
-            assert rec.completed
+            assert rec.status == "completed"
             assert rec.report["run_id"] == spec.run_id
             assert rec.report["spec"] == spec.to_dict()
         # re-execution is skipped via the content-hash lookup
@@ -253,7 +253,7 @@ class TestResume:
         result = run_campaign([spec], registry=registry, workers=0)
         assert result.completed == 1
         rec = registry.load(spec.run_id)
-        assert rec.completed
+        assert rec.status == "completed"
         assert rec.report["resumed_sweeps"] == 4
         assert rec.energy == pytest.approx(reference.energies[0], abs=1e-10)
         # the scratch checkpoint is cleaned up after completion
@@ -287,7 +287,7 @@ class TestResume:
         result = run_campaign([spec], registry=registry, workers=0)
         assert result.completed == 1
         rec = registry.load(spec.run_id)
-        assert rec.completed
+        assert rec.status == "completed"
         assert rec.report["resumed_sweeps"] == 0
         assert rec.energy == pytest.approx(reference.energies[0], abs=1e-12)
 
@@ -411,7 +411,7 @@ class TestRegistryDiff:
         assert registry.latest(spec) is None
         _fake_record(registry, spec, modelled_seconds=1.0, energy=-3.0)
         rec = registry.latest(spec)
-        assert rec is not None and rec.completed
+        assert rec is not None and rec.status == "completed"
         assert len(registry.attempt_dirs(spec.run_id)) == 2
 
     def test_prefix_resolution(self, tmp_path):

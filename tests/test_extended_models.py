@@ -5,7 +5,7 @@ import pytest
 
 from repro.dmrg import run_dmrg
 from repro.ed import ground_state_energy
-from repro.models import (available_models, build_model, doped_configuration,
+from repro.models import (available_models, build_model,
                           extended_hubbard_opsum, get_model,
                           square_hubbard_model, uv_hubbard_chain_model)
 from repro.models.lattices import chain
@@ -62,27 +62,13 @@ class TestSquareHubbard:
 
 
 class TestDopedConfiguration:
-    def test_hole_count(self):
-        config = doped_configuration(12, 2)
-        assert config.count("Emp") == 2
-        assert len(config) == 12
-
-    def test_zero_holes_is_half_filled(self):
-        config = doped_configuration(8, 0)
-        assert config.count("Emp") == 0
-        assert config.count("Up") == config.count("Dn") == 4
-
-    def test_invalid_hole_count(self):
-        with pytest.raises(ValueError):
-            doped_configuration(4, 5)
-
     def test_doped_sector_reachable_by_dmrg(self):
         """A doped Hubbard chain converges to the ED energy of that sector."""
         from repro.models import hubbard_opsum, hubbard_sites
         lat = chain(4)
         sites = hubbard_sites(4)
         opsum = hubbard_opsum(lat, t=1.0, u=4.0)
-        config = doped_configuration(4, 2)
+        config = ["Emp", "Up", "Emp", "Dn"]          # two holes, Sz = 0
         mpo = build_mpo(opsum, sites)
         psi0 = MPS.product_state(sites, config)
         exact = ground_state_energy(opsum, sites,

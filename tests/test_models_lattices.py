@@ -12,7 +12,6 @@ from repro.models import (chain, heisenberg_opsum, hubbard_opsum,
                           j1j2_cylinder_model, square_cylinder,
                           triangular_cylinder_xc, triangular_hubbard_model,
                           tfim_opsum)
-from repro.models.lattices import Bond
 
 
 class TestLattices:
@@ -20,7 +19,7 @@ class TestLattices:
         lat = chain(5)
         assert lat.nsites == 5
         assert len(lat.bonds) == 4
-        assert lat.interaction_range() == 1
+        assert max(abs(b.i - b.j) for b in lat.bonds) == 1
 
     def test_chain_periodic(self):
         lat = chain(5, periodic=True)
@@ -41,7 +40,7 @@ class TestLattices:
     def test_paper_spin_lattice(self):
         lat = square_cylinder(20, 10)
         assert lat.nsites == 200
-        assert lat.interaction_range() <= 2 * 10 + 1
+        assert max(abs(b.i - b.j) for b in lat.bonds) <= 2 * 10 + 1
 
     def test_triangular_cylinder(self):
         lat = triangular_cylinder_xc(6, 6)
@@ -53,20 +52,8 @@ class TestLattices:
             degrees[b.j] += 1
         assert max(degrees) == 6
 
-    def test_column_helpers(self):
-        lat = square_cylinder(4, 3)
-        assert lat.column_of_site(0) == 0
-        assert lat.column_of_site(11) == 3
-        assert lat.sites_in_column(1) == [3, 4, 5]
-
-    def test_networkx_export(self):
-        lat = square_cylinder(3, 3)
-        g = lat.to_networkx()
-        assert g.number_of_nodes() == 9
-        assert g.number_of_edges() == len({(b.i, b.j) for b in lat.bonds})
-
     def test_runner_import_leaves_networkx_and_scipy_unloaded(self):
-        """Only ``to_networkx`` needs networkx and only exact
+        """Nothing in the program imports networkx and only exact
         diagonalization needs scipy; importing the run path loads neither."""
         code = ("import sys, repro.exp.runner\n"
                 "print(sorted({'networkx', 'scipy'} & set(sys.modules)))")
@@ -76,11 +63,6 @@ class TestLattices:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, check=True)
         assert out.stdout.strip() == "[]"
-
-    def test_bond_ordering(self):
-        b = Bond(5, 2, "nn").ordered()
-        assert (b.i, b.j) == (2, 5)
-
 
 class TestModelOpSums:
     def test_heisenberg_term_count(self):

@@ -1,12 +1,12 @@
-"""Tests for MPS algebra: addition, MPO application, compression."""
+"""Tests for the exact MPO-MPS product behind the energy variance."""
 
 import numpy as np
 import pytest
 
+from repro.dmrg.observables import apply_mpo
 from repro.ed import build_hamiltonian
 from repro.models import heisenberg_chain_model, hubbard_chain_model
-from repro.mps import (MPS, add, apply_mpo, build_mpo, compress, distance,
-                       fidelity, overlap, scale, variational_compress)
+from repro.mps import MPS, build_mpo, overlap
 
 
 @pytest.fixture(scope="module")
@@ -32,106 +32,30 @@ def electron_setup():
     return sites, opsum, mpo, psi
 
 
-class TestAdd:
-    def test_addition_matches_dense_vectors(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        out = add(psi, phi, alpha=0.7, beta=-1.3)
-        ref = 0.7 * psi.to_dense_vector() - 1.3 * phi.to_dense_vector()
-        assert np.allclose(out.to_dense_vector(), ref)
-
-    def test_bond_dimensions_add(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        out = add(psi, phi)
-        for b, (da, db) in enumerate(zip(psi.bond_dimensions(),
-                                         phi.bond_dimensions())):
-            assert out.bond_dimensions()[b] == da + db
-
-    def test_self_addition_doubles_norm(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        out = add(psi, psi)
-        assert abs(overlap(out, out)) == pytest.approx(
-            4.0 * abs(overlap(psi, psi)), rel=1e-10)
-
-    def test_subtraction_of_itself_is_zero(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        out = add(psi, psi, alpha=1.0, beta=-1.0)
-        assert abs(overlap(out, out)) < 1e-20
-
-    def test_compressed_addition_preserves_state(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        exact = add(psi, phi)
-        comp = add(psi, phi, compress_result=True, cutoff=1e-14)
-        assert comp.max_bond_dimension() <= exact.max_bond_dimension()
-        assert np.allclose(comp.to_dense_vector(), exact.to_dense_vector(),
-                           atol=1e-10)
-
-    def test_length_mismatch_rejected(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        _, sites8, opsum8, config8 = heisenberg_chain_model(8)
-        other = MPS.product_state(sites8, config8)
-        with pytest.raises(ValueError):
-            add(psi, other)
-
-    def test_different_total_charge_rejected(self, spin_setup):
-        sites, _, _, psi, _ = spin_setup
-        up_state = MPS.product_state(sites, ["Up"] * len(sites))
-        with pytest.raises(ValueError):
-            add(psi, up_state)
-
-    def test_fermionic_addition(self, electron_setup):
-        sites, _, _, psi = electron_setup
-        rng = np.random.default_rng(17)
-        phi = MPS.random(sites, total_charge=psi.total_charge(), bond_dim=4,
-                         rng=rng)
-        out = add(psi, phi, alpha=2.0, beta=0.5)
-        ref = 2.0 * psi.to_dense_vector() + 0.5 * phi.to_dense_vector()
-        assert np.allclose(out.to_dense_vector(), ref)
-
-
-class TestScale:
-    def test_scale_matches_dense(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        out = scale(psi, -2.5)
-        assert np.allclose(out.to_dense_vector(),
-                           -2.5 * psi.to_dense_vector())
-
-    def test_scale_preserves_bond_dims(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        assert scale(psi, 3.0).bond_dimensions() == psi.bond_dimensions()
-
-
 class TestApplyMPO:
     def test_matches_dense_matrix_vector(self, spin_setup):
         _, _, mpo, psi, _ = spin_setup
-        hpsi = apply_mpo(mpo, psi, compress_result=False)
+        hpsi = apply_mpo(mpo, psi)
         ref = mpo.to_dense_matrix() @ psi.to_dense_vector()
         assert np.allclose(hpsi.to_dense_vector(), ref, atol=1e-10)
 
     def test_matches_dense_for_fermions(self, electron_setup):
         sites, opsum, mpo, psi = electron_setup
-        hpsi = apply_mpo(mpo, psi, compress_result=False)
+        hpsi = apply_mpo(mpo, psi)
         ref = build_hamiltonian(opsum, sites).toarray().real \
             @ psi.to_dense_vector()
         assert np.allclose(hpsi.to_dense_vector(), ref, atol=1e-9)
 
     def test_uncompressed_bond_dimension_is_k_times_m(self, spin_setup):
         _, _, mpo, psi, _ = spin_setup
-        hpsi = apply_mpo(mpo, psi, compress_result=False)
+        hpsi = apply_mpo(mpo, psi)
         for b, m in enumerate(psi.bond_dimensions()):
             k = mpo.bond_dimensions()[b]
             assert hpsi.bond_dimensions()[b] == k * m
 
-    def test_compression_reduces_bond_dimension(self, spin_setup):
-        _, _, mpo, psi, _ = spin_setup
-        exact = apply_mpo(mpo, psi, compress_result=False)
-        comp = apply_mpo(mpo, psi, compress_result=True, cutoff=1e-12)
-        assert comp.max_bond_dimension() <= exact.max_bond_dimension()
-        assert np.allclose(comp.to_dense_vector(), exact.to_dense_vector(),
-                           atol=1e-8)
-
     def test_expectation_value_consistency(self, spin_setup):
         _, _, mpo, psi, _ = spin_setup
-        hpsi = apply_mpo(mpo, psi, compress_result=False)
+        hpsi = apply_mpo(mpo, psi)
         num = overlap(psi, hpsi)
         assert np.real(num) / abs(overlap(psi, psi)) == pytest.approx(
             mpo.expectation(psi), rel=1e-9)
@@ -142,80 +66,3 @@ class TestApplyMPO:
         other = MPS.product_state(sites8, config8)
         with pytest.raises(ValueError):
             apply_mpo(mpo, other)
-
-
-class TestCompress:
-    def test_lossless_compression_is_exact(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        out = compress(psi, cutoff=0.0)
-        assert np.allclose(out.to_dense_vector(), psi.to_dense_vector())
-
-    def test_truncation_caps_bond_dimension(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        big = add(psi, phi)
-        out = compress(big, max_dim=4)
-        assert out.max_bond_dimension() <= 4
-
-    def test_truncated_state_is_close(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        big = add(psi, phi)
-        out = compress(big, max_dim=big.max_bond_dimension(), cutoff=1e-14)
-        assert fidelity(out, big) == pytest.approx(1.0, abs=1e-10)
-
-    def test_normalize_flag(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        out = compress(scale(psi, 5.0), normalize=True)
-        assert abs(overlap(out, out)) == pytest.approx(1.0, rel=1e-10)
-
-    def test_single_site_state(self, spin_setup):
-        sites, _, _, _, _ = spin_setup
-        from repro.mps import SiteSet, SpinHalfSite
-        one = SiteSet.uniform(SpinHalfSite(), 1)
-        psi1 = MPS.product_state(one, ["Up"])
-        out = compress(psi1, max_dim=2)
-        assert np.allclose(out.to_dense_vector(), psi1.to_dense_vector())
-
-
-class TestVariationalCompress:
-    def test_fits_at_full_bond_dimension(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        fitted, fid = variational_compress(psi, psi.max_bond_dimension(),
-                                           nsweeps=2)
-        assert fid == pytest.approx(1.0, abs=1e-8)
-
-    def test_fidelity_reported_matches_recomputed(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        big = add(psi, phi)
-        fitted, fid = variational_compress(big, max_dim=4, nsweeps=3)
-        assert fid == pytest.approx(fidelity(fitted, big), abs=1e-10)
-        assert fitted.max_bond_dimension() <= 4
-
-    def test_not_worse_than_svd_truncation(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        big = add(psi, phi, alpha=1.0, beta=0.3)
-        svd_state = compress(big, max_dim=3)
-        fitted, fid = variational_compress(big, max_dim=3, nsweeps=4)
-        assert fid >= fidelity(svd_state, big) - 1e-8
-
-
-class TestErrorMeasures:
-    def test_fidelity_of_identical_states(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        assert fidelity(psi, psi) == pytest.approx(1.0)
-        assert fidelity(psi, scale(psi, 3.0)) == pytest.approx(1.0)
-
-    def test_distance_zero_for_identical(self, spin_setup):
-        _, _, _, psi, _ = spin_setup
-        assert distance(psi, psi) == pytest.approx(0.0, abs=1e-8)
-
-    def test_distance_triangle_consistency(self, spin_setup):
-        _, _, _, psi, phi = spin_setup
-        d = distance(psi, phi)
-        dense = np.linalg.norm(psi.to_dense_vector() - phi.to_dense_vector())
-        assert d == pytest.approx(dense, rel=1e-8)
-
-    def test_orthogonal_states(self, spin_setup):
-        sites, _, _, _, _ = spin_setup
-        up_dn = MPS.product_state(sites, ["Up", "Dn"] * (len(sites) // 2))
-        dn_up = MPS.product_state(sites, ["Dn", "Up"] * (len(sites) // 2))
-        assert fidelity(up_dn, dn_up) == pytest.approx(0.0, abs=1e-12)

@@ -690,7 +690,10 @@ class TestPlanCacheInDMRG:
         # once the block structure converges, sweeps run fully from cache
         assert res.sweep_records[-1].metrics["plan_cache.misses"] == 0
         assert res.sweep_records[-1].plan_hit_rate == 1.0
-        assert res.plan_cache_hit_rate_after_first_sweep > 0.8
+        later = [r.metrics for r in res.sweep_records[1:]]
+        hits = sum(m["plan_cache.hits"] for m in later)
+        misses = sum(m["plan_cache.misses"] for m in later)
+        assert hits / (hits + misses) > 0.8
 
     def test_planned_energy_matches_naive_path(self):
         lattice, sites, opsum, cs = heisenberg_chain_model(8)

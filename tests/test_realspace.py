@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baseline import (RealSpaceParallelDMRG, RealSpaceResult,
-                            partition_sites, realspace_reference_energy)
+                            partition_sites)
 from repro.dmrg import run_dmrg
 from repro.ed import ground_state_energy
 from repro.models import heisenberg_chain_model
@@ -89,11 +89,6 @@ class TestRealSpaceDMRG:
             assert len(record.worker_energies) == 2
             assert record.max_bond_dimension >= 1
         assert result.is_monotonic(tol=1e-2) in (True, False)  # well-defined
-
-    def test_reference_energy_helper(self, heisenberg10):
-        _, _, mpo, psi0, exact = heisenberg10
-        e = realspace_reference_energy(mpo, psi0, 2, maxdim=48, iterations=6)
-        assert e == pytest.approx(exact, abs=1e-3)
 
     def test_invalid_inputs(self, heisenberg10):
         _, _, mpo, psi0, _ = heisenberg10

@@ -1,12 +1,11 @@
-"""Tests for fusing and splitting block-sparse tensor modes."""
+"""Tests for fusing block-sparse tensor modes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.symmetry import (BlockSparseTensor, Index, fuse_modes, matricize,
-                            split_mode)
+from repro.symmetry import BlockSparseTensor, Index, fuse_modes
 
 
 def _dense_fuse(arr, groups):
@@ -65,25 +64,8 @@ class TestFuseModes:
 
 
 class TestSplitMode:
-    def test_round_trip_identity(self, random_tensor):
-        fused, recs = fuse_modes(random_tensor, [[0, 1], [2]])
-        restored = split_mode(fused, 0, recs[0])
-        assert restored.shape == random_tensor.shape
-        assert np.allclose(restored.to_dense(), random_tensor.to_dense())
-
-    def test_round_trip_last_axis(self, random_tensor):
-        fused, recs = fuse_modes(random_tensor, [[0], [1, 2]])
-        restored = split_mode(fused, 1, recs[0])
-        assert restored.shape == random_tensor.shape
-        assert np.allclose(restored.to_dense(), random_tensor.to_dense())
-
-    def test_wrong_index_rejected(self, random_tensor):
-        fused, recs = fuse_modes(random_tensor, [[0, 1], [2]])
-        with pytest.raises(ValueError):
-            split_mode(fused, 1, recs[0])
-
     def test_split_after_contraction(self, small_indices, rng):
-        """Fused bonds on neighbouring tensors stay contractible and splittable."""
+        """Fused bonds on neighbouring tensors stay contractible."""
         i1, i2, i3 = small_indices
         a = BlockSparseTensor.random((i1, i2, i3), flux=(0,), rng=rng)
         b = BlockSparseTensor.random((i3.dual(), i2.dual(), i1.dual()),
@@ -96,23 +78,6 @@ class TestSplitMode:
         res = fa.contract(fb, axes=([0], [0]))
         ref = a.contract(b, axes=([0, 1], [2, 1]))
         assert np.allclose(res.to_dense(), ref.to_dense())
-
-
-class TestMatricize:
-    def test_matrix_shape(self, random_tensor):
-        mat, row_rec, col_rec = matricize(random_tensor, row_axes=[0, 1])
-        assert mat.ndim == 2
-        assert row_rec is not None and col_rec is None
-        d0 = random_tensor.indices[0].dim * random_tensor.indices[1].dim
-        assert mat.shape == (d0, random_tensor.indices[2].dim)
-
-    def test_norm_preserved(self, random_tensor):
-        mat, _, _ = matricize(random_tensor, row_axes=[0], col_axes=[1, 2])
-        assert mat.norm() == pytest.approx(random_tensor.norm())
-
-    def test_invalid_partition(self, random_tensor):
-        with pytest.raises(ValueError):
-            matricize(random_tensor, row_axes=[0], col_axes=[1])
 
 
 @st.composite
@@ -134,16 +99,6 @@ def _block_tensor(draw):
 
 
 class TestFuseSplitProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(t=_block_tensor(), flow=st.sampled_from([1, -1]))
-    def test_fuse_split_round_trip(self, t, flow):
-        if t.num_blocks == 0:
-            return
-        fused, recs = fuse_modes(t, [[0, 1], [2]], flows=[flow, -1])
-        assert fused.norm() == pytest.approx(t.norm())
-        restored = split_mode(fused, 0, recs[0])
-        assert np.allclose(restored.to_dense(), t.to_dense())
-
     @settings(max_examples=25, deadline=None)
     @given(t=_block_tensor())
     def test_fused_blocks_conserve_charge(self, t):

@@ -109,7 +109,7 @@ class TestOpSum:
         os.add(1.0, "Sz", 0, "Sz", 1)
         os += (0.5, "S+", 1, "S-", 2)
         assert len(os) == 2
-        assert os.max_site() == 2
+        assert [f.site for f in os.terms[1].factors] == [1, 2]
 
     def test_invalid_add(self):
         with pytest.raises(ValueError):
@@ -120,9 +120,9 @@ class TestOpSum:
     def test_scaled_and_sum(self):
         a = OpSum().add(1.0, "Sz", 0)
         b = OpSum().add(2.0, "Sz", 1)
-        c = a.scaled(3.0) + b
+        c = a + b
         assert len(c) == 2
-        assert c.terms[0].coefficient == 3.0
+        assert [t.coefficient for t in c] == [1.0, 2.0]
 
 
 class TestNormalization:

@@ -25,14 +25,9 @@ class TestTorus3D:
         large = Torus3D.for_nodes(512)
         assert large.average_hops() > small.average_hops()
 
-    def test_diameter_is_sum_of_half_extents(self):
-        t = Torus3D((4, 6, 8))
-        assert t.diameter() == 2 + 3 + 4
-
     def test_single_node_degenerate(self):
         t = Torus3D((1, 1, 1))
         assert t.average_hops() == 0.0
-        assert t.diameter() == 0
 
     def test_invalid_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -97,18 +92,15 @@ class TestCollectiveModel:
                                            procs_per_node=16)
 
     def test_costs_are_positive(self, model):
-        for name in ("broadcast", "reduce", "allreduce", "allgather",
-                     "reduce_scatter", "alltoall", "scatter", "gather"):
+        for name in ("broadcast", "allreduce", "allgather", "reduce_scatter",
+                     "alltoall"):
             cost = getattr(model, name)(1e6, 64)
             assert cost.seconds > 0
             assert cost.words > 0
-        assert model.barrier(64).seconds > 0
-        assert model.barrier(64).words == 0
 
     def test_single_rank_is_free(self, model):
         assert model.broadcast(1e6, 1).seconds == 0.0
         assert model.allreduce(1e6, 1).seconds == 0.0
-        assert model.barrier(1).seconds == 0.0
 
     def test_allreduce_is_reduce_scatter_plus_allgather(self, model):
         n, p = 3e6, 32

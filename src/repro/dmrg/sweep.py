@@ -208,6 +208,9 @@ def run_sweeps(update: TwoSiteUpdate, operator: MPO, psi0: MPS,
         sweep_maxdim = 1
         sweep_maxtrunc = 0.0
         sweep_flops0 = flopcount.total_flops()
+        if backend.plan_cache is not None:
+            # plans the previous sweep did not use are freed
+            backend.plan_cache.new_generation()
         stats.start_sweep()
         sweep_span = trace.timed_span("sweep", "dmrg", sweep=sweep_id,
                                       maxdim=maxdim, **span_args).start()

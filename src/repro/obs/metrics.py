@@ -178,6 +178,8 @@ def run_metrics(result: Any = None, backend: Any = None,
     if backend is not None:
         cache = getattr(backend, "plan_cache", None)
         if cache is not None:
+            # plans resident at run end (the last two sweeps' generations),
+            # not plans built: those are ``plan_cache.misses``
             reg.gauge("plan_cache.plans", len(cache))
         # the name dates from when some applications were served by
         # compiled programs; it is pinned with the zeros above

@@ -374,19 +374,34 @@ class PlanCache:
     :class:`~repro.dmrg.config.StatsRecorder` reads its hit/miss counters
     and plan/execute seconds into the run's ``plan_cache.*`` metrics.
 
+    Plans live in two generations, and :meth:`new_generation` (called by
+    the sweep engine at the start of every sweep) makes the current one the
+    previous one and drops the old previous one.  A lookup that hits the
+    previous generation moves the plan into the current one, so a plan stays
+    resident for as long as some sweep keeps using it, and one that a whole
+    sweep did not touch is freed.  On a ``maxdim`` ramp almost no plan is
+    used again after the sweep that built it, so this bounds plan memory by
+    two sweeps' worth; the benchmark workloads keep their hits and misses
+    (``docs/architecture.md`` §2).  ``len()`` counts the plans resident in
+    both generations.  ``max_plans`` bounds the current
+    generation by dropping its oldest plan; it is the only bound of a cache
+    that never starts a generation (the shape simulator's).
+
     The cache also interns the output keys of the plans it stores: plans
     of operands that share sectors but not dims (a ramp's next sweep,
     another stage of the same bond) name the same blocks, and each distinct
     key is then one tuple however many plans, and output tensors, hold it.
     Output tensors store their blocks under these tuples, so the operand
-    keys of later plans are mostly the same objects.
+    keys of later plans are mostly the same objects.  Each generation
+    interns into a fresh dict, so the old keys go with the old plans.
     """
 
-    __slots__ = ("_plans", "_keys", "max_plans", "hits", "misses",
-                 "plan_seconds", "execute_seconds")
+    __slots__ = ("_plans", "_previous", "_keys", "max_plans", "hits",
+                 "misses", "plan_seconds", "execute_seconds")
 
     def __init__(self, max_plans: int = 8192):
         self._plans: Dict[Tuple, ContractionPlan] = {}
+        self._previous: Dict[Tuple, ContractionPlan] = {}
         self._keys: Dict[BlockKey, BlockKey] = {}
         self.max_plans = int(max_plans)
         self.hits = 0
@@ -403,19 +418,30 @@ class PlanCache:
         if plan is not None:
             self.hits += 1
             return plan
-        span = trace.timed_span("plan-build", "planner").start()
-        plan = build_plan(a, b, (axes_a, axes_b))
-        # the operands' keys are an earlier plan's interned outputs, or
-        # belong to tensors built elsewhere: only the new tuples need it
-        intern = self._keys.setdefault
-        plan.out_keys = list(map(intern, plan.out_keys, plan.out_keys))
-        self.plan_seconds += span.stop()
-        self.misses += 1
+        plan = self._previous.pop(key, None)
+        if plan is not None:
+            self.hits += 1
+        else:
+            span = trace.timed_span("plan-build", "planner").start()
+            plan = build_plan(a, b, (axes_a, axes_b))
+            # the operands' keys are an earlier plan's interned outputs, or
+            # belong to tensors built elsewhere: only the new tuples need it
+            intern = self._keys.setdefault
+            plan.out_keys = list(map(intern, plan.out_keys, plan.out_keys))
+            self.plan_seconds += span.stop()
+            self.misses += 1
         if len(self._plans) >= self.max_plans:
             # drop the oldest entry (dict preserves insertion order)
             self._plans.pop(next(iter(self._plans)))
         self._plans[key] = plan
         return plan
 
+    def new_generation(self) -> None:
+        """Make the current plans the previous generation, freeing the plans
+        (and interned keys) that the ending generation did not use."""
+        self._previous = self._plans
+        self._plans = {}
+        self._keys = {}
+
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self._plans) + len(self._previous)

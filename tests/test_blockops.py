@@ -69,7 +69,7 @@ class TestResolution:
         with pytest.raises(TypeError):
             resolve_block_ops(42)
 
-    def test_numpy_alias_and_describe(self):
+    def test_numpy_alias_and_name(self):
         assert NumpyOps is BlockOps
         assert BlockOps().name == "numpy"
 

@@ -81,7 +81,7 @@ class TestLayoutTracker:
         assert t.observe("mps", self.L2D) is True
         assert t.first_touches == 2
 
-    def test_snapshot_and_reset(self):
+    def test_snapshot_counts_reuses(self):
         t = LayoutTracker()
         t.observe("a", self.L2D)
         t.observe("a", self.L2D)

@@ -18,7 +18,7 @@ def model64():
 
 
 class TestGemmShape:
-    def test_flops_and_words(self):
+    def test_total_words(self):
         s = GemmShape(100, 200, 50)
         assert s.total_words == 100 * 50 + 50 * 200 + 100 * 200
 

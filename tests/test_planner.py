@@ -709,6 +709,76 @@ class TestPlanCacheInDMRG:
         assert res_naive.metrics["plan_cache.misses"] == 0
 
 
+class _RecordingCache(PlanCache):
+    """A plan cache that notes the signature of every lookup, one set per
+    generation."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = [set()]
+
+    def lookup(self, a, b, axes):
+        self.seen[-1].add((tensor_signature(a), tensor_signature(b),
+                           *normalize_axes(a, b, axes)))
+        return super().lookup(a, b, axes)
+
+    def new_generation(self):
+        self.seen.append(set())
+        super().new_generation()
+
+
+class TestPlanGenerations:
+    def test_plan_used_in_consecutive_generations_stays(self):
+        """A plan looked up again in the next generation is a hit, and it
+        is still resident after the swap after that."""
+        cache = PlanCache()
+        a, b, axes = _mpo_like_step(scale=1)
+        plan = cache.lookup(a, b, axes)
+        cache.new_generation()
+        assert cache.lookup(a, b, axes) is plan
+        assert (cache.hits, cache.misses) == (1, 1)
+        cache.new_generation()
+        assert len(cache) == 1
+        assert cache.lookup(a, b, axes) is plan
+        assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_plan_unused_for_a_generation_is_freed(self):
+        """A plan no lookup touched for a whole generation is gone after
+        the swap; looking it up again rebuilds an equal plan."""
+        cache = PlanCache()
+        a, b, axes = _mpo_like_step(scale=1)
+        a2, b2, _ = _mpo_like_step(scale=2)
+        plan = cache.lookup(a, b, axes)
+        cache.new_generation()
+        other = cache.lookup(a2, b2, axes)
+        cache.new_generation()
+        assert len(cache) == 1
+        rebuilt = cache.lookup(a, b, axes)
+        assert (cache.hits, cache.misses) == (0, 3)
+        assert rebuilt is not plan
+        assert _plan_columns(rebuilt) == _plan_columns(plan)
+        # the plan used in the ending generation survived the swap
+        assert cache.lookup(a2, b2, axes) is other
+        assert len(cache) == 2
+
+    def test_ramp_keeps_only_the_last_two_sweeps_plans(self):
+        """After a maxdim ramp the cache holds exactly the plans the last
+        two sweeps looked up."""
+        lattice, sites, opsum, cs = heisenberg_chain_model(8)
+        mpo = build_mpo(opsum, sites, compress=True)
+        psi0 = MPS.product_state(sites, cs)
+        backend = DirectBackend()
+        backend.plan_cache = cache = _RecordingCache()
+        config = DMRGConfig(sweeps=Sweeps.ramp(16, 4, min_dim=2))
+        res, _ = dmrg(mpo, psi0, config, backend=backend)
+        assert len(res.sweep_records) == 4
+        # one generation for the environments built before the first
+        # sweep, then one per sweep
+        assert len(cache.seen) == 5
+        assert len(cache) == len(cache.seen[-1] | cache.seen[-2])
+        assert len(cache) < len(set().union(*cache.seen))
+
+
 # --------------------------------------------------------------------------- #
 # satellite bugfix regressions
 # --------------------------------------------------------------------------- #

@@ -63,8 +63,8 @@ class TestFuseModes:
             assert fused.key_allowed(key)
 
 
-class TestSplitMode:
-    def test_split_after_contraction(self, small_indices, rng):
+class TestFusedContraction:
+    def test_fused_modes_contract_like_unfused(self, small_indices, rng):
         """Fused bonds on neighbouring tensors stay contractible."""
         i1, i2, i3 = small_indices
         a = BlockSparseTensor.random((i1, i2, i3), flux=(0,), rng=rng)

@@ -117,7 +117,7 @@ class TestOpSum:
         with pytest.raises(TypeError):
             OpSum().add(1.0, 0, "Sz")
 
-    def test_scaled_and_sum(self):
+    def test_sum_concatenates_terms(self):
         a = OpSum().add(1.0, "Sz", 0)
         b = OpSum().add(2.0, "Sz", 1)
         c = a + b

@@ -181,6 +181,27 @@ class TestScheduler:
         assert again.skipped == 2 and again.completed == 0
         assert len(registry.attempt_dirs(specs[0].run_id)) == 1
 
+    def test_campaign_check_flags_residue_of_completed_record(self,
+                                                              tmp_path):
+        import importlib.util
+        path = Path(__file__).resolve().parents[1] / "tools" / \
+            "check_campaign.py"
+        loader = importlib.util.spec_from_file_location("check_campaign",
+                                                        path)
+        check = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(check)
+        registry = RunRegistry(tmp_path)
+        spec = tiny_spec()
+        run_campaign([spec], registry=registry, workers=0)
+        assert check.check_record_layout(registry, spec) == []
+        record = registry.record_dir(spec.run_id)
+        registry.checkpoint_path(spec.run_id).write_bytes(b"")
+        (record / "attempt-000" / "report.json.123.tmp").write_bytes(b"")
+        problems = check.check_record_layout(registry, spec)
+        assert len(problems) == 2
+        assert any("checkpoint.npz" in p for p in problems)
+        assert any("report.json.123.tmp" in p for p in problems)
+
     def test_force_appends_a_new_attempt(self, tmp_path):
         registry = RunRegistry(tmp_path)
         spec = tiny_spec()

@@ -11,6 +11,8 @@ repository's real run registry (``benchmarks/results/history/``), and fails
   (``spec.json`` + ``attempt-NNN/{report.json,meta.json}``),
 * the archived spec round-trips to the same content-hash run id,
 * each report carries energies and the spec it was produced from,
+* a completed record leaves no residue: no ``checkpoint.npz`` (in-flight
+  scratch) and no ``*.tmp`` file of an interrupted atomic write,
 * a second scheduler pass skips every run via the content-hash lookup
   (re-executing a campaign is idempotent).
 
@@ -65,6 +67,11 @@ def check_record_layout(registry: RunRegistry, spec: RunSpec) -> list[str]:
     if rec.report and (archived is None
                        or RunSpec.from_dict(archived) != spec):
         problems.append(f"{spec.run_id}: report spec differs from spec.json")
+    residue = [p for p in record.rglob("*")
+               if p.name == "checkpoint.npz" or p.name.endswith(".tmp")]
+    for path in sorted(residue):
+        problems.append(f"{spec.run_id}: completed record holds "
+                        f"{path.relative_to(record)}")
     return problems
 
 

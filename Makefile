@@ -5,12 +5,13 @@
 #   make test           - tier-1 test suite (pytest, stops at first failure)
 #   make analyze        - static correctness gates (python -m repro analyze):
 #                         repo-invariant lint; emits BENCH_analyze.json
-#   make bench-smoke    - invariant gates: plan-aware cost model, layout
-#                         tracker, tracer overhead (python -m repro bench
-#                         --smoke); emits the BENCH_smoke.json artifact
+#   make bench-smoke    - invariant gates: layout tracker, tracer overhead
+#                         (python -m repro bench --smoke); emits the
+#                         BENCH_smoke.json artifact
 #   make campaign-smoke - tiny 2x2 grid through the sweep scheduler (2
-#                         workers) with the registry layout asserted and
-#                         re-execution skipped via the content hash
+#                         workers) into a fresh temporary registry, with the
+#                         registry layout asserted and re-execution skipped
+#                         via the content hash
 #   make bench          - regenerate the paper-figure benchmark tables
 
 PYTHON ?= python

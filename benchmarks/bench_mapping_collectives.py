@@ -18,9 +18,8 @@ import pytest
 from conftest import save_result
 
 from repro.ctf import (BLUE_WATERS, STAMPEDE2, CollectiveModel, GemmShape,
-                       SimWorld, choose_mapping, choose_plan_mapping,
-                       dmrg_step_footprint_bytes, minimum_nodes,
-                       redistribution_plan, redistribution_words, summa_25d,
+                       choose_mapping, dmrg_step_footprint_bytes,
+                       minimum_nodes, redistribution_plan, summa_25d,
                        summa_2d, summa_3d, topology_for_machine)
 from repro.perf import format_table
 
@@ -149,85 +148,6 @@ def _memory_floor_rows():
                          f"{redis.seconds * 1e3:.2f}",
                          floors["list"], floors["sparse-dense"]))
     return rows
-
-
-def test_plan_aware_vs_aggregate_table(benchmark, spins_small,
-                                       electrons_small):
-    """Plan-aware vs aggregate-nnz modelled step costs, side by side.
-
-    The plan-aware model charges the same kernel time but block-aligned
-    communication/transposition volumes (only the blocks the contraction plan
-    touches move), so on block-sparse inputs it can never charge more than
-    the aggregate-nnz model, and on a single dense block — where the plan
-    touches everything — the two agree exactly.
-    """
-    rows, raw = _run_once(benchmark,
-                          lambda: _plan_aware_rows(spins_small,
-                                                   electrons_small))
-    text = format_table(
-        ["system", "m", "aggregate s", "plan-aware s", "ratio",
-         "agg redis words", "planned redis words", "plan mapping"],
-        rows, title="Plan-aware vs aggregate-nnz cost model "
-                    "(sparse-sparse, 16 Blue Waters nodes)")
-    save_result("plan_aware_vs_aggregate", text)
-    # assert on the raw modelled values, not the formatted table strings
-    for label, agg, plan, agg_words, plan_words in raw:
-        if label == "dense-block":
-            assert plan == pytest.approx(agg, rel=1e-12)
-        else:
-            assert plan <= agg * (1.0 + 1e-12)
-        assert plan_words <= agg_words
-
-
-def _plan_aware_rows(spins_small, electrons_small):
-    from repro.perf.plan_bench import dense_block_scenario
-    from repro.perf.scaling import plan_aware_comparison, site_shapes
-    from repro.perf.shapesim import charge_contraction, plan_shape_contraction
-
-    nodes, ppn = 16, 16
-    rows, raw = [], []
-
-    # single dense block: the plan touches everything, models must agree
-    env, x = dense_block_scenario(1024, d=4)
-    seconds = {}
-    for plan_aware in (False, True):
-        world = SimWorld(nodes=nodes, procs_per_node=ppn,
-                         machine=BLUE_WATERS)
-        charge_contraction(world, "sparse-sparse", env, x, ([1], [0]),
-                           plan_aware=plan_aware)
-        seconds[plan_aware] = world.modelled_seconds()
-    plan = plan_shape_contraction(env, x, ([1], [0]))
-    model = CollectiveModel.for_machine(BLUE_WATERS, nodes,
-                                        procs_per_node=ppn)
-    decision = choose_plan_mapping(plan, nodes * ppn, model)
-    planned_words = redistribution_words(plan, "b")
-    rows.append(("dense-block", 1024, f"{seconds[False]:.4e}",
-                 f"{seconds[True]:.4e}",
-                 f"{seconds[True] / seconds[False]:.3f}",
-                 f"{x.dense_size:.0f}", f"{planned_words:.0f}",
-                 decision.algorithm))
-    raw.append(("dense-block", seconds[False], seconds[True],
-                float(x.dense_size), planned_words))
-
-    # the benchmark systems' real block structure, full two-site step
-    for system, ms in ((spins_small, (128, 256)),
-                       (electrons_small, (128, 256))):
-        for m in ms:
-            cmp = plan_aware_comparison(system, m, BLUE_WATERS, nodes,
-                                        "sparse-sparse",
-                                        procs_per_node=ppn)
-            agg, planned = cmp["aggregate"], cmp["plan_aware"]
-            lenv, _, _, _, x, _ = site_shapes(system, m)
-            plan = plan_shape_contraction(lenv, x, ([2], [0]))
-            decision = choose_plan_mapping(plan, nodes * ppn, model)
-            planned_words = redistribution_words(plan, "b")
-            rows.append((system.name, m, f"{agg.seconds:.4e}",
-                         f"{planned.seconds:.4e}", f"{cmp['ratio']:.3f}",
-                         f"{x.nnz:.0f}", f"{planned_words:.0f}",
-                         decision.algorithm))
-            raw.append((system.name, agg.seconds, planned.seconds,
-                        float(x.nnz), planned_words))
-    return rows, raw
 
 
 @pytest.mark.parametrize("machine,nodes", [(BLUE_WATERS, 64), (STAMPEDE2, 16)])

@@ -31,10 +31,11 @@ import math
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence, Tuple
 
+from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
 from ..symmetry import linalg as blocklinalg
 from ..symmetry.blockops import BlockOps, resolve_block_ops
-from ..symmetry.engine import contract_planned
+from ..symmetry.engine import contract_planned, execute_cached
 from ..symmetry.planner import PlanCache
 
 
@@ -66,10 +67,6 @@ class ContractionBackend(ABC):
         #: memoized contraction plans, shared by every contraction this
         #: backend performs; only the naive ``DirectBackend`` has none
         self.plan_cache: Optional[PlanCache] = PlanCache()
-        # the most recent contraction plan this backend executed; the
-        # single-tensor algorithms use it to bound the format-conversion
-        # volume of a subsequent SVD at the planned (block-aligned) layout
-        self._last_plan = None
         #: Davidson matvec chains applied through this backend
         #: (:meth:`repro.symmetry.matvec.MatvecCompiler.apply`)
         self.matvec_applies = 0
@@ -87,24 +84,6 @@ class ContractionBackend(ABC):
         mapping changes.  Backends without one ignore them.
         """
 
-    def _conversion_plan(self, t: BlockSparseTensor):
-        """The cached plan whose output is ``t``, if the structure matches.
-
-        The SVD format-conversion charge of the single-tensor algorithms is
-        capped at the block-aligned words of the plan that produced the
-        tensor.  The last executed plan is used only when its output
-        signature (indices and flux) matches ``t`` — the Davidson eigenvector
-        is a linear combination of effective-Hamiltonian outputs and shares
-        their structure, while an unrelated tensor falls back to its
-        aggregate nnz.
-        """
-        plan = self._last_plan
-        if plan is not None and not plan.scalar_output and \
-                tuple(plan.out_indices) == tuple(t.indices) and \
-                tuple(plan.out_flux) == tuple(t.flux):
-            return plan
-        return None
-
     def charge_compiled_stage(self, stage) -> None:
         """Placeholder pinned by ``benchmarks/e2e`` (see the pin comment in
         :mod:`repro.symmetry.matvec`); never called: :meth:`contract` is the
@@ -118,9 +97,6 @@ class ContractionBackend(ABC):
         their next appearance in a contraction must charge a remapping again.
         No-op for backends without a simulated world.
         """
-        world = getattr(self, "world", None)
-        if world is not None:
-            world.layout_tracker.invalidate(*keys)
 
     def svd(self, t: BlockSparseTensor, row_axes: Sequence[int],
             col_axes: Sequence[int] | None = None, **kwargs):
@@ -160,3 +136,58 @@ class DirectBackend(ContractionBackend):
             return a.contract(b, axes, ops=self.block_ops)
         return contract_planned(a, b, axes, cache=self.plan_cache,
                                 ops=self.block_ops)
+
+
+class WorldBackend(ContractionBackend):
+    """A backend that charges its contractions to a simulated machine.
+
+    The three paper algorithms share one :meth:`contract`: the plan is looked
+    up, executed exactly, and charged through
+    :meth:`SimWorld.charge_contraction` under the backend's :attr:`name` —
+    the recipe the shape-level simulation prices the figures with.  The
+    subclasses differ only in how they charge their SVD.
+    """
+
+    def __init__(self, world: SimWorld, block_ops=None) -> None:
+        super().__init__(block_ops=block_ops)
+        self.world = world
+        # the most recent contraction plan this backend executed; the
+        # single-tensor algorithms use it to bound the format-conversion
+        # volume of a subsequent SVD at the planned (block-aligned) layout
+        self._last_plan = None
+
+    def contract(self, a: BlockSparseTensor, b: BlockSparseTensor,
+                 axes: tuple[Sequence[int], Sequence[int]], *,
+                 operand_keys: tuple | None = None,
+                 out_key: str | None = None) -> BlockSparseTensor:
+        """Contract through the plan cache and charge the world."""
+        plan = self.plan_cache.lookup(a, b, axes)
+        self._last_plan = plan
+        result = execute_cached(plan, a, b, self.plan_cache,
+                                ops=self.block_ops)
+        self.world.charge_contraction(self.name, plan, a, b,
+                                      operand_keys=operand_keys,
+                                      out_key=out_key)
+        return result
+
+    def _conversion_plan(self, t: BlockSparseTensor):
+        """The cached plan whose output is ``t``, if the structure matches.
+
+        The SVD format-conversion charge of the single-tensor algorithms is
+        capped at the block-aligned words of the plan that produced the
+        tensor.  The last executed plan is used only when its output
+        signature (indices and flux) matches ``t`` — the Davidson eigenvector
+        is a linear combination of effective-Hamiltonian outputs and shares
+        their structure, while an unrelated tensor falls back to its
+        aggregate nnz.
+        """
+        plan = self._last_plan
+        if plan is not None and not plan.scalar_output and \
+                tuple(plan.out_indices) == tuple(t.indices) and \
+                tuple(plan.out_flux) == tuple(t.flux):
+            return plan
+        return None
+
+    def invalidate_layouts(self, *keys: str) -> None:
+        """Forget the tracked layouts of ``keys`` in :attr:`world`."""
+        self.world.layout_tracker.invalidate(*keys)

@@ -13,17 +13,14 @@ executes through the fused/batched GEMM engine.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Sequence
 
-from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
-from ..symmetry.engine import execute_cached
 from ..symmetry.linalg import svd_group_shapes
-from .base import ContractionBackend
+from .base import WorldBackend
 
 
-class ListBackend(ContractionBackend):
+class ListBackend(WorldBackend):
     """Block-pair contraction with per-block distributed-dense cost accounting.
 
     Each block pair gets its own mapping decision from
@@ -32,39 +29,12 @@ class ListBackend(ContractionBackend):
     per plan): large pairs run on the communication-avoiding 3D mapping
     Table II assumes, while pairs below the grain-efficiency crossover stay
     on a plain 2D SUMMA grid (the replication setup of a 3D mapping cannot
-    amortize on a small block).  The 2D/3D split is tallied in
-    :attr:`mapping_counts`.
+    amortize on a small block).  The layout-tracker keys are unused: every
+    block pair is re-mapped onto its own processor grid, so there is no
+    whole-tensor layout to persist between contractions.
     """
 
     name = "list"
-
-    def __init__(self, world: SimWorld, block_ops=None):
-        super().__init__(block_ops=block_ops)
-        self.world = world
-        #: how many pair contractions ran under each mapping algorithm
-        self.mapping_counts: Counter = Counter()
-
-    def contract(self, a: BlockSparseTensor, b: BlockSparseTensor,
-                 axes: tuple[Sequence[int], Sequence[int]], *,
-                 operand_keys: tuple | None = None,
-                 out_key: str | None = None) -> BlockSparseTensor:
-        """Contract block pairs individually, charging one superstep each.
-
-        The layout-tracker keys are accepted for interface uniformity but
-        unused: the list algorithm re-maps every block pair onto its own
-        processor grid, so there is no whole-tensor layout to persist between
-        contractions (its remapping cost is part of the per-pair charge).
-        """
-        plan = self.plan_cache.lookup(a, b, axes)
-        self._last_plan = plan
-        # one superstep per block pair (Table II: O(N_b) supersteps), sized
-        # by the pair's precomputed flops and operand/output block sizes,
-        # each priced under its own 2D-vs-3D mapping decision
-        self.mapping_counts.update(d.algorithm
-                                   for d in self.world.pair_decisions(plan))
-        self.world.charge_planned_contraction(plan, algorithm="list")
-        return execute_cached(plan, a, b, self.plan_cache,
-                              ops=self.block_ops)
 
     def svd(self, t: BlockSparseTensor, row_axes: Sequence[int],
             col_axes: Sequence[int] | None = None, **kwargs):

@@ -14,41 +14,20 @@ from typing import Sequence
 
 from ..ctf.world import SimWorld
 from ..symmetry import BlockSparseTensor
-from ..symmetry.engine import execute_cached
-from .base import ContractionBackend, single_tensor_svd_shape
+from .base import WorldBackend, single_tensor_svd_shape
 
 
-class SparseSparseBackend(ContractionBackend):
-    """Single sparse-tensor contraction with precomputed output sparsity."""
+class SparseSparseBackend(WorldBackend):
+    """Single sparse-tensor contraction with precomputed output sparsity.
+
+    The plan's output-block list is exactly the "precomputed output
+    sparsity" the algorithm hands to Cyclops.  Each operand pays its
+    remapping onto the contraction grid first (block-aligned volumes, capped
+    at its stored nnz; a named operand only when its tracked layout
+    changes), and the output's birth layout is recorded for free.
+    """
 
     name = "sparse-sparse"
-
-    def __init__(self, world: SimWorld, *, block_ops=None):
-        super().__init__(block_ops=block_ops)
-        self.world = world
-
-    def contract(self, a: BlockSparseTensor, b: BlockSparseTensor,
-                 axes: tuple[Sequence[int], Sequence[int]], *,
-                 operand_keys: tuple | None = None,
-                 out_key: str | None = None) -> BlockSparseTensor:
-        """Contract as one sparse tensor op, priced from the compiled plan."""
-        # the plan's output-block list is exactly the "precomputed output
-        # sparsity" the sparse-sparse algorithm hands to Cyclops, and its
-        # block-pair structure is what the plan-aware cost model prices
-        # (block-aligned communication volumes instead of aggregate nnz)
-        plan = self.plan_cache.lookup(a, b, axes)
-        result = execute_cached(plan, a, b, self.plan_cache,
-                                ops=self.block_ops)
-        self._last_plan = plan
-        # operand_nnz makes the world charge the operands' remapping onto the
-        # contraction grid first (plan-aware volumes, capped at stored nnz);
-        # named operands pay it only when their tracked layout actually
-        # changes, and the output's birth layout is recorded for free
-        self.world.charge_planned_contraction(plan,
-                                              operand_nnz=(a.nnz, b.nnz),
-                                              operand_keys=operand_keys,
-                                              out_key=out_key)
-        return result
 
     def svd(self, t: BlockSparseTensor, row_axes: Sequence[int],
             col_axes: Sequence[int] | None = None, **kwargs):

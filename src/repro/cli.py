@@ -28,13 +28,11 @@ The subcommands cover the everyday workflows:
     energies and modelled seconds with regression detection.
 
 ``python -m repro bench --smoke [--json BENCH_smoke.json]``
-    Benchmark invariant gates: the plan-aware cost model's (equal to the
-    aggregate model on a dense block, never worse on block-sparse
-    structure, ``plan-cost`` target), the sweep-persistent layout
-    tracker's (first touch charges, unchanged layouts free, tracked total
-    never worse, transposition share strictly shrinks, ``layout`` target)
-    and the span tracer's overhead bound (``obs`` target), so the perf
-    code cannot silently rot.  Wall-clock performance is measured by
+    Benchmark invariant gates: the sweep-persistent layout tracker's
+    (first touch charges, unchanged layouts free, tracked total never
+    worse, transposition share strictly shrinks, ``layout`` target) and
+    the span tracer's overhead bound (``obs`` target), so the perf code
+    cannot silently rot.  Wall-clock performance is measured by
     ``benchmarks/e2e/run.py`` instead.  ``--json PATH`` additionally
     writes every target's machine-readable metrics to one JSON artifact so
     the perf trajectory can be tracked across commits (``make bench-smoke``
@@ -74,8 +72,6 @@ from .models import available_models, get_model
 #: ``--list-targets`` can print the same registry.
 BENCH_TARGETS: Dict[str, str] = {
     "all": "every target below, in order",
-    "plan-cost": "plan-aware cost model invariants (dense equal, "
-                 "block-sparse never worse)",
     "layout": "sweep-persistent layout tracker invariants",
     "obs": "span tracer overhead (disabled unmeasurable, enabled < 5%)",
 }
@@ -308,20 +304,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     rc = 0
     emitted: Dict[str, object] = {}
-    if args.target in ("all", "plan-cost"):
-        from .perf.plan_bench import (format_plan_cost_check,
-                                      run_plan_cost_check)
-        if args.full:
-            stats = run_plan_cost_check(m=2048, nodes=64)
-        else:
-            stats = run_plan_cost_check()
-        print(format_plan_cost_check(stats))
-        emitted["plan_cost"] = stats
-        if not (stats["dense_equal"] and stats["block_not_worse"]
-                and stats["redis_strictly_less"]):
-            print("error: plan-aware cost model violated an invariant "
-                  "(see table above)", file=sys.stderr)
-            rc = 1
     if args.target in ("all", "layout"):
         from .perf.plan_bench import format_layout_check, run_layout_check
         if args.full:

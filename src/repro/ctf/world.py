@@ -10,6 +10,7 @@ categories.  All numerics remain exact (performed locally by NumPy); only the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..perf import flops as flopcount
@@ -24,6 +25,11 @@ from .mapping import MappingDecision
 from .plan_cost import (choose_plan_mapping, pair_mapping_decisions,
                         redistribution_words)
 from .profiler import Profiler
+
+#: tensor order from which the ``sparse-dense`` algorithm stores a tensor
+#: dense: its Davidson intermediates (order-4 two-site tensors and order-5
+#: partial products)
+DENSE_INTERMEDIATE_ORDER = 4
 
 
 @dataclass
@@ -172,11 +178,9 @@ class SimWorld:
                                   nnz_b: float, nnz_c: float) -> float:
         """One contraction of whole sparse distributed tensors.
 
-        This is the *aggregate-nnz* model: the communication and
-        transposition volumes are the total stored nonzeros of the operands
-        and output, whether or not the block structure lets parts of them sit
-        out the contraction.  :meth:`charge_planned_contraction` is the
-        plan-aware refinement.
+        The communication and transposition volumes are the words given;
+        :meth:`charge_planned_contraction` passes the plan's block-aligned
+        words (only the blocks the contraction touches).
 
         Parameters
         ----------
@@ -200,6 +204,71 @@ class SimWorld:
             sparse_contraction_comm(nnz_a, nnz_b, nnz_c, self.nprocs))
         trans = self._charge_transpose(nnz_a + nnz_b + nnz_c)
         return kernel + comm + trans
+
+    def charge_contraction(self, algorithm: str, plan, a, b, *,
+                           operand_keys: tuple | None = None,
+                           out_key: str | None = None) -> float:
+        """Charge one contraction of ``a`` and ``b`` as ``algorithm`` runs it.
+
+        The one pricing recipe of the paper's three algorithms (Section
+        IV-A), shared by the backends in real execution and by the
+        shape-level simulation (:func:`repro.perf.shapesim.charge_contraction`):
+
+        * ``"list"`` — one block contraction per planned pair
+          (:meth:`charge_planned_contraction` with ``algorithm="list"``);
+          the list algorithm re-maps every pair onto its own grid, so the
+          layout keys are not used;
+        * ``"sparse-sparse"`` — the operands' remapping onto the contraction
+          grid (tracked through ``operand_keys``), then the planned sparse
+          contraction, whose output layout is recorded under ``out_key``;
+        * ``"sparse-dense"`` — a contraction with a Davidson intermediate
+          (a tensor of order :data:`DENSE_INTERMEDIATE_ORDER` or more) among
+          its operands and output is one dense contraction: the dense kernel
+          multiplies the zero background, intermediates are sized dense and
+          the other tensors at their nnz.  Any other contraction is the
+          planned sparse contraction, its output layout recorded under
+          ``out_key``.
+
+        Parameters
+        ----------
+        algorithm:
+            ``"list"``, ``"sparse-dense"`` or ``"sparse-sparse"``.
+        plan:
+            The contraction's :class:`~repro.symmetry.planner.ContractionPlan`.
+        a, b:
+            The operands; only ``indices``, ``ndim``, ``nnz`` and
+            ``dense_size`` are read, so data-free shape tensors work too.
+        operand_keys, out_key:
+            Layout-tracker names (see :mod:`repro.ctf.layout`).
+
+        Returns
+        -------
+        float
+            Modelled seconds charged to the profiler.
+        """
+        if algorithm == "list":
+            return self.charge_planned_contraction(plan, algorithm="list")
+        if algorithm == "sparse-sparse":
+            return self.charge_planned_contraction(
+                plan, operand_nnz=(a.nnz, b.nnz), operand_keys=operand_keys,
+                out_key=out_key)
+        if algorithm != "sparse-dense":
+            raise ValueError(f"unknown algorithm {algorithm!r}; expected "
+                             "'list', 'sparse-dense' or 'sparse-sparse'")
+        a_dense = a.ndim >= DENSE_INTERMEDIATE_ORDER
+        b_dense = b.ndim >= DENSE_INTERMEDIATE_ORDER
+        out_dense = len(plan.out_indices) >= DENSE_INTERMEDIATE_ORDER
+        if not (a_dense or b_dense or out_dense):
+            return self.charge_planned_contraction(
+                plan, algorithm="sparse-dense", out_key=out_key)
+        if out_dense:
+            size_c = math.prod(ix.dim for ix in plan.out_indices)
+        else:
+            size_c = 1 if plan.scalar_output else plan.out_nnz
+        return self.charge_dense_contraction(
+            flopcount.dense_contraction_flops(a, b, plan.axes_a),
+            a.dense_size if a_dense else a.nnz,
+            b.dense_size if b_dense else b.nnz, size_c)
 
     def charge_planned_contraction(self, plan, *,
                                    algorithm: str = "sparse-sparse",
@@ -291,18 +360,9 @@ class SimWorld:
                     largest_block_share=plan.largest_pair_share,
                     mapping=decision)
             return seconds
-        eff = parallel_gemm_efficiency(plan.total_flops, self.nprocs,
-                                       grain_flops=5.0e5)
-        kernel = self.machine.sparse_seconds(plan.total_flops, self.nodes, eff)
-        self.profiler.add("gemm", kernel)
-        self.profiler.add_flops(plan.total_flops)
-        comm = self._charge_comm(
-            sparse_contraction_comm(redistribution_words(plan, "a"),
-                                    redistribution_words(plan, "b"),
-                                    redistribution_words(plan, "out"),
-                                    self.nprocs))
-        trans = self._charge_transpose(redistribution_words(plan))
-        return seconds + kernel + comm + trans
+        return seconds + self.charge_sparse_contraction(
+            plan.total_flops, float(plan.a_words), float(plan.b_words),
+            float(plan.out_nnz))
 
     def charge_davidson_algebra(self, nnz: float, *, naxpy: int = 0,
                                 ndot: int = 0) -> float:

@@ -34,8 +34,6 @@ _LAZY = {
     "itensor_reference": "scaling",
     "layout_tracker_comparison": "scaling",
     "model_dmrg_step": "scaling",
-    "plan_aware_comparison": "scaling",
-    "site_shapes": "scaling",
     "pareto_front": "scaling",
     "peak_performance": "scaling",
     "peak_relative_efficiency": "scaling",
@@ -50,8 +48,6 @@ _LAZY = {
     "format_table1": "report",
     "format_layout_check": "plan_bench",
     "run_layout_check": "plan_bench",
-    "format_plan_cost_check": "plan_bench",
-    "run_plan_cost_check": "plan_bench",
     "format_sweep_records": "report",
 }
 

@@ -1,11 +1,9 @@
-"""Invariant gates of the modelled cost path (``repro bench`` targets).
+"""Invariant gate of the modelled cost path (the ``repro bench`` target
+``layout``).
 
-``plan-cost`` checks the plan-aware distributed cost model against the
-aggregate-nnz model (equal on a single dense block, never worse on
-block-sparse structure, block-aligned redistribution strictly cheaper);
-``layout`` checks the sweep-persistent layout tracker (first touch charges,
+It checks the sweep-persistent layout tracker: first touch charges,
 unchanged layouts are free, tracked totals never exceed the untracked
-model).  Both are modelled, so they are exact and host-independent.
+model.  It is modelled, so it is exact and host-independent.
 """
 
 from __future__ import annotations
@@ -13,83 +11,6 @@ from __future__ import annotations
 from typing import Dict
 
 from .report import format_table
-
-
-def dense_block_scenario(m: int, d: int = 2):
-    """The single-dense-block env x two-site contraction pair.
-
-    One trivial (single-sector) bond of dimension ``m`` and physical
-    dimension ``d``: the contraction plan touches everything, so the
-    plan-aware and aggregate cost models must agree exactly on it.  Shared
-    by the smoke invariant check and the plan-aware benchmark table so the
-    guarded scenario cannot drift between them.
-    """
-    from ..symmetry import Index
-    from .shapesim import ShapeTensor
-
-    tb = Index.trivial(m, 1)
-    env = ShapeTensor((tb.with_flow(1), tb.dual()))
-    x = ShapeTensor((tb.with_flow(1), Index.trivial(d, 1), tb.dual()))
-    return env, x
-
-
-def run_plan_cost_check(*, m: int = 128, nodes: int = 4,
-                        procs_per_node: int = 16) -> Dict[str, float]:
-    """Consistency check of the plan-aware distributed cost model.
-
-    Models the dominant environment x two-site contraction once with the
-    aggregate-nnz model and once plan-aware, on (a) a single dense block and
-    (b) the paper's geometric block structure, and returns the modelled
-    seconds plus the block-aligned vs dense redistribution volumes.  The
-    invariants (`dense_equal`, `block_not_worse`, `redis_strictly_less`) are
-    what ``python -m repro bench --smoke`` asserts.
-    """
-    from ..ctf import BLUE_WATERS, SimWorld
-    from ..symmetry import Index
-    from .block_model import GeometricBlockModel
-    from .shapesim import (ShapeTensor, charge_contraction,
-                           plan_shape_contraction)
-
-    def _model_once(env, x, plan_aware):
-        world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
-                         machine=BLUE_WATERS)
-        charge_contraction(world, "sparse-sparse", env, x, ([1], [0]),
-                           plan_aware=plan_aware)
-        return world.modelled_seconds()
-
-    # (a) single dense block: plan-aware must equal the aggregate model
-    dense_env, dense_x = dense_block_scenario(m)
-    dense_agg = _model_once(dense_env, dense_x, False)
-    dense_plan = _model_once(dense_env, dense_x, True)
-
-    # (b) geometric block structure: plan-aware must not charge more, and a
-    # block-aligned redistribution must beat the dense bound strictly
-    bond = GeometricBlockModel.spins().bond_index(m)
-    phys = Index([(0,), (1,)], [1, 1], flow=1)
-    env = ShapeTensor((bond.with_flow(1), bond.dual()))
-    x = ShapeTensor((bond.with_flow(1), phys, bond.dual()))
-    block_agg = _model_once(env, x, False)
-    block_plan = _model_once(env, x, True)
-
-    plan = plan_shape_contraction(env, x, ([1], [0]))
-    world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
-                     machine=BLUE_WATERS)
-    redis_dense = world.charge_redistribution(x.dense_size)
-    redis_plan = world.charge_redistribution(plan=plan, operand="b")
-
-    tol = 1e-12
-    return {
-        "m": m, "nodes": nodes,
-        "dense_aggregate_seconds": dense_agg,
-        "dense_plan_seconds": dense_plan,
-        "block_aggregate_seconds": block_agg,
-        "block_plan_seconds": block_plan,
-        "redistribution_dense_seconds": redis_dense,
-        "redistribution_plan_seconds": redis_plan,
-        "dense_equal": abs(dense_agg - dense_plan) <= tol * max(dense_agg, 1.0),
-        "block_not_worse": block_plan <= block_agg + tol,
-        "redis_strictly_less": redis_plan < redis_dense,
-    }
 
 
 def run_layout_check(*, m: int = 96, nodes: int = 4,
@@ -130,20 +51,18 @@ def run_layout_check(*, m: int = 96, nodes: int = 4,
     # tracker off: every matvec remaps both operands
     w_off = make_world()
     for _ in range(davidson_matvecs):
-        charge_contraction(w_off, "sparse-sparse", env, x, axes,
-                           plan_aware=True)
+        charge_contraction(w_off, "sparse-sparse", env, x, axes)
     # tracker on: the operands keep their layout after the first touch
     w_on = make_world()
     seconds = []
     for _ in range(davidson_matvecs):
         before = w_on.modelled_seconds()
         charge_contraction(w_on, "sparse-sparse", env, x, axes,
-                           plan_aware=True, operand_keys=("env", "x"),
-                           out_key="hx")
+                           operand_keys=("env", "x"), out_key="hx")
         seconds.append(w_on.modelled_seconds() - before)
     # reference: one untracked contraction = the first tracked one
     w_ref = make_world()
-    charge_contraction(w_ref, "sparse-sparse", env, x, axes, plan_aware=True)
+    charge_contraction(w_ref, "sparse-sparse", env, x, axes)
     first_untracked = w_ref.modelled_seconds()
     # kernel-only cost of one contraction (no operand remapping at all)
     w_kernel = make_world()
@@ -207,26 +126,3 @@ def format_layout_check(stats: Dict[str, float]) -> str:
     ]
     return format_table(["metric", "value"], rows,
                         title="Sweep-persistent layout tracker invariants")
-
-
-def format_plan_cost_check(stats: Dict[str, float]) -> str:
-    """Render the plan-aware cost-model check as a fixed-width table."""
-    rows = [
-        ("problem", f"env x two-site, m={stats['m']}, "
-                    f"{stats['nodes']} nodes"),
-        ("dense block: aggregate s", f"{stats['dense_aggregate_seconds']:.3e}"),
-        ("dense block: plan-aware s", f"{stats['dense_plan_seconds']:.3e}"),
-        ("dense equal", stats["dense_equal"]),
-        ("block-sparse: aggregate s",
-         f"{stats['block_aggregate_seconds']:.3e}"),
-        ("block-sparse: plan-aware s", f"{stats['block_plan_seconds']:.3e}"),
-        ("plan-aware not worse", stats["block_not_worse"]),
-        ("redistribution dense s",
-         f"{stats['redistribution_dense_seconds']:.3e}"),
-        ("redistribution plan-aware s",
-         f"{stats['redistribution_plan_seconds']:.3e}"),
-        ("plan redistribution strictly less", stats["redis_strictly_less"]),
-    ]
-    return format_table(["metric", "value"], rows,
-                        title="Plan-aware vs aggregate-nnz distributed cost "
-                              "model")

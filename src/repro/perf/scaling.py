@@ -69,7 +69,6 @@ class StepCost:
     supersteps: float
     davidson_memory: float
     environment_memory: float
-    plan_aware: bool = False
     track_layout: bool = False
     #: layout-tracker moves this step charged (first touches + transitions)
     layout_moves: int = 0
@@ -141,35 +140,17 @@ def _site_shapes(system: BenchmarkSystem, m: int, site: int
     return shapes
 
 
-def site_shapes(system: BenchmarkSystem, m: int, site: int | None = None
-                ) -> Tuple[ShapeTensor, ShapeTensor, ShapeTensor, ShapeTensor,
-                           ShapeTensor, ShapeTensor]:
-    """Public accessor for the two-site step's shape tensors.
-
-    Returns ``(L, W1, W2, R, x, A1)`` — the left/right environments, the two
-    MPO site tensors, the two-site Davidson tensor and the next site tensor —
-    at bond dimension ``m`` (``site`` defaults to the middle of the chain).
-    Benchmarks use this to build contraction plans for the dominant
-    contractions without reaching into the cached internals.
-    """
-    if site is None:
-        site = system.middle_site()
-    return _site_shapes(system, m, site)
-
-
 def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
                     algorithm: str, *, site: int | None = None,
                     davidson_matvecs: int = DAVIDSON_MATVECS,
-                    plan_aware: bool = False,
                     track_layout: bool = False) -> StepCost:
     """Model one two-site optimization (Davidson + SVD + environment update).
 
-    With ``plan_aware=True`` every contraction is priced from its compiled
-    block-pair plan (:meth:`SimWorld.charge_planned_contraction`) instead of
-    aggregate element counts; see :mod:`repro.ctf.plan_cost`.
+    Every contraction is priced from its compiled block-pair plan by the
+    backends' recipe (:meth:`SimWorld.charge_contraction`).
 
-    With ``track_layout=True`` (requires ``plan_aware``) the environments,
-    MPO tensors, wavefunction and intermediates are named with the canonical
+    With ``track_layout=True`` the environments, MPO tensors, wavefunction
+    and intermediates are named with the canonical
     :mod:`repro.ctf.layout` keys, so the world's sweep-persistent layout
     tracker charges their remapping only on real mapping changes — repeated
     Davidson matvecs and consecutive steps on one ``world`` reuse layouts for
@@ -177,8 +158,6 @@ def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
     """
     if site is None:
         site = system.middle_site()
-    if track_layout and not plan_aware:
-        raise ValueError("track_layout requires plan_aware=True")
     lenv, w1, w2, renv, x, a1 = _site_shapes(system, m, site)
 
     if track_layout:
@@ -199,7 +178,6 @@ def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
     def contract(a, b, axes, operand_keys, out_key):
         nonlocal useful
         out, f = charge_contraction(world, algorithm, a, b, axes,
-                                    plan_aware=plan_aware,
                                     operand_keys=operand_keys,
                                     out_key=out_key)
         useful += f
@@ -250,7 +228,7 @@ def model_dmrg_step(system: BenchmarkSystem, m: int, world: SimWorld,
                     breakdown, after["comm_words"] - before["comm_words"],
                     after["supersteps"] - before["supersteps"],
                     davidson_memory, environment_memory,
-                    plan_aware=plan_aware, track_layout=track_layout,
+                    track_layout=track_layout,
                     layout_moves=(tracker1["charged_moves"]
                                   - tracker0["charged_moves"]),
                     layout_reuses=(tracker1["reuses"] - tracker0["reuses"]))
@@ -280,29 +258,6 @@ def itensor_reference(system: BenchmarkSystem, m: int, machine: MachineSpec,
                      "svd": svd_secs, "imbalance": 0.0, "davidson": 0.0},
                     0.0, 0.0,
                     step.davidson_memory, step.environment_memory)
-
-
-def plan_aware_comparison(system: BenchmarkSystem, m: int,
-                          machine: MachineSpec, nodes: int, algorithm: str,
-                          procs_per_node: int = 16,
-                          site: int | None = None) -> Dict[str, object]:
-    """One DMRG step under the aggregate and the plan-aware cost model.
-
-    Returns both :class:`StepCost` objects plus the modelled-seconds ratio
-    ``plan_aware / aggregate`` — the delta the plan-aware benchmarks report.
-    On block-sparse inputs the plan-aware model never charges more than the
-    aggregate one (same kernel time, block-aligned communication volumes).
-    """
-    agg_world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
-                         machine=machine)
-    aggregate = model_dmrg_step(system, m, agg_world, algorithm, site=site)
-    plan_world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
-                          machine=machine)
-    planned = model_dmrg_step(system, m, plan_world, algorithm, site=site,
-                              plan_aware=True)
-    ratio = planned.seconds / aggregate.seconds if aggregate.seconds > 0 else 1.0
-    return {"aggregate": aggregate, "plan_aware": planned, "ratio": ratio,
-            "seconds_saved": aggregate.seconds - planned.seconds}
 
 
 # --------------------------------------------------------------------------- #
@@ -346,8 +301,8 @@ def time_breakdown(system: BenchmarkSystem, m: int, machine: MachineSpec,
                    procs_per_node: int = 16) -> Dict[str, float]:
     """Fig. 7: percentage of modelled time per category.
 
-    :func:`layout_tracker_comparison` is the plan-aware, layout-tracked
-    counterpart behind the shrinking "CTF transposition" share.
+    :func:`layout_tracker_comparison` is the layout-tracked counterpart
+    behind the shrinking "CTF transposition" share.
     """
     world = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                      machine=machine)
@@ -364,7 +319,7 @@ def layout_tracker_comparison(system: BenchmarkSystem, m: int,
                               ) -> Dict[str, object]:
     """Consecutive DMRG steps with and without the layout tracker.
 
-    Models the same plan-aware step sequence twice — once pricing every
+    Models the same step sequence twice — once pricing every
     contraction in isolation (tracker off: both operands remap every time)
     and once with the sweep-persistent layout tracker (tracker on:
     environments, MPO tensors and the Davidson wavefunction keep their
@@ -384,14 +339,13 @@ def layout_tracker_comparison(system: BenchmarkSystem, m: int,
     w_off = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                      machine=machine)
     steps_off = [model_dmrg_step(system, m, w_off, algorithm, site=s,
-                                 davidson_matvecs=davidson_matvecs,
-                                 plan_aware=True)
+                                 davidson_matvecs=davidson_matvecs)
                  for s in sites]
     w_on = SimWorld(nodes=nodes, procs_per_node=procs_per_node,
                     machine=machine)
     steps_on = [model_dmrg_step(system, m, w_on, algorithm, site=s,
                                 davidson_matvecs=davidson_matvecs,
-                                plan_aware=True, track_layout=True)
+                                track_layout=True)
                 for s in sites]
     off_bd = w_off.profiler.breakdown()
     on_bd = w_on.profiler.breakdown()

@@ -7,8 +7,8 @@ carries only the quantum-number block *structure* (sector indices and block
 shapes, no data).  Contracting two of them builds the same
 :class:`~repro.symmetry.planner.ContractionPlan` real execution builds — the
 block pairs Algorithm 2 visits with their flops and sizes, and the output
-sparsity — and the cost model charges that plan according to the algorithm
-in use.
+sparsity — and the cost model charges that plan with the backends' own
+recipe for the algorithm in use.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from ..symmetry.block_tensor import allowed_keys
 from ..symmetry.charges import Charge, zero_charge
 from ..symmetry.linalg import svd_group_shapes
 from ..symmetry.planner import ContractionPlan, PlanCache
-from .flops import dense_contraction_flops, svd_flops
+from .flops import svd_flops
 
 #: shared memo for shape-level contraction plans: the scaling experiments
 #: revisit the same (site-shape, axes) signatures thousands of times
 _SHAPE_PLAN_CACHE = PlanCache(max_plans=512)
-
-_ALGORITHMS = ("list", "sparse-dense", "sparse-sparse")
 
 
 class ShapeTensor:
@@ -101,64 +99,24 @@ def _plan_output(plan: ContractionPlan, nsym: int) -> ShapeTensor:
 
 def charge_contraction(world: SimWorld, algorithm: str, a: ShapeTensor,
                        b: ShapeTensor, axes, *,
-                       plan_aware: bool = False,
                        operand_keys: Tuple[str | None, str | None] | None = None,
                        out_key: str | None = None) -> Tuple[ShapeTensor, float]:
     """Contract shape tensors and charge the cost model per algorithm.
 
-    Both modes price the contraction's plan (:func:`plan_shape_contraction`).
-    With ``plan_aware=True`` the ``list`` and ``sparse-sparse`` algorithms
-    are priced through :meth:`SimWorld.charge_planned_contraction`
-    (block-aligned communication volumes, per-pair mapping decisions)
-    instead of the aggregate element counts.  ``sparse-dense`` keeps its
-    dense pricing in both modes, since its Davidson intermediates genuinely
-    process the dense background.
+    The contraction's plan (:func:`plan_shape_contraction`) is priced by
+    :meth:`SimWorld.charge_contraction`, the recipe the backends charge in
+    real execution; the optional ``operand_keys``/``out_key`` layout-tracker
+    names (see :mod:`repro.ctf.layout`) make operand remappings
+    sweep-persistent exactly as there.
 
-    The ``sparse-sparse`` algorithm additionally pays the remapping of each
-    operand onto the contraction's processor grid — aggregate nnz in the
-    aggregate model, the plan's block-aligned volume in plan-aware mode —
-    matching what :class:`repro.backends.sparse_sparse.SparseSparseBackend`
-    charges during real execution.  In plan-aware mode the optional
-    ``operand_keys``/``out_key`` layout-tracker names (see
-    :mod:`repro.ctf.layout`) make those remappings sweep-persistent: a named
-    operand pays only when the contraction's preferred mapping differs from
-    its tracked layout, exactly as in real execution.
-
-    Returns the output shape tensor and the total flops of the contraction.
+    Returns the output shape tensor and the contraction's useful flops: the
+    block-level count of the plan for every algorithm, also when the
+    ``sparse-dense`` kernel is priced on the dense background.
     """
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     plan = plan_shape_contraction(a, b, axes)
-    out = _plan_output(plan, a.nsym)
-    if not plan.npairs:
-        return out, 0.0
-    if algorithm == "sparse-dense":
-        modelled = dense_contraction_flops(a, b, plan.axes_a)
-        world.charge_dense_contraction(modelled, a.dense_size, b.dense_size,
-                                       out.dense_size)
-        return out, modelled
-    if plan_aware:
-        operand_nnz = (a.nnz, b.nnz) if algorithm == "sparse-sparse" else None
-        world.charge_planned_contraction(plan, algorithm=algorithm,
-                                         operand_nnz=operand_nnz,
-                                         operand_keys=operand_keys,
-                                         out_key=out_key)
-    elif algorithm == "list":
-        # Table II's all-3D pricing: no per-pair mapping decisions
-        m, k, n = plan.pair_m, plan.pair_k, plan.pair_n
-        for flops, words_a, words_b, words_c in zip(
-                plan.pair_flops.tolist(), (m * k).tolist(), (k * n).tolist(),
-                (m * n).tolist()):
-            world.charge_block_contraction(
-                flops, words_a, words_b, words_c, num_blocks=plan.npairs,
-                largest_block_share=plan.largest_pair_share)
-    else:
-        # operand remapping onto the contraction grid (aggregate volume)
-        world.charge_redistribution(a.nnz)
-        world.charge_redistribution(b.nnz)
-        world.charge_sparse_contraction(plan.total_flops, a.nnz, b.nnz,
-                                        plan.out_nnz)
-    return out, plan.total_flops
+    world.charge_contraction(algorithm, plan, a, b,
+                             operand_keys=operand_keys, out_key=out_key)
+    return _plan_output(plan, a.nsym), plan.total_flops
 
 
 def charge_svd(world: SimWorld, algorithm: str, t: ShapeTensor,

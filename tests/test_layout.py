@@ -153,10 +153,8 @@ class TestChargeLayoutTransition:
         w_on, w_off = make_world(), make_world()
         for _ in range(4):
             charge_contraction(w_on, "sparse-sparse", env, x, axes,
-                               plan_aware=True, operand_keys=("env", "x"),
-                               out_key="hx")
-            charge_contraction(w_off, "sparse-sparse", env, x, axes,
-                               plan_aware=True)
+                               operand_keys=("env", "x"), out_key="hx")
+            charge_contraction(w_off, "sparse-sparse", env, x, axes)
         assert w_on.modelled_seconds() <= w_off.modelled_seconds()
         assert w_on.layout_tracker.reuses > 0
 
@@ -219,21 +217,13 @@ class TestBackendLayoutThreading:
         w_on, w_off = make_world(), make_world()
         s = system.middle_site()
         on = [model_dmrg_step(system, 256, w_on, "sparse-sparse", site=j,
-                              plan_aware=True, track_layout=True)
+                              track_layout=True)
               for j in (s, s + 1)]
-        off = [model_dmrg_step(system, 256, w_off, "sparse-sparse", site=j,
-                               plan_aware=True)
+        off = [model_dmrg_step(system, 256, w_off, "sparse-sparse", site=j)
                for j in (s, s + 1)]
         assert w_on.modelled_seconds() <= w_off.modelled_seconds()
         assert sum(st.layout_reuses for st in on) > 0
         assert all(st.layout_reuses == 0 for st in off)
-
-    def test_track_layout_requires_plan_aware(self):
-        from repro.perf import get_system, model_dmrg_step
-        system = get_system("spins", small=True)
-        with pytest.raises(ValueError):
-            model_dmrg_step(system, 64, make_world(), "sparse-sparse",
-                            track_layout=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -259,9 +249,11 @@ class TestListMappingCrossover:
         world = make_world()
         backend = ListBackend(world)
         backend.contract(a, b, axes)
-        assert sum(backend.mapping_counts.values()) > 0
+        decisions = world.pair_decisions(backend.plan_cache.lookup(a, b,
+                                                                   axes))
+        assert len(decisions) > 0
         # the tiny test blocks all fall below the grain crossover
-        assert set(backend.mapping_counts) == {"summa-2d"}
+        assert {d.algorithm for d in decisions} == {"summa-2d"}
 
     def test_2d_pair_transposes_less_than_3d(self):
         w_2d, w_3d = make_world(), make_world()

@@ -96,7 +96,8 @@ class TestMatvecChain:
             assert world.layout_tracker.snapshot() == \
                 ref_world.layout_tracker.snapshot()
         if name == "list":
-            assert backend.mapping_counts == ref_backend.mapping_counts
+            assert world.pair_decisions(backend._last_plan) == \
+                ref_world.pair_decisions(ref_backend._last_plan)
 
 
 class TestCostAccountingParity:

@@ -230,7 +230,7 @@ class TestSchedulerTracing:
 
 
 class TestCLI:
-    BENCH_TARGETS = ["all", "plan-cost", "layout", "obs"]
+    BENCH_TARGETS = ["all", "layout", "obs"]
 
     def test_bench_list_targets(self, capsys):
         assert main(["bench", "--list-targets"]) == 0

@@ -3,8 +3,8 @@
 Covers the block-aligned word counts a contraction plan carries
 (``repro.ctf.plan_cost``), the plan-aware charging methods of
 :class:`SimWorld`, the plan-driven candidate scorer ``choose_plan_mapping``,
-and the plan-aware mode of the shape-level scaling simulation.  The three
-acceptance properties:
+and the one contraction recipe the backends and the shape-level scaling
+simulation share.  The three acceptance properties:
 
 (a) plan-aware totals equal the aggregate model for a single dense block,
 (b) block-sparse plans price strictly less redistribution than the
@@ -105,6 +105,19 @@ def dense_pair():
     a = BlockSparseTensor.random((left, mid.dual()), flux=(0,), rng=rng)
     b = BlockSparseTensor.random((mid, right.dual()), flux=(0,), rng=rng)
     return a, b, ([1], [0])
+
+
+def order4_pair(m: int = 48):
+    """The Davidson environment x two-site tensor contraction: the order-4
+    operand and output are ``sparse-dense`` intermediates."""
+    rng = np.random.default_rng(7)
+    bond = GeometricBlockModel.spins().bond_index(m)
+    phys = Index([(0,), (1,)], [1, 1], flow=1)
+    env = BlockSparseTensor.random((bond.with_flow(1), bond.dual()),
+                                   flux=(0,), rng=rng)
+    x = BlockSparseTensor.random((bond.with_flow(1), phys, phys,
+                                  bond.dual()), flux=(0,), rng=rng)
+    return env, x, ([1], [0])
 
 
 def block_sparse_pair(m: int = 96):
@@ -478,22 +491,24 @@ class TestBackendCharging:
         direct = make_backend("direct").contract(a, b, axes)
         assert np.allclose(result.to_dense(), direct.to_dense())
 
-    def test_backend_and_shapesim_price_identically(self):
-        """Real execution and shape-level simulation share one cost model."""
-        a, b, axes = block_sparse_pair()
+    @pytest.mark.parametrize("algorithm",
+                             ["list", "sparse-dense", "sparse-sparse"])
+    @pytest.mark.parametrize("pair", ["block-sparse", "order-4"])
+    def test_backend_and_shapesim_price_identically(self, algorithm, pair):
+        """Real execution and shape-level simulation share one cost model,
+        also where ``sparse-dense`` prices an order-4 intermediate dense."""
+        a, b, axes = (block_sparse_pair() if pair == "block-sparse"
+                      else order4_pair())
         w_backend = make_world()
-        make_backend("sparse-sparse", w_backend).contract(a, b, axes)
+        make_backend(algorithm, w_backend).contract(a, b, axes)
         w_shape = make_world()
-        charge_contraction(w_shape, "sparse-sparse",
-                           ShapeTensor.from_block_tensor(a),
-                           ShapeTensor.from_block_tensor(b), axes,
-                           plan_aware=True)
-        assert w_backend.modelled_seconds() == pytest.approx(
-            w_shape.modelled_seconds(), rel=1e-12)
-        assert w_backend.profiler.as_dict() == pytest.approx(
-            w_shape.profiler.as_dict(), rel=1e-12)
+        _, flops = charge_contraction(w_shape, algorithm,
+                                      ShapeTensor.from_block_tensor(a),
+                                      ShapeTensor.from_block_tensor(b), axes)
+        assert w_backend.profiler.as_dict() == w_shape.profiler.as_dict()
+        assert flops == build_plan(a, b, axes).total_flops
 
-    def test_sparse_dense_backend_sparse_branch_is_plan_aware(self):
+    def test_sparse_dense_backend_sparse_branch_is_planned(self):
         # order-2/3 operands stay below the Davidson-intermediate order,
         # so the sparse (plan-aware) branch prices the contraction
         a, b, axes = block_sparse_pair()
@@ -508,49 +523,9 @@ class TestBackendCharging:
 
 
 # --------------------------------------------------------------------------- #
-# shape-level simulation in plan-aware mode
+# shape-level simulation
 # --------------------------------------------------------------------------- #
 class TestShapesimPlanAware:
-    def test_output_structure_matches_aggregate_path(self):
-        gbm = GeometricBlockModel.electrons()
-        bond = gbm.bond_index(64)
-        phys = Index([(0,), (1,)], [1, 1], flow=1)
-        env = ShapeTensor((bond.with_flow(1), bond.dual()))
-        x = ShapeTensor((bond.with_flow(1), phys, bond.dual()))
-        out_agg, f_agg = charge_contraction(make_world(), "sparse-sparse",
-                                            env, x, ([1], [0]))
-        out_plan, f_plan = charge_contraction(make_world(), "sparse-sparse",
-                                              env, x, ([1], [0]),
-                                              plan_aware=True)
-        assert f_plan == pytest.approx(f_agg)
-        assert set(out_plan.blocks) == set(out_agg.blocks)
-        assert out_plan.nnz == out_agg.nnz
-
-    def test_list_algorithm_modes_agree_up_to_pair_mappings(self):
-        """Both modes visit the same pairs with the same flops; plan-aware
-        mode additionally applies the per-pair 2D-vs-3D mapping crossover
-        (the aggregate path keeps Table II's all-3D assumption), so kernel
-        time and flops agree exactly while communication/transposition may
-        differ only through the mapping decision."""
-        gbm = GeometricBlockModel.spins()
-        bond = gbm.bond_index(48)
-        phys = Index([(0,), (1,)], [1, 1], flow=1)
-        env = ShapeTensor((bond.with_flow(1), bond.dual()))
-        x = ShapeTensor((bond.with_flow(1), phys, bond.dual()))
-        w_agg, w_plan = make_world(), make_world()
-        _, f_agg = charge_contraction(w_agg, "list", env, x, ([1], [0]))
-        _, f_plan = charge_contraction(w_plan, "list", env, x, ([1], [0]),
-                                       plan_aware=True)
-        assert f_plan == pytest.approx(f_agg)
-        assert w_plan.profiler.flops == pytest.approx(w_agg.profiler.flops)
-        assert w_plan.profiler.seconds["gemm"] == pytest.approx(
-            w_agg.profiler.seconds["gemm"], rel=1e-12)
-        assert w_plan.profiler.seconds["imbalance"] == pytest.approx(
-            w_agg.profiler.seconds["imbalance"], rel=1e-12)
-        # 2D-mapped small pairs skip the output refold
-        assert w_plan.profiler.seconds["transposition"] <= \
-            w_agg.profiler.seconds["transposition"] + 1e-15
-
     def test_plan_cache_reuses_shape_plans(self):
         bond = GeometricBlockModel.spins().bond_index(32)
         env = ShapeTensor((bond.with_flow(1), bond.dual()))
@@ -560,22 +535,9 @@ class TestShapesimPlanAware:
         p2 = plan_shape_contraction(env, x, ([1], [0]))
         assert p1 is p2
 
-    def test_model_dmrg_step_plan_aware_not_worse(self):
-        from repro.perf import get_system
-        from repro.perf.scaling import plan_aware_comparison
-        system = get_system("spins", small=True)
-        cmp = plan_aware_comparison(system, 64, BLUE_WATERS, 8,
-                                    "sparse-sparse")
-        assert cmp["plan_aware"].seconds <= \
-            cmp["aggregate"].seconds * (1.0 + 1e-12)
-        assert cmp["plan_aware"].useful_flops == pytest.approx(
-            cmp["aggregate"].useful_flops)
-        assert cmp["plan_aware"].plan_aware
-        assert not cmp["aggregate"].plan_aware
-
 
 # --------------------------------------------------------------------------- #
-# geometric bond index + CLI smoke check
+# geometric bond index
 # --------------------------------------------------------------------------- #
 class TestSupportingPieces:
     def test_geometric_bond_index_realizes_block_dims(self):
@@ -584,13 +546,3 @@ class TestSupportingPieces:
         assert list(ix.dims) == gbm.block_dims(200)
         assert ix.nsym == 1
         assert ix.can_contract_with(ix.dual())
-
-    def test_plan_cost_smoke_check_invariants(self):
-        from repro.perf.plan_bench import (format_plan_cost_check,
-                                           run_plan_cost_check)
-        stats = run_plan_cost_check(m=64, nodes=2)
-        assert stats["dense_equal"]
-        assert stats["block_not_worse"]
-        assert stats["redis_strictly_less"]
-        text = format_plan_cost_check(stats)
-        assert "plan-aware" in text.lower()

@@ -38,13 +38,19 @@ class TestStepModel:
         # Table II: flops ~ m^3, so x4 in m gives ~x64 in flops
         assert large.useful_flops > 20 * small.useful_flops
 
-    def test_algorithms_have_equal_useful_flops(self, electrons_small):
-        """list and sparse-sparse cost 'roughly the same number of total flops'."""
-        wl = SimWorld(nodes=2, procs_per_node=16, machine=BLUE_WATERS)
-        ws = SimWorld(nodes=2, procs_per_node=16, machine=BLUE_WATERS)
-        a = model_dmrg_step(electrons_small, 512, wl, "list")
-        b = model_dmrg_step(electrons_small, 512, ws, "sparse-sparse")
-        assert a.useful_flops == pytest.approx(b.useful_flops, rel=1e-9)
+    def test_algorithms_have_equal_useful_flops(self, spins_small,
+                                                electrons_small):
+        """Useful flops are the block-level count for every algorithm, also
+        for sparse-dense, whose dense kernel multiplies the zero background
+        (rates and ITensor's extrapolated time are defined on it)."""
+        for system in (spins_small, electrons_small):
+            flops = {model_dmrg_step(system, 512,
+                                     SimWorld(nodes=2, procs_per_node=16,
+                                              machine=BLUE_WATERS),
+                                     algorithm).useful_flops
+                     for algorithm in ("list", "sparse-dense",
+                                       "sparse-sparse")}
+            assert len(flops) == 1
 
     def test_sparse_dense_memory_larger(self, electrons_small):
         wl = SimWorld(nodes=2, procs_per_node=16, machine=BLUE_WATERS)

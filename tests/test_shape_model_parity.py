@@ -2,15 +2,12 @@
 
 ``tests/data/shape_model_golden.json`` pins what :func:`model_dmrg_step` and
 :func:`itensor_reference` report for one two-site step of the small spin and
-electron systems: every algorithm in the aggregate, plan-aware and
-plan-aware + layout-tracked modes, plus the single-node ITensor reference.
+electron systems: every algorithm without (``plan-aware``) and with
+(``tracked``) the layout tracker, plus the single-node ITensor reference.
 Together with ``test_engine_parity.py`` (real runs on the four backends) it
-pins both sides of the cost model.
+pins both sides of the one cost model.
 
-Every value must be reproduced exactly, except the ``list`` algorithm in the
-aggregate mode, which charges one block contraction per pair: its totals are
-sums whose order follows the plan's pair order and are compared to 1e-15.
-Regenerate only on purpose:
+Every value must be reproduced exactly.  Regenerate only on purpose:
 ``PYTHONPATH=src python tests/test_shape_model_parity.py --regenerate``.
 """
 
@@ -30,8 +27,7 @@ GOLDEN = Path(__file__).parent / "data" / "shape_model_golden.json"
 M = 48
 SYSTEMS = ("spins", "electrons")
 ALGORITHMS = ("list", "sparse-dense", "sparse-sparse")
-MODES = {"aggregate": {}, "plan-aware": {"plan_aware": True},
-         "tracked": {"plan_aware": True, "track_layout": True}}
+MODES = {"plan-aware": {}, "tracked": {"track_layout": True}}
 CASES = ([(s, a, mode) for s in SYSTEMS for a in ALGORITHMS for mode in MODES]
          + [(s, "itensor", "reference") for s in SYSTEMS])
 
@@ -63,15 +59,7 @@ def golden():
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_matches_golden(case, golden):
     want = golden[_case_id(case)]
-    got = collect(case)
-    if case[1:] == ("list", "aggregate"):
-        for exact in ("useful_flops", "layout"):
-            assert got.pop(exact) == want.pop(exact)
-        assert got.pop("breakdown") == pytest.approx(want.pop("breakdown"),
-                                                     rel=1e-15, abs=0)
-        assert got == pytest.approx(want, rel=1e-15, abs=0)
-    else:
-        assert got == want
+    assert collect(case) == want
 
 
 if __name__ == "__main__":

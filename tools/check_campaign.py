@@ -2,9 +2,10 @@
 """Campaign-smoke gate: a tiny grid through the scheduler, layout asserted.
 
 Runs the built-in 2x2 ``campaign-smoke`` grid (two chain lengths x two bond
-dimensions) on the process-pool scheduler with two workers, into the
-repository's real run registry (``benchmarks/results/history/``), and fails
-— exit code 1, one line per violation — unless:
+dimensions) on the process-pool scheduler with two workers, into a fresh
+temporary run registry that is removed afterwards (or into ``history-dir``
+when one is given), and fails — exit code 1, one line per violation —
+unless:
 
 * every run of the grid ends up with a completed registry record,
 * each record directory follows the registry layout
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -77,8 +79,15 @@ def check_record_layout(registry: RunRegistry, spec: RunSpec) -> list[str]:
 
 def main(argv: list[str]) -> int:
     """Run the smoke campaign twice and verify records + idempotence."""
-    root = argv[1] if len(argv) > 1 else None
-    registry = RunRegistry(root) if root else RunRegistry()
+    if len(argv) > 1:
+        return check(RunRegistry(argv[1]))
+    # a fresh registry, so every invocation executes the whole grid
+    with tempfile.TemporaryDirectory(prefix="campaign-smoke-") as root:
+        return check(RunRegistry(root))
+
+
+def check(registry: RunRegistry) -> int:
+    """Run the smoke campaign twice into ``registry`` and verify it."""
     name, specs = builtin_specs("campaign-smoke")
     print(f"campaign-smoke: {len(specs)} runs, 2 workers -> {registry.root}")
     first = run_campaign(specs, registry=registry, name=name, workers=2,
